@@ -46,10 +46,11 @@ class _UsageError(Exception):
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("FATPOINTS_SEED", "0")
     try:
-        return int(os.environ.get("FATPOINTS_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise _UsageError(f"FATPOINTS_SEED must be an integer, got {raw!r}") from None
 
 
 def _add_scheme_arg(p: argparse.ArgumentParser) -> None:
@@ -317,9 +318,8 @@ _COMMANDS = {
 
 
 def cli_dispatch(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

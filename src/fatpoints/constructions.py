@@ -34,7 +34,6 @@ from fatpoints.geometry import (
     ProjPoint,
     extend_flat_avoiding,
     flat_contains,
-    general_position_on,
     degeneracy_index,
     hyperplane_containing_avoiding,
     span,
@@ -515,12 +514,14 @@ def segre_verdict(z: FatPointScheme) -> Verdict:
     d = span(pts).dim
     report = segre_bound(z)
     reg = regularity_index(z)
+    # on their own span, general position is exactly the absence of degeneracy
+    degeneracy = degeneracy_index(pts)
     return Verdict(
         point_count=z.size,
         span_dim=d,
         equimultiple=len(set(z.mults)) == 1,
-        general_position=general_position_on(pts, d),
-        degeneracy=degeneracy_index(pts),
+        general_position=degeneracy is None,
+        degeneracy=degeneracy,
         hypothesis_class=classify_scheme(z),
         reg=reg,
         bound=report.bound,

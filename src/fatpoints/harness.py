@@ -44,7 +44,7 @@ def scheme_from_obj(obj: object) -> FatPointScheme:
         if key not in obj:
             raise ValueError(f"scheme file is missing the {key!r} field")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("field 'n' must be a positive integer")
     raw_points = obj["points"]
     raw_mults = obj["multiplicities"]
@@ -73,7 +73,7 @@ def scheme_from_obj(obj: object) -> FatPointScheme:
         points.append(p)
     mults = []
     for i, m in enumerate(raw_mults):
-        if not isinstance(m, int) or m < 1:
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"multiplicity {i} must be a positive integer")
         mults.append(m)
     return FatPointScheme(n, tuple(points), tuple(mults))

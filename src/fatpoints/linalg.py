@@ -7,16 +7,14 @@ normalization pass that produces the canonical reduced row echelon form.
 Pivots are chosen deterministically: leftmost nonzero column, first
 nonzero row.
 
-A modular fast path is available as a filter.  It reduces the matrix
-modulo a fixed, published list of 62-bit primes to guess the pivot
-structure, then certifies the guess with rational-arithmetic facts only:
-
-* a minor that is nonzero mod p is nonzero over Q (rank lower bound);
-* explicitly verified row dependencies bound the rank from above.
-
-If certification fails the code falls back to plain rational elimination
-and logs the disagreement, so a reported rank never depends on trusting a
-prime.  The filter is off by default; see :func:`set_modular_filter`.
+Every rank is decided in :func:`rank_rows`.  With the modular filter on,
+it first reduces the rows modulo ``MODULAR_PRIMES[0]``.  When that rank
+equals min(rows, cols) it is reported: a full-size minor that is nonzero
+mod p is nonzero over Q, and no rank exceeds min(rows, cols).  Every other
+case is decided by rational elimination, and a modular rank that differs
+from it is counted and logged, so a reported rank never depends on
+trusting a prime.  The filter is off by default; see
+:func:`set_modular_filter`.
 """
 
 from __future__ import annotations
@@ -30,13 +28,14 @@ from typing import Iterable, Sequence
 
 try:
     from gmpy2 import mpq, mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is an optional extra; same values, slower
     mpz = int
     mpq = Fraction
 
 _LOG = logging.getLogger("fatpoints.linalg")
 
-#: Published primes for the modular filter, tried in order.
+#: Published 62-bit primes.  The rank filter uses only the first;
+#: :func:`rank_mod_p` accepts any modulus.
 MODULAR_PRIMES: tuple[int, ...] = (
     4611686018427387847,
     4611686018427387817,
@@ -179,10 +178,6 @@ def _bareiss_forward(m: list[list], ncols: int) -> list[int]:
     return pivot_cols
 
 
-def _bareiss_rank(m: list[list], ncols: int) -> int:
-    return len(_bareiss_forward(m, ncols))
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -305,20 +300,13 @@ def rank_mod_p(m: Matrix, p: int) -> int:
                 raise ValueError(f"denominator of entry ({i}) divisible by {p}")
             row.append(x.numerator * pow(x.denominator, -1, p) % p)
         rows.append(row)
-    r, _, _ = _mod_rank_profile(rows, m.cols, p)
-    return r
+    return _rank_mod(rows, m.cols, p)
 
 
-def _mod_rank_profile(rows: list[list[int]], ncols: int, p: int):
-    """Gaussian elimination mod p; returns (rank, pivot row indices, pivot cols).
-
-    Pivot row indices refer to the original row order.
-    """
+def _rank_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> int:
+    """Rank of integer rows modulo the prime p, by Gaussian elimination."""
     m = [[int(x) % p for x in row] for row in rows]
-    idx = list(range(len(m)))
     piv = 0
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
     for c in range(ncols):
         if piv >= len(m):
             break
@@ -327,7 +315,6 @@ def _mod_rank_profile(rows: list[list[int]], ncols: int, p: int):
             continue
         if pr != piv:
             m[piv], m[pr] = m[pr], m[piv]
-            idx[piv], idx[pr] = idx[pr], idx[piv]
         prow = m[piv]
         inv = pow(prow[c], -1, p)
         prow[c:] = [x * inv % p for x in prow[c:]]
@@ -336,14 +323,12 @@ def _mod_rank_profile(rows: list[list[int]], ncols: int, p: int):
             if t:
                 row = m[r]
                 row[c:] = [(x - t * y) % p for x, y in zip(row[c:], prow[c:])]
-        pivot_rows.append(idx[piv])
-        pivot_cols.append(c)
         piv += 1
-    return piv, pivot_rows, pivot_cols
+    return piv
 
 
 # ---------------------------------------------------------------------------
-# certified rank engine
+# rank decision
 # ---------------------------------------------------------------------------
 
 _MODULAR_FILTER = False
@@ -363,7 +348,14 @@ def modular_filter_enabled() -> bool:
 
 
 def modular_stats() -> dict[str, int]:
-    """Snapshot of filter activity counters (for diagnostics and tests)."""
+    """Snapshot of filter activity counters (for diagnostics and tests).
+
+    ``short_circuits`` counts filtered ranks settled by the full-rank
+    rule, ``fallbacks`` those decided by rational elimination, and
+    ``disagreements`` the fallbacks whose modular rank differed.
+    ``certified`` is kept for readers of the snapshot and stays 0: no
+    rank is accepted on a modular certificate.
+    """
     with _stats_lock:
         return dict(_stats)
 
@@ -380,116 +372,41 @@ def _bump(key: str) -> None:
 
 
 def rank(m: Matrix, *, modular: bool | None = None) -> int:
-    """Exact rank of m.
-
-    With the modular filter off this is plain fraction-free elimination.
-    With it on, a mod-p run guesses the answer and the guess is accepted
-    only when backed by a rational certificate; otherwise the code falls
-    back to rational elimination and logs the disagreement.
-    """
-    use = _MODULAR_FILTER if modular is None else modular
-    irows = _int_rows(m)
-    if not use:
-        return _bareiss_rank(irows, m.cols)
-    return _certified_rank(irows, m.cols)
+    """Exact rank of m; see :func:`rank_rows`."""
+    return rank_rows(_int_rows(m), m.cols, modular=modular)
 
 
 def rank_rows(rows: Sequence[Sequence[int]], ncols: int, *, modular: bool | None = None) -> int:
-    """Exact rank of a list of integer rows (fast path used by callers that
-    build their matrices directly in integers)."""
+    """Exact rank of a list of integer rows.
+
+    With the filter on (``modular``, or the global setting when None), a
+    rank mod ``MODULAR_PRIMES[0]`` equal to min(rows, cols) is returned
+    as is, since it is a lower bound that meets the upper one.  Otherwise
+    fraction-free elimination decides, and a differing modular rank is
+    counted and logged.
+    """
     use = _MODULAR_FILTER if modular is None else modular
     irows = [_strip_ints(list(row)) for row in rows]
-    if not irows:
-        return 0
-    if not use:
-        return _bareiss_rank(irows, ncols)
-    return _certified_rank(irows, ncols)
-
-
-def _certified_rank(irows: list[list], ncols: int) -> int:
-    nrows = len(irows)
-    ceiling = min(nrows, ncols)
-    if ceiling == 0:
-        return 0
-    p = MODULAR_PRIMES[0]
-    rp, prows, pcols = _mod_rank_profile(irows, ncols, p)
-    if rp == ceiling:
-        # rp <= rank <= ceiling forces equality; no prime trust involved
-        _bump("short_circuits")
-        return rp
-    if rp == 0:
-        if all(not x for row in irows for x in row):
-            _bump("certified")
-            return 0
-    elif _verify_dependencies(irows, prows, pcols, ncols):
-        # lower bound: the rp x rp pivot minor is nonzero mod p, hence
-        # nonzero over Q; upper bound: every remaining row was verified
-        # to be a rational combination of the pivot rows
-        _bump("certified")
-        return rp
-    _bump("fallbacks")
-    true_rank = _bareiss_rank([list(r) for r in irows], ncols)
-    if true_rank != rp:
+    rp = None
+    if use:
+        rp = _rank_mod(irows, ncols, MODULAR_PRIMES[0])
+        if rp == min(len(irows), ncols):
+            _bump("short_circuits")
+            return rp
+        _bump("fallbacks")
+    true_rank = len(_bareiss_forward(irows, ncols))
+    if rp is not None and rp != true_rank:
         _bump("disagreements")
         _LOG.warning(
-            "modular rank %d (mod %d) disagreed with rational rank %d; "
+            "modular rank %d (mod %d) disagreed with rational rank %d on a %d x %d matrix; "
             "rational result reported",
             rp,
-            p,
+            MODULAR_PRIMES[0],
             true_rank,
+            len(irows),
+            ncols,
         )
-    else:
-        _LOG.info("modular pivot certificate failed; rational elimination confirmed rank %d", rp)
     return true_rank
-
-
-def _verify_dependencies(irows: list[list], prows: list[int], pcols: list[int], ncols: int) -> bool:
-    """Certify rank <= len(prows) by expressing every non-pivot row rationally.
-
-    Solves, over Q, for coefficients writing each non-pivot row as a
-    combination of the pivot rows on the pivot columns, then verifies the
-    combination on all columns.  Returns False when any row fails, in
-    which case the caller must re-eliminate rationally.
-    """
-    rp = len(prows)
-    pivot_set = set(prows)
-    free_rows = [i for i in range(len(irows)) if i not in pivot_set]
-    if not free_rows:
-        return True
-
-    # augmented system: B^T x_f = c_f for all free rows f at once, where
-    # B = pivot rows restricted to pivot columns
-    aug = [
-        [irows[pr][c] for pr in prows] + [irows[f][c] for f in free_rows]
-        for c in pcols
-    ]
-    width = rp + len(free_rows)
-    piv_cols = _bareiss_forward(aug, width)
-    if piv_cols != list(range(rp)):
-        return False  # pivot submatrix unexpectedly singular over Q
-
-    # back-substitute for the solution block
-    q = [[mpq(x) for x in row] for row in aug[:rp]]
-    for i in reversed(range(rp)):
-        pv = q[i][i]
-        q[i][i:] = [x / pv for x in q[i][i:]]
-        for i2 in range(i):
-            t = q[i2][i]
-            if t:
-                q[i2][i:] = [x - t * y for x, y in zip(q[i2][i:], q[i][i:])]
-
-    for k, f in enumerate(free_rows):
-        coeffs = [q[i][rp + k] for i in range(rp)]
-        frow = irows[f]
-        for j in range(ncols):
-            acc = mpq(0)
-            for i, pr in enumerate(prows):
-                c = coeffs[i]
-                if c:
-                    acc += c * irows[pr][j]
-            if acc != frow[j]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Every criterion prints a single PASS/FAIL line (visible with ``pytest -s``
 or in failure output).  All comparisons are exact integer comparisons;
 there are no numeric tolerances anywhere.
 
-The certified modular rank filter is enabled for the expensive criteria;
-it changes running time only, never values (each reported rank carries a
-rational certificate), and criterion 8 exercises the filter itself
-against pure rational elimination.
+The modular rank filter is enabled for the expensive criteria; it
+changes running time only, never values (a modular rank is reported only
+when it equals min(rows, cols), which proves it), and criterion 8
+exercises the filter itself against pure rational elimination.
 """
 
 import json

@@ -223,3 +223,12 @@ def test_env_seed_default(tmp_path, monkeypatch, capsys):
          "--out", str(out2)]
     ) == 0
     assert out1.read_text() == out2.read_text()
+
+
+def test_env_seed_malformed_exit_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FATPOINTS_SEED", "abc")
+    out = tmp_path / "a.json"
+    code = cli_dispatch(["gen", "--pattern", "general", "--n", "2", "--s", "3", "--out", str(out)])
+    assert code == 1
+    assert "FATPOINTS_SEED" in capsys.readouterr().err
+    assert not out.exists()

@@ -83,6 +83,20 @@ def test_wrong_width_diagnostic():
         scheme_from_obj(obj)
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"n": True, "points": [["1", "0"]], "multiplicities": [1]}, "field 'n'"),
+        ({"n": 1, "points": [["1", "0"], ["0", "1"]], "multiplicities": [2, True]}, "multiplicity 1"),
+        ({"n": 1, "points": [["1", "0"]], "multiplicities": [False]}, "multiplicity 0"),
+    ],
+)
+def test_boolean_integers_rejected(obj, message):
+    # JSON true/false load as bool, a subclass of int; they are not counts
+    with pytest.raises(ValueError, match=message):
+        scheme_from_obj(obj)
+
+
 def test_bad_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"n": 2, "points": [[,]]}')

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints.linalg import (
@@ -18,6 +18,7 @@ from fatpoints.linalg import (
     modular_stats,
     rank,
     rank_mod_p,
+    rank_rows,
     reset_modular_stats,
     rref,
 )
@@ -314,6 +315,48 @@ def test_rank_filter_certifies_rank_deficient_matrices():
         m = random_matrix(rng, 5, 7, planted_rank=3)
         assert rank(m, modular=True) == 3
     assert modular_stats()["disagreements"] == 0
+
+
+P0 = MODULAR_PRIMES[0]
+
+# small entries, plus entries of at least 62 bits that wrap modulo P0
+entry_st = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=2**62, max_value=2**64),
+    st.integers(min_value=-(2**64), max_value=-(2**62)),
+)
+
+
+@st.composite
+def int_rows_st(draw):
+    ncols = draw(st.integers(min_value=0, max_value=8))
+    nrows = draw(st.integers(min_value=0, max_value=8))
+    rows = draw(st.lists(st.lists(entry_st, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if ncols >= 2 and draw(st.booleans()):
+        # these two rows are dependent mod P0 but not over Q
+        rows = rows[:6] + [[1] * ncols, [1 + P0] + [1] * (ncols - 1)]
+    return rows, ncols
+
+
+def test_rank_rows_filter_matches_plain_elimination():
+    reset_modular_stats()
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_rows_st())
+    @example(([[1, 1], [1 + P0, 1]], 2))
+    @example(([[2**62, 1], [0, 3]], 2))
+    def check(case):
+        rows, ncols = case
+        assert (
+            rank_rows(rows, ncols, modular=True)
+            == rank_rows(rows, ncols, modular=False)
+            == rref(Matrix.from_rows(rows)).rank
+        )
+
+    check()
+    stats = modular_stats()
+    assert stats["short_circuits"] > 0
+    assert stats["fallbacks"] > 0
 
 
 # ---------------------------------------------------------------------------
