@@ -31,6 +31,7 @@ from fatpoints.schemes import (
     monomial_bound_check,
     multiplicity,
     regularity_index,
+    simplex_frame,
 )
 from fatpoints.segre import segre_bound
 
@@ -166,8 +167,18 @@ def _cmd_hilbert(args) -> int:
             raise ValueError("--degree must be nonnegative")
         print(hilbert_function(z, args.degree))
         return 0
-    reg = regularity_index(z)
-    rows = [(t, hilbert_function(z, t)) for t in range(reg + 1)]
+    # The regularity index is the least t with H(t) = e, so one upward
+    # scan builds the table and finds it.
+    e = multiplicity(z)
+    frame = simplex_frame(z)
+    rows = []
+    for t in range(sum(z.mults)):  # the regularity index is at most sum(m_i) - 1
+        rows.append((t, hilbert_function(z, t, frame=frame)))
+        if rows[-1][1] == e:
+            break
+    else:
+        raise RuntimeError("Hilbert function passed its cap; this indicates a bug")
+    reg = rows[-1][0]
     if args.csv:
         print("t,h")
         for t, h in rows:
@@ -175,7 +186,7 @@ def _cmd_hilbert(args) -> int:
     else:
         for t, h in rows:
             print(f"H({t}) = {h}")
-        print(f"multiplicity = {multiplicity(z)}; regularity index = {reg}")
+        print(f"multiplicity = {e}; regularity index = {reg}")
     return 0
 
 

@@ -35,11 +35,12 @@ from fatpoints.geometry import (
     extend_flat_avoiding,
     flat_contains,
     degeneracy_index,
+    frame_change,
     hyperplane_containing_avoiding,
     span,
     transform_point,
 )
-from fatpoints.linalg import Matrix, inverse, rref
+from fatpoints.linalg import Matrix
 from fatpoints.schemes import (
     FatPointScheme,
     Form,
@@ -199,24 +200,10 @@ def _monomial_order_at(mono: tuple[int, ...], q: ProjPoint) -> int:
 
 def _normalizing_change(j: FatPointScheme, p: ProjPoint):
     """Coordinates with p at (1, 0, ...) and independent scheme points on the axes."""
-    n = j.n
-    cols = [p.integer_rep()]
+    change, taken = frame_change(j.n, [p.integer_rep()], [q.integer_rep() for q in j.points])
     positions: list[Optional[int]] = [None] * j.size
-    for idx, q in enumerate(j.points):
-        if len(cols) == n + 1:
-            break
-        probe = rref(Matrix.from_rows([list(c) for c in cols] + [list(q.integer_rep())]))
-        if probe.rank == len(cols) + 1:
-            positions[idx] = len(cols)
-            cols.append(q.integer_rep())
-    for i in range(n + 1):
-        if len(cols) == n + 1:
-            break
-        unit = tuple(int(k == i) for k in range(n + 1))
-        probe = rref(Matrix.from_rows([list(c) for c in cols] + [list(unit)]))
-        if probe.rank == len(cols) + 1:
-            cols.append(unit)
-    change = inverse(Matrix.from_rows([list(c) for c in cols]).transpose())
+    for axis, idx in enumerate(taken, start=1):
+        positions[idx] = axis
     return change, tuple(positions)
 
 

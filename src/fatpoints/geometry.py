@@ -234,19 +234,54 @@ def extend_flat_avoiding(f: Flat, target_dim: int, avoid: ProjPoint, seed: int) 
     return cur
 
 
+def frame_change(
+    n: int, leading: Sequence[Sequence[int]], candidates: Sequence[Sequence[int]] = ()
+) -> tuple[Matrix, tuple[int, ...]]:
+    """Invertible change of coordinates sending a greedy basis to the coordinate frame.
+
+    The basis of Q^(n+1) starts with ``leading``, which must be independent.
+    It then takes, in order, every candidate and after them every unit
+    vector e_0, e_1, ... that is independent of the vectors already taken,
+    until it has n+1 vectors.  The change sends the k-th basis vector to
+    e_k.  Also returns the indices of the candidates taken, in basis
+    order: candidate ``taken[i]`` goes to e_(len(leading) + i).
+    """
+    basis: list[list[int]] = []
+    echelon: list[tuple[int, list[Fraction]]] = []  # (pivot, row with a 1 there)
+
+    def take(v: Sequence[int]) -> bool:
+        r = [Fraction(x) for x in v]
+        for pc, row in echelon:
+            c = r[pc]
+            if c:
+                r = [x - c * y for x, y in zip(r, row)]
+        pc = next((j for j, x in enumerate(r) if x), None)
+        if pc is None:
+            return False
+        lead = r[pc]
+        echelon.append((pc, [x / lead for x in r]))
+        basis.append(list(v))
+        return True
+
+    for v in leading:
+        if not take(v):
+            raise ValueError("the leading vectors are dependent")
+    taken = []
+    for idx, v in enumerate(candidates):
+        if len(basis) == n + 1:
+            break
+        if take(v):
+            taken.append(idx)
+    for i in range(n + 1):
+        if len(basis) == n + 1:
+            break
+        take([int(j == i) for j in range(n + 1)])
+    return inverse(Matrix.from_rows(basis).transpose()), tuple(taken)
+
+
 def coordinate_change_to_origin(p: ProjPoint) -> Matrix:
     """Invertible change of coordinates sending p to (1, 0, ..., 0)."""
-    n = p.ambient_n
-    cols: list[tuple[int, ...]] = [p.integer_rep()]
-    for i in range(n + 1):
-        if len(cols) == n + 1:
-            break
-        unit = tuple(int(j == i) for j in range(n + 1))
-        probe = rref(Matrix.from_rows([list(c) for c in cols] + [list(unit)]))
-        if probe.rank == len(cols) + 1:
-            cols.append(unit)
-    basis = Matrix.from_rows([list(c) for c in cols]).transpose()
-    return inverse(basis)
+    return frame_change(p.ambient_n, [p.integer_rep()])[0]
 
 
 def transform_point(change: Matrix, p: ProjPoint) -> ProjPoint:

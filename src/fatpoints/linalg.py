@@ -127,11 +127,12 @@ def _strip_ints(ints: Sequence[int]) -> list:
     return [mpz(v) for v in ints]
 
 
-def _int_rows(m: Matrix) -> list[list]:
-    """Clear denominators row by row and strip the content of each row.
+def _int_rows(m: Matrix) -> list[list[int]]:
+    """Clear denominators row by row.
 
     Row scaling by nonzero rationals preserves the row space, hence rank,
-    pivot columns and the reduced echelon form.
+    pivot columns and the reduced echelon form.  The rows keep their
+    content; :func:`_strip_ints` divides it out.
     """
     out = []
     for i in range(m.rows):
@@ -141,7 +142,7 @@ def _int_rows(m: Matrix) -> list[list]:
             d = x.denominator
             if d != 1:
                 lcm = lcm // gcd(lcm, d) * d
-        out.append(_strip_ints([int(x.numerator) * (lcm // x.denominator) for x in row]))
+        out.append([int(x.numerator) * (lcm // x.denominator) for x in row])
     return out
 
 
@@ -188,7 +189,7 @@ def rref(m: Matrix) -> RrefResult:
     The row space is preserved; each pivot is 1 and is the only nonzero
     entry of its column.  Zero rows sink to the bottom.
     """
-    irows = _int_rows(m)
+    irows = [_strip_ints(row) for row in _int_rows(m)]
     pivot_cols = _bareiss_forward(irows, m.cols)
     rank = len(pivot_cols)
 
@@ -386,7 +387,7 @@ def rank_rows(rows: Sequence[Sequence[int]], ncols: int, *, modular: bool | None
     counted and logged.
     """
     use = _MODULAR_FILTER if modular is None else modular
-    irows = [_strip_ints(list(row)) for row in rows]
+    irows = [_strip_ints(row) for row in rows]
     rp = None
     if use:
         rp = _rank_mod(irows, ncols, MODULAR_PRIMES[0])

@@ -13,6 +13,17 @@ t >= m_i - 1 the Euler relation makes top-order vanishing imply all lower
 orders (characteristic zero), and for smaller t the order-t conditions
 already force the form to vanish identically, which is the correct
 condition since a nonzero degree-t form cannot vanish to order above t.
+
+The Hilbert function is computed in a simplex frame: a change of
+coordinates that puts up to n+1 independent points, heaviest first, on
+the coordinate vertices e_k (Catalisano-Trung-Valla).  At e_k every
+order-min(m-1, t) derivative row is a scaled unit vector, and these rows
+hit exactly the degree-t monomials X^b with b_k >= t - m + 1.  Their row
+space is therefore spanned by the unit vectors of the union U of these
+blocks, and H(t) = |U| + the rank of the other points' rows restricted
+to the columns outside U.  This is exact at every degree: only the row
+space of the vertex rows enters, so blocks may overlap (t < m_i + m_j - 1)
+or cover every monomial (t < m - 1).
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from functools import lru_cache
 from math import comb, perm
 from typing import Sequence
 
-from fatpoints.geometry import ProjPoint, coordinate_change_to_origin
+from fatpoints.geometry import ProjPoint, coordinate_change_to_origin, frame_change, transform_point
 from fatpoints.linalg import Matrix, SpanTester, kernel_basis, mat_vec, rank_rows
 
 
@@ -193,8 +204,14 @@ class FatPointScheme:
 # condition matrices
 # ---------------------------------------------------------------------------
 
-def _point_condition_rows(coords: tuple[int, ...], mult: int, t: int) -> list[list[int]]:
-    """All order-min(mult-1, t) derivative evaluations at one point."""
+def _point_condition_rows(
+    coords: tuple[int, ...], mult: int, t: int, columns: Sequence[int] | None = None
+) -> list[list[int]]:
+    """All order-min(mult-1, t) derivative evaluations at one point.
+
+    Each row has one entry per degree-t monomial, or per monomial at the
+    given basis indices when ``columns`` is set.
+    """
     nvars = len(coords)
     order = min(mult - 1, t)
     powers = [[1] * (t + 1) for _ in range(nvars)]
@@ -203,7 +220,9 @@ def _point_condition_rows(coords: tuple[int, ...], mult: int, t: int) -> list[li
         for k in range(1, t + 1):
             col[k] = col[k - 1] * c
 
-    basis = monomial_basis(t, nvars)
+    exponents = monomial_basis(t, nvars).exponents
+    if columns is not None:
+        exponents = [exponents[k] for k in columns]
     rows = []
     for alpha in monomial_basis(order, nvars).exponents:
         lut = []
@@ -214,7 +233,7 @@ def _point_condition_rows(coords: tuple[int, ...], mult: int, t: int) -> list[li
                 col[b] = perm(b, aj) * pj[b - aj]
             lut.append(col)
         row = []
-        for beta in basis.exponents:
+        for beta in exponents:
             v = 1
             for j in range(nvars):
                 v *= lut[j][beta[j]]
@@ -249,10 +268,61 @@ def multiplicity(z: FatPointScheme) -> int:
     return sum(comb(m + z.n - 1, z.n) for m in z.mults)
 
 
-def hilbert_function(z: FatPointScheme, t: int) -> int:
-    """Dimension of the degree-t piece of the homogeneous coordinate ring."""
-    ncols = comb(t + z.n, z.n)
-    return rank_rows(condition_rows(z, t), ncols)
+@dataclass(frozen=True)
+class SimplexFrame:
+    """A scheme in coordinates with up to n+1 of its points on the vertices.
+
+    ``vertices`` pairs each occupied vertex index k with the multiplicity
+    of the point sent to e_k; ``others`` holds the primitive integer
+    coordinates and the multiplicity of every other point, in the new
+    coordinates.
+    """
+
+    scheme: FatPointScheme
+    vertices: tuple[tuple[int, int], ...]
+    others: tuple[tuple[tuple[int, ...], int], ...]
+
+
+def simplex_frame(z: FatPointScheme) -> SimplexFrame:
+    """Move independent points, heaviest first (ties by index), to the vertices."""
+    order = sorted(range(z.size), key=lambda i: (-z.mults[i], i))
+    change, taken = frame_change(z.n, [], [z.points[i].integer_rep() for i in order])
+    on_vertex = [order[i] for i in taken]
+    others = tuple(
+        (transform_point(change, p).integer_rep(), m)
+        for i, (p, m) in enumerate(zip(z.points, z.mults))
+        if i not in on_vertex
+    )
+    return SimplexFrame(z, tuple((k, z.mults[i]) for k, i in enumerate(on_vertex)), others)
+
+
+def hilbert_function(z: FatPointScheme, t: int, *, frame: SimplexFrame | None = None) -> int:
+    """Dimension of the degree-t piece of the homogeneous coordinate ring.
+
+    Computed in the simplex frame of the scheme (see the module
+    docstring): the monomials covered by the vertex points' rows are
+    counted, and only the other points' rows on the remaining columns are
+    eliminated.  The count is exact at every t >= 0, with no lower degree
+    threshold.  Callers that evaluate many degrees pass
+    ``frame=simplex_frame(z)`` to find the frame once.
+    """
+    if t < 0:
+        raise ValueError("degree must be nonnegative")
+    if frame is None:
+        frame = simplex_frame(z)
+    elif frame.scheme != z:
+        raise ValueError("the frame belongs to another scheme")
+    basis = monomial_basis(t, z.n + 1)
+    free = [
+        c for c, b in enumerate(basis.exponents) if all(b[k] <= t - m for k, m in frame.vertices)
+    ]
+    covered = len(basis) - len(free)
+    if not free or not frame.others:
+        return covered
+    rows: list[list[int]] = []
+    for coords, m in frame.others:
+        rows.extend(_point_condition_rows(coords, m, t, free))
+    return covered + rank_rows(rows, len(free))
 
 
 @lru_cache(maxsize=4096)
@@ -260,14 +330,17 @@ def regularity_index(z: FatPointScheme) -> int:
     """Least degree at which the Hilbert function reaches the multiplicity.
 
     The search ascends from max(m_i) - 1; values below that are capped by
-    the column count.  A hard cap at sum(m_i) - 1 guards against
-    arithmetic bugs; it is mathematically unreachable.
+    the column count.  The simplex frame is found once and every degree
+    of the scan is computed in it, exactly as in :func:`hilbert_function`.
+    A hard cap at sum(m_i) - 1 guards against arithmetic bugs; it is
+    mathematically unreachable.
     """
     e = multiplicity(z)
+    frame = simplex_frame(z)
     cap = sum(z.mults) - 1
     t = max(z.mults) - 1
     while t <= cap:
-        if hilbert_function(z, t) == e:
+        if hilbert_function(z, t, frame=frame) == e:
             return t
         t += 1
     raise RuntimeError("regularity search passed its cap; this indicates a bug")

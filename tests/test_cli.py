@@ -3,7 +3,8 @@ import json
 import pytest
 
 from fatpoints.cli import cli_dispatch
-from fatpoints.harness import scheme_from_obj
+from fatpoints.harness import load_scheme, scheme_from_obj
+from fatpoints.schemes import hilbert_function, multiplicity, regularity_index
 
 
 @pytest.fixture
@@ -45,6 +46,34 @@ def test_hilbert_table_csv(double_point_scheme, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "t,h"
     assert lines[1:] == ["0,1", "1,3"]
+
+
+@pytest.mark.parametrize(
+    "points, mults",
+    [
+        ([["1", "0", "0"]], [2]),
+        ([["1", "0", "0"], ["1", "1", "0"], ["1", "2", "0"]], [2, 3, 1]),
+        (
+            [["1", "2", "0", "1"], ["0", "1", "0", "0"], ["1", "0", "1", "0"], ["3", "1", "1", "1"], ["1", "1", "1", "1"]],
+            [1, 3, 2, 2, 1],
+        ),
+    ],
+)
+def test_hilbert_table_matches_library(tmp_path, capsys, points, mults):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({"n": len(points[0]) - 1, "points": points, "multiplicities": mults}))
+    z = load_scheme(str(path))
+    reg = regularity_index(z)
+    values = [hilbert_function(z, t) for t in range(reg + 1)]
+
+    assert cli_dispatch(["hilbert", "--scheme", str(path)]) == 0
+    expected = [f"H({t}) = {h}" for t, h in enumerate(values)]
+    expected.append(f"multiplicity = {multiplicity(z)}; regularity index = {reg}")
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+    assert cli_dispatch(["hilbert", "--scheme", str(path), "--csv"]) == 0
+    expected = ["t,h"] + [f"{t},{h}" for t, h in enumerate(values)]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 def test_segre_two_doubles(two_doubles_p3, capsys):

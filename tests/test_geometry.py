@@ -12,6 +12,7 @@ from fatpoints.geometry import (
     degeneracy_index,
     extend_flat_avoiding,
     flat_contains,
+    frame_change,
     general_position_on,
     hyperplane_containing_avoiding,
     random_invertible_change,
@@ -20,7 +21,7 @@ from fatpoints.geometry import (
     transform_form,
     transform_point,
 )
-from fatpoints.linalg import Matrix, in_span, rref
+from fatpoints.linalg import Matrix, in_span, inverse, rref
 
 
 def unit(n, i):
@@ -315,6 +316,39 @@ def test_change_random_points():
         change = coordinate_change_to_origin(p)
         assert transform_point(change, p) == unit(3, 0)
         assert rref(change).rank == 4
+
+
+def _probing_frame(n, leading, candidates):
+    """Reference greedy basis: one fresh rref rank probe per candidate vector."""
+    cols = [list(v) for v in leading]
+    taken = []
+    units = [[int(j == i) for j in range(n + 1)] for i in range(n + 1)]
+    for idx, v in enumerate(list(candidates) + units):
+        if len(cols) == n + 1:
+            break
+        if rref(Matrix.from_rows(cols + [list(v)])).rank == len(cols) + 1:
+            cols.append(list(v))
+            if idx < len(candidates):
+                taken.append(idx)
+    return inverse(Matrix.from_rows(cols).transpose()), tuple(taken)
+
+
+def test_frame_change_matches_probing_reference():
+    rng = random.Random(77)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        draws = ([rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(n + 1)] for _ in range(rng.randint(0, 7)))
+        candidates = [c for c in draws if any(c)]
+        leading = [random_point(rng, n).integer_rep()] if rng.random() < 0.5 else []
+        change, taken = frame_change(n, leading, candidates)
+        assert (change, taken) == _probing_frame(n, leading, candidates)
+        for axis, idx in enumerate(taken, start=len(leading)):
+            assert transform_point(change, ProjPoint(tuple(map(Fraction, candidates[idx])))) == unit(n, axis)
+
+
+def test_frame_change_rejects_dependent_leading_vectors():
+    with pytest.raises(ValueError):
+        frame_change(2, [(1, 2, 0), (2, 4, 0)])
 
 
 def test_incidence_invariance_under_change():

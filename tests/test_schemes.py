@@ -3,18 +3,21 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fatpoints.geometry import (
     ProjPoint,
     random_invertible_change,
     span,
 )
-from fatpoints.linalg import Matrix, kernel_basis
+from fatpoints.linalg import Matrix, kernel_basis, rank_rows
 from fatpoints.schemes import (
     FatPointScheme,
     Form,
     artinian_quotient_regularity,
     condition_matrix,
+    condition_rows,
     hilbert_function,
     ideal_basis,
     in_fat_ideal,
@@ -23,6 +26,7 @@ from fatpoints.schemes import (
     monomial_bound_check,
     multiplicity,
     regularity_index,
+    simplex_frame,
 )
 
 
@@ -165,6 +169,71 @@ def test_hilbert_rejects_negative_degree():
     z = simple_scheme([unit(2, 0)])
     with pytest.raises(ValueError):
         hilbert_function(z, -1)
+
+
+@st.composite
+def fat_schemes(draw):
+    """Random schemes: n 1..4, 1..7 distinct points, multiplicities 1..3.
+
+    Coordinates are drawn from a small range so that zeros, repeated
+    coordinates and points on proper flats are common.
+    """
+    n = draw(st.integers(1, 4))
+    coords = st.tuples(*[st.integers(-2, 2)] * (n + 1)).filter(any)
+    raw = draw(st.lists(coords, min_size=1, max_size=7))
+    pts = list(dict.fromkeys(ProjPoint(tuple(Fraction(c) for c in v)) for v in raw))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts)))
+    return FatPointScheme(n, tuple(pts), tuple(mults))
+
+
+def _scheme(rows, mults):
+    pts = tuple(ProjPoint(tuple(Fraction(c) for c in row)) for row in rows)
+    return FatPointScheme(len(rows[0]) - 1, pts, tuple(mults))
+
+
+@settings(max_examples=120, deadline=None)
+@given(fat_schemes())
+@example(_scheme([(1, 2, 3)], [3]))  # a single point, off the vertices
+@example(_scheme([(1, 0, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0)], [3, 2, 3]))  # a line in P^3
+@example(_scheme([(1, 0), (0, 1), (1, 1), (1, 2), (1, -1)], [2, 3, 1, 3, 2]))  # s > n + 1
+@example(_scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [3, 3, 3, 1]))  # overlapping blocks
+def test_reduced_hilbert_matches_full_condition_matrix(z):
+    """The simplex reduction equals the rank of the full condition matrix.
+
+    Every degree from 0 to one past the regularity index is checked, so
+    the degrees below max(m_i) - 1 (where the vertex blocks cover every
+    monomial) and below m_i + m_j - 1 (where two blocks overlap) are
+    included.
+    """
+    n, e = z.n, multiplicity(z)
+    frame = simplex_frame(z)
+    t, reg = 0, None
+    while reg is None or t <= reg + 1:
+        full = rank_rows(condition_rows(z, t), comb(t + n, n))
+        assert hilbert_function(z, t) == full
+        assert hilbert_function(z, t, frame=frame) == full
+        if reg is None and full == e:
+            reg = t
+        t += 1
+    assert regularity_index(z) == reg
+    with pytest.raises(ValueError):
+        hilbert_function(z, -1)
+
+
+def test_hilbert_rejects_frame_of_another_scheme():
+    z = simple_scheme([unit(2, 0), unit(2, 1)])
+    other = simple_scheme([unit(2, 0), unit(2, 2)])
+    with pytest.raises(ValueError):
+        hilbert_function(z, 1, frame=simplex_frame(other))
+
+
+def test_simplex_frame_puts_heaviest_independent_points_on_vertices():
+    pts = [ProjPoint((Fraction(1), Fraction(1), Fraction(0))), unit(2, 0), unit(2, 1), unit(2, 2)]
+    z = FatPointScheme(2, tuple(pts), (1, 3, 3, 2))
+    frame = simplex_frame(z)
+    # points 1 and 2 (multiplicity 3) come first; point 0 lies on their line
+    assert frame.vertices == ((0, 3), (1, 3), (2, 2))
+    assert [m for _, m in frame.others] == [1]
 
 
 def test_hilbert_monotone_until_stabilization():
