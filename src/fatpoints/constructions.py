@@ -10,8 +10,9 @@ Three layers:
 * certificates: a :class:`Certificate` witnesses an upper bound for the
   regularity of an artinian reduction by listing, per monomial, a product
   of hyperplanes avoiding the distinguished point whose product with the
-  monomial vanishes to the scheme's orders.  ``build_certificate``
-  attempts the constructions the covering arguments support; the trusted
+  monomial vanishes to the scheme's orders.  ``build_certificate`` tries
+  one hyperplane through every point, then one grouped covering
+  construction with two groups (split) or one (single group); the trusted
   component is ``verify_certificate``, which re-checks everything from
   scratch.
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -132,9 +132,6 @@ def distribute_flats(
         active = [i for i, m in enumerate(remaining) if m > 0]
         slots = t - len(flats)
         step += 1
-        if not active:  # pragma: no cover - unreachable when t == threshold
-            flats.append(flats[-1])
-            continue
         if len(active) <= r:
             base = span([points[i] for i in active])
             flat = extend_flat_avoiding(base, r - 1, avoid, seed * 1009 + step)
@@ -237,6 +234,50 @@ def _entry_seed(seed: int, index: int, group: int) -> int:
     return seed * 1000003 + index * 2 + group
 
 
+def _grouped_certificate(
+    moved, origin, a, seed, change, positions, groups, strategy
+) -> Certificate:
+    """The covering construction: per monomial, cover each group, join slot by slot, lift.
+
+    ``groups`` lists (point indices, r) pairs.  Each point's multiplicity
+    drops by the monomial's vanishing order there; every group with points
+    left is covered by t (r-1)-flats avoiding the origin, t the largest of
+    their thresholds, and the t joins of one flat per group are lifted to
+    hyperplanes avoiding the origin.
+    """
+    entries = []
+    delta = 0
+    for index, mono in enumerate(_all_entry_monomials(a, moved.n)):
+        adjusted = [
+            max(0, m - _monomial_order_at(mono, q))
+            for q, m in zip(moved.points, moved.mults)
+        ]
+        covers = []  # (position in groups, points left, r)
+        for g, (members, r) in enumerate(groups):
+            left = [i for i in members if adjusted[i] > 0]
+            if left:
+                covers.append((g, left, r))
+        t = max((cover_threshold([adjusted[i] for i in left], r) for _, left, r in covers), default=0)
+        dists = [
+            distribute_flats(
+                [moved.points[i] for i in left],
+                origin,
+                [adjusted[i] for i in left],
+                r,
+                t,
+                _entry_seed(seed, index, g),
+            )
+            for g, left, r in covers
+        ]
+        hyperplanes = []
+        for slot in range(t):
+            vectors = [v for d in dists for v in d.flats[slot].cone_basis]
+            hyperplanes.append(_lift_to_hyperplane(Flat.from_vectors(moved.n, vectors), origin))
+        entries.append(CertificateEntry(mono, tuple(hyperplanes)))
+        delta = max(delta, t + sum(mono))
+    return Certificate(a, change, tuple(entries), positions, strategy, delta)
+
+
 def _split_certificate(moved, origin, a, seed, change, positions) -> Optional[Certificate]:
     """Two-group construction for a degenerate flat through the origin.
 
@@ -246,7 +287,6 @@ def _split_certificate(moved, origin, a, seed, change, positions) -> Optional[Ce
     pairwise, and each joined pair is lifted to a hyperplane avoiding the
     origin.
     """
-    n = moved.n
     everyone = list(moved.points) + [origin]
     k = degeneracy_index(everyone)
     if k is None:
@@ -262,111 +302,34 @@ def _split_certificate(moved, origin, a, seed, change, positions) -> Optional[Ce
     group_a = [i for i in range(moved.size) if flat_contains(alpha, moved.points[i])]
     group_b = [i for i in range(moved.size) if i not in group_a]
     r_a, r_b = k, len(group_b) - 1
-    if not group_a or r_b < 1 or r_a + r_b > n:
+    if not group_a or r_b < 1 or r_a + r_b > moved.n:
         return None
-
-    entries = []
-    delta = 0
-    for index, mono in enumerate(_all_entry_monomials(a, n)):
-        i = sum(mono)
-        adjusted = [
-            max(0, m - _monomial_order_at(mono, q))
-            for q, m in zip(moved.points, moved.mults)
-        ]
-        act_a = [idx for idx in group_a if adjusted[idx] > 0]
-        act_b = [idx for idx in group_b if adjusted[idx] > 0]
-        t = 0
-        if act_a:
-            t = max(t, cover_threshold([adjusted[idx] for idx in act_a], r_a))
-        if act_b:
-            t = max(t, cover_threshold([adjusted[idx] for idx in act_b], r_b))
-        hyperplanes: list[LinearForm] = []
-        if t:
-            dist_a = (
-                distribute_flats(
-                    [moved.points[idx] for idx in act_a],
-                    origin,
-                    [adjusted[idx] for idx in act_a],
-                    r_a,
-                    t,
-                    _entry_seed(seed, index, 0),
-                )
-                if act_a
-                else None
-            )
-            dist_b = (
-                distribute_flats(
-                    [moved.points[idx] for idx in act_b],
-                    origin,
-                    [adjusted[idx] for idx in act_b],
-                    r_b,
-                    t,
-                    _entry_seed(seed, index, 1),
-                )
-                if act_b
-                else None
-            )
-            for slot in range(t):
-                vectors: list[Sequence[Fraction]] = []
-                if dist_a:
-                    vectors.extend(dist_a.flats[slot].cone_basis)
-                if dist_b:
-                    vectors.extend(dist_b.flats[slot].cone_basis)
-                joined = Flat.from_vectors(n, vectors)
-                hyperplanes.append(_lift_to_hyperplane(joined, origin))
-        entries.append(CertificateEntry(mono, tuple(hyperplanes)))
-        delta = max(delta, t + i)
-    return Certificate(a, change, tuple(entries), positions, "split", delta)
+    groups = [(group_a, r_a), (group_b, r_b)]
+    return _grouped_certificate(moved, origin, a, seed, change, positions, groups, "split")
 
 
 def _single_group_certificate(moved, origin, a, seed, change, positions) -> Certificate:
     """Cover all points at once with (r-1)-flats and lift each to a hyperplane."""
-    n = moved.n
-    pts = list(moved.points)
     r = 1
-    for candidate in range(min(n, moved.size), 1, -1):
+    for candidate in range(min(moved.n, moved.size), 1, -1):
         try:
-            _scan_avoiding(pts, origin, candidate)
+            _scan_avoiding(moved.points, origin, candidate)
         except ValueError:
             continue
         r = candidate
         break
-
-    entries = []
-    delta = 0
-    for index, mono in enumerate(_all_entry_monomials(a, n)):
-        i = sum(mono)
-        adjusted = [
-            max(0, m - _monomial_order_at(mono, q))
-            for q, m in zip(pts, moved.mults)
-        ]
-        active = [idx for idx in range(moved.size) if adjusted[idx] > 0]
-        hyperplanes: list[LinearForm] = []
-        t = 0
-        if active:
-            t = cover_threshold([adjusted[idx] for idx in active], r)
-            dist = distribute_flats(
-                [pts[idx] for idx in active],
-                origin,
-                [adjusted[idx] for idx in active],
-                r,
-                t,
-                _entry_seed(seed, index, 0),
-            )
-            hyperplanes = [_lift_to_hyperplane(f, origin) for f in dist.flats]
-        entries.append(CertificateEntry(mono, tuple(hyperplanes)))
-        delta = max(delta, t + i)
-    return Certificate(a, change, tuple(entries), positions, "single_group", delta)
+    groups = [(range(moved.size), r)]
+    return _grouped_certificate(moved, origin, a, seed, change, positions, groups, "single_group")
 
 
 def build_certificate(j: FatPointScheme, p: ProjPoint, a: int, seed: int) -> Certificate:
     """Construct a hyperplane-product certificate for the artinian bound.
 
     Tries, in order: one hyperplane through every point avoiding p; the
-    two-group covering built from a degenerate flat through p; a single
-    covering family at the largest workable flat dimension.  The result
-    always verifies; the independently trusted check is
-    :func:`verify_certificate`.
+    grouped covering construction with two groups, the points on and off
+    a degenerate flat through p; then with one group, at the largest
+    workable flat dimension.  The result always verifies; the
+    independently trusted check is :func:`verify_certificate`.
     """
     if a < 1:
         raise ValueError("the vanishing order must be positive")

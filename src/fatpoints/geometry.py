@@ -165,14 +165,9 @@ def general_position_on(points: Sequence[ProjPoint], r: int) -> bool:
     j-flat for any j < r.
     """
     _require_distinct(points)
-    if span(points).dim > r:
-        return False
-    top = min(len(points), r + 1)
-    for q in range(3, top + 1):
-        for sub in combinations(points, q):
-            if span(sub).dim <= q - 2:
-                return False
-    return True
+    d = span(points).dim
+    # below r, any d+2 of the points already lie on the d-flat they span
+    return d <= r and degeneracy_index(points) is None and (d == r or len(points) <= d + 1)
 
 
 def degeneracy_index(points: Sequence[ProjPoint]) -> Optional[int]:

@@ -239,30 +239,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
 
 def in_span(v: Sequence[object], basis: Iterable[Sequence[object]]) -> bool:
     """Whether v lies in the rational span of the given vectors."""
-    basis = [list(b) for b in basis]
-    v = [Fraction(x) for x in v]
-    for b in basis:
-        if len(b) != len(v):
-            raise ValueError("dimension mismatch")
-    if not any(v):
-        return True
-    if not basis:
-        return False
-    res = rref(Matrix.from_rows(basis))
-    return _reduces_to_zero(v, res)
-
-
-def _reduces_to_zero(v: list[Fraction], res: RrefResult) -> bool:
-    """Reduce a vector by the pivots of an rref and test for zero."""
-    v = list(v)
-    r = res.rref
-    for i, pc in enumerate(res.pivot_cols):
-        t = v[pc]
-        if t:
-            row = r.row(i)
-            for j in range(pc, len(v)):
-                v[j] -= t * row[j]
-    return not any(v)
+    return SpanTester(list(basis), len(v)).contains(v)
 
 
 class SpanTester:
@@ -280,9 +257,15 @@ class SpanTester:
         v = [Fraction(x) for x in v]
         if len(v) != self.length:
             raise ValueError("dimension mismatch")
-        if self._res is None:
-            return not any(v)
-        return _reduces_to_zero(v, self._res)
+        if self._res is not None:  # reduce by the pivots of the rref
+            r = self._res.rref
+            for i, pc in enumerate(self._res.pivot_cols):
+                t = v[pc]
+                if t:
+                    row = r.row(i)
+                    for j in range(pc, len(v)):
+                        v[j] -= t * row[j]
+        return not any(v)
 
 
 def rank_mod_p(m: Matrix, p: int) -> int:

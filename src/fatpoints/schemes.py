@@ -325,7 +325,9 @@ def hilbert_function(z: FatPointScheme, t: int, *, frame: SimplexFrame | None = 
     return covered + rank_rows(rows, len(free))
 
 
-@lru_cache(maxsize=4096)
+# reg(Z) is reused only across the removals of one scheme, which run back to
+# back; a larger cache only keeps schemes alive.
+@lru_cache(maxsize=64)
 def regularity_index(z: FatPointScheme) -> int:
     """Least degree at which the Hilbert function reaches the multiplicity.
 

@@ -1,8 +1,11 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from fatpoints.generators import GeneratorError, PatternSpec, generate
 from fatpoints.geometry import ProjPoint, flat_contains, span
 from fatpoints.schemes import (
     FatPointScheme,
@@ -350,3 +353,51 @@ def test_classification_prefers_equality_family():
     # five points spanning P^3: both s+2 (s=3) and s+3 (s=2) hypotheses fit;
     # the equality family wins
     assert classify_scheme(z) == "lemma24"
+
+
+# ---------------------------------------------------------------------------
+# characterization: certificates are pinned byte for byte
+# ---------------------------------------------------------------------------
+
+def certificate_corpus(seed=0, count=90):
+    """Seeded build_certificate inputs: a third prop43 schemes minus the
+    point on their degenerate flat, two thirds random points of height 2
+    with mixed multiplicities, so every strategy occurs often."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        a = rng.randint(1, 3)
+        if len(out) % 3 == 0:
+            s = rng.randint(2, n)
+            spec = PatternSpec(
+                "prop43", n=n, s=s, m=rng.randint(1, 2), k=rng.randint(1, s - 1),
+                seed=rng.randrange(1 << 30), height=5,
+            )
+            try:
+                z = generate(spec)
+            except GeneratorError:
+                continue
+            out.append((z.without_point(0), z.points[0], a, rng.randrange(1000)))
+        else:
+            size = rng.randint(2, n + 2)
+            pts = random_points(rng, n, size + 1, height=2)
+            mults = tuple(rng.randint(1, 3) for _ in range(size))
+            out.append((FatPointScheme(n, tuple(pts[:-1]), mults), pts[-1], a, rng.randrange(1000)))
+    return out
+
+
+def test_certificates_match_pinned_digest():
+    digest = hashlib.sha256()
+    strategies = Counter()
+    for j, p, a, seed in certificate_corpus():
+        try:
+            cert = build_certificate(j, p, a, seed=seed)
+        except ConstructionError as exc:
+            strategies["error"] += 1
+            digest.update(f"error: {exc}\n".encode())
+            continue
+        strategies[cert.strategy] += 1
+        digest.update(f"{cert!r}\n".encode())
+    assert strategies == {"covering_hyperplane": 24, "split": 36, "single_group": 30}
+    assert digest.hexdigest() == "b1150833fc4ded807cdb098b88917a8284cdb7b61fef0c48b4ba247fa81ea6e9"

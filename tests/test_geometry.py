@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fatpoints.geometry import (
     Flat,
@@ -208,6 +210,42 @@ def test_degeneracy_matches_general_position_link():
         pts = random_points(rng, 3, rng.randint(3, 6), height=4)
         d = span(pts).dim
         assert (degeneracy_index(pts) is None) == general_position_on(pts, d)
+
+
+@st.composite
+def distinct_points(draw):
+    """Points of P^n, often confined to a coordinate flat so their span is proper."""
+    n = draw(st.integers(1, 4))
+    free = draw(st.integers(1, n + 1))
+    coords = st.tuples(*[st.integers(-2, 2)] * free).filter(any)
+    raw = draw(st.lists(coords, min_size=1, max_size=7))
+    pad = (Fraction(0),) * (n + 1 - free)
+    return n, list(dict.fromkeys(ProjPoint(tuple(Fraction(c) for c in v) + pad) for v in raw))
+
+
+def _general_position_by_subsets(points, r):
+    """On some r-flat, and no j+2 of the points on a j-flat for j < r."""
+
+    def rank(sub):
+        return rref(Matrix.from_rows([p.integer_rep() for p in sub])).rank
+
+    if rank(points) > r + 1:
+        return False
+    return not any(
+        rank(sub) <= j + 1 for j in range(r) for sub in combinations(points, j + 2)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(distinct_points())
+@example((2, [unit(2, 0), unit(2, 1), ProjPoint((1, 1, 0))]))  # three points on a line
+@example((3, [unit(3, 0), unit(3, 1), unit(3, 2), ProjPoint((1, 1, 1, 0))]))  # four on a plane
+def test_general_position_on_matches_subset_scan(case):
+    n, pts = case
+    for r in range(1, n + 1):
+        assert general_position_on(pts, r) == _general_position_by_subsets(pts, r)
+        with pytest.raises(ValueError, match="distinct"):
+            general_position_on(pts + [pts[0]], r)
 
 
 # ---------------------------------------------------------------------------
