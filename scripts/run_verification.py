@@ -11,7 +11,8 @@ Runs, at configurable scale:
 * certificate construction and verification, with the independently
   computed artinian regularity as the soundness reference.
 
-Exit code 0 when every battery is clean, 2 otherwise.
+Exit code 0 when every battery is clean, 2 otherwise (and, as usual for
+argparse, on a usage error such as ``--trials 0``).
 """
 
 from __future__ import annotations
@@ -114,6 +115,8 @@ def main() -> int:
         help="disable the certified modular rank filter (slower, same values)",
     )
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
 
     linalg.set_modular_filter(not args.pure_rational)
     trials = args.trials

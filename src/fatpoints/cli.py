@@ -334,8 +334,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.modular:
-        linalg.set_modular_filter(True)
+    linalg.set_modular_filter(args.modular)
     try:
         return _COMMANDS[args.command](args)
     except (GeneratorError, ValueError, OSError, ConstructionError) as exc:

@@ -4,9 +4,10 @@ A fat point scheme assigns a multiplicity m_i to each of finitely many
 distinct points of P^n.  Its graded invariants are computed here without
 any ideal-theoretic machinery: for each degree t we build the condition
 matrix of derivative-evaluation functionals, whose rank is the value of
-the Hilbert function, whose kernel is the degree-t piece of the defining
-ideal, and whose column restrictions answer membership questions for
-artinian reductions.
+the Hilbert function and whose kernel is the degree-t piece of the
+defining ideal.  At (1, 0, ..., 0) the monomials of order <= i are a
+prefix of the basis, so artinian reductions at that point cut the
+matrix's columns or its kernel vectors there.
 
 Derivative rows use order exactly min(m_i - 1, t) per point.  For
 t >= m_i - 1 the Euler relation makes top-order vanishing imply all lower
@@ -52,7 +53,9 @@ class MonomialBasis:
 
     The first variable is greatest, so the basis starts at X0^t and ends
     at Xlast^t.  Holds comb(degree + nvars - 1, nvars - 1) exponent
-    vectors.
+    vectors.  The order t - b_0 of X^b at (1, 0, ..., 0) never decreases
+    along the basis, so the comb(i + nvars - 1, nvars - 1) monomials of
+    order <= i come first.
     """
 
     def __init__(self, degree: int, nvars: int):
@@ -393,25 +396,18 @@ def artinian_quotient_regularity(j: FatPointScheme, p: ProjPoint, a: int) -> int
     the regularity index is the first degree where it vanishes.  After
     moving p to (1, 0, ..., 0), the degree-t dimension of the quotient
     equals the rank of the condition matrix minus the rank of its columns
-    at monomials of degree >= a in the last n variables; the iteration
-    stops at the first zero since an artinian standard graded quotient
-    cannot revive.
+    at monomials of order >= a at p, the basis from index C(a-1+n, n) on.
+    Below degree a the quotient is R/I_J, of dimension H_J(t) >= 1, so the
+    scan starts at a and stops at the first zero, since an artinian
+    standard graded quotient cannot revive.
     """
     moved = _checked_origin_setup(j, p, a)
-    cap = sum(j.mults) + a
-    t = 0
-    while t <= cap:
+    low = comb(a - 1 + j.n, j.n)
+    for t in range(a, sum(j.mults) + a + 1):
         rows = condition_rows(moved, t)
-        basis = monomial_basis(t, j.n + 1)
-        high = [k for k, expo in enumerate(basis.exponents) if t - expo[0] >= a]
-        full_rank = rank_rows(rows, len(basis))
-        if high:
-            sub_rank = rank_rows([[row[k] for k in high] for row in rows], len(high))
-        else:
-            sub_rank = 0
-        if full_rank == sub_rank:
+        ncols = comb(t + j.n, j.n)
+        if rank_rows(rows, ncols) == rank_rows([row[low:] for row in rows], ncols - low):
             return t
-        t += 1
     raise RuntimeError("artinian quotient failed to terminate; this indicates a bug")
 
 
@@ -421,28 +417,19 @@ def monomial_bound_check(j: FatPointScheme, p: ProjPoint, a: int, b: int) -> boo
     After the coordinate change sending p to (1, 0, ..., 0), checks for
     every i < a and every degree-i monomial M in the last n variables
     that X0^(b-i) * M lies in the span of the degree-b ideal piece
-    together with the monomials of order >= i+1 at p.  Equivalent to
+    together with the monomials of order >= i+1 at p.  These are the
+    basis from index C(i+n, n) on, so the test cuts the ideal piece to
+    its first C(i+n, n) columns.  Equivalent to
     artinian_quotient_regularity(j, p, a) <= b.
     """
     if b < a - 1:
         raise ValueError("the degree must be at least a - 1")
     moved = _checked_origin_setup(j, p, a)
-    nvars = j.n + 1
-    basis_b = monomial_basis(b, nvars)
-    ideal_piece = [list(vec) for vec in kernel_basis(condition_matrix(moved, b))]
-
+    ideal_piece = kernel_basis(condition_matrix(moved, b))
     for i in range(a):
-        stacked = list(ideal_piece)
-        for k, expo in enumerate(basis_b.exponents):
-            if b - expo[0] >= i + 1:
-                unit = [Fraction(0)] * len(basis_b)
-                unit[k] = Fraction(1)
-                stacked.append(unit)
-        tester = SpanTester(stacked, len(basis_b))
-        for tail in monomial_basis(i, nvars - 1).exponents:
-            full = (b - i,) + tail
-            v = [Fraction(0)] * len(basis_b)
-            v[basis_b.index(full)] = Fraction(1)
-            if not tester.contains(v):
+        width = comb(i + j.n, j.n)
+        tester = SpanTester([vec[:width] for vec in ideal_piece], width)
+        for k in range(comb(i - 1 + j.n, j.n), width):
+            if not tester.contains([int(c == k) for c in range(width)]):
                 return False
     return True

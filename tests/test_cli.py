@@ -167,6 +167,20 @@ def test_modular_flag_accepted(double_point_scheme, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_modular_filter_does_not_leak_between_dispatches(double_point_scheme, capsys):
+    from fatpoints import linalg
+
+    before = linalg.modular_filter_enabled()
+    try:
+        assert cli_dispatch(["--modular", "reg", "--scheme", double_point_scheme]) == 0
+        assert linalg.modular_filter_enabled()
+        assert cli_dispatch(["reg", "--scheme", double_point_scheme]) == 0
+        assert not linalg.modular_filter_enabled()
+    finally:
+        linalg.set_modular_filter(before)
+    assert capsys.readouterr().out.split() == ["1", "1"]
+
+
 def test_usage_error_exit_one(capsys):
     assert cli_dispatch(["reg"]) == 1
     assert cli_dispatch(["unknown-command"]) == 1

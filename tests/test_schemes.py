@@ -3,15 +3,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints.geometry import (
     ProjPoint,
+    coordinate_change_to_origin,
     random_invertible_change,
     span,
 )
-from fatpoints.linalg import Matrix, kernel_basis, rank_rows
+from fatpoints.linalg import Matrix, in_span, kernel_basis, rank_rows
 from fatpoints.schemes import (
     FatPointScheme,
     Form,
@@ -68,6 +69,17 @@ def test_monomial_index_round_trip():
     basis = monomial_basis(3, 4)
     for i, e in enumerate(basis.exponents):
         assert basis.index(e) == i
+
+
+def test_order_at_first_vertex_is_a_basis_prefix():
+    # the order of X^b at (1, 0, ..., 0) is t - b_0; the artinian code cuts
+    # the basis at comb(i + nvars - 1, nvars - 1), the count of order <= i
+    for nvars in range(1, 6):
+        for t in range(7):
+            orders = [t - e[0] for e in monomial_basis(t, nvars).exponents]
+            assert orders == sorted(orders)
+            for i in range(t + 1):
+                assert sum(o <= i for o in orders) == comb(i + nvars - 1, nvars - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -490,3 +502,70 @@ def test_monomial_criterion_high_degree_saturation():
     j = FatPointScheme(2, (unit(2, 1), unit(2, 2)), (2, 1))
     p = ProjPoint((1, 1, 1))
     assert monomial_bound_check(j, p, 2, sum(j.mults))
+
+
+def _reference_artinian_regularity(j, p, a):
+    """Scan from degree 0 with the high columns listed by exponent."""
+    moved = j.transform(coordinate_change_to_origin(p))
+    for t in range(sum(j.mults) + a + 1):
+        rows = condition_rows(moved, t)
+        basis = monomial_basis(t, j.n + 1)
+        high = [k for k, e in enumerate(basis.exponents) if t - e[0] >= a]
+        sub = rank_rows([[row[k] for k in high] for row in rows], len(high)) if high else 0
+        if rank_rows(rows, len(basis)) == sub:
+            return t
+    raise AssertionError("reference scan passed its cap")
+
+
+def _reference_monomial_bound(j, p, a, b):
+    """Stack a unit vector per monomial of order > i onto the ideal piece."""
+    moved = j.transform(coordinate_change_to_origin(p))
+    basis = monomial_basis(b, j.n + 1)
+    ideal = kernel_basis(condition_matrix(moved, b))
+
+    def unit_vector(k):
+        return [int(c == k) for c in range(len(basis))]
+
+    for i in range(a):
+        orders = [b - e[0] for e in basis.exponents]
+        stacked = ideal + [unit_vector(k) for k, o in enumerate(orders) if o >= i + 1]
+        for k, o in enumerate(orders):
+            if o == i and not in_span(unit_vector(k), stacked):
+                return False
+    return True
+
+
+@st.composite
+def artinian_instances(draw):
+    """A scheme J (n 1..3, 1..4 points), a point p off J and an order a.
+
+    Coordinates lie in -2..2, so p and the points of J often share a
+    coordinate flat, and J often lies on one.
+    """
+    n = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-2, 2)] * (n + 1)).filter(any)
+    raw = draw(st.lists(coords, min_size=2, max_size=5))
+    pts = list(dict.fromkeys(ProjPoint(tuple(Fraction(c) for c in v)) for v in raw))
+    assume(len(pts) >= 2)
+    p, pts = pts[0], pts[1:]
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts)))
+    return FatPointScheme(n, tuple(pts), tuple(mults)), p, draw(st.integers(1, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(artinian_instances())
+@example((_scheme([(0, 1, 0)], [1]), ProjPoint((1, 0, 0)), 1))  # a point already at the origin
+@example((_scheme([(1, 1), (1, -1)], [3, 2]), ProjPoint((1, 0)), 3))  # P^1, a = max order
+def test_artinian_layer_matches_stacked_references(instance):
+    """Both artinian functions against the unit-vector constructions.
+
+    The monomial criterion is compared at every degree from a - 1 to one
+    past the artinian regularity, so it is seen both false and true.
+    """
+    j, p, a = instance
+    areg = _reference_artinian_regularity(j, p, a)
+    assert artinian_quotient_regularity(j, p, a) == areg
+    for b in range(a - 1, areg + 2):
+        expected = _reference_monomial_bound(j, p, a, b)
+        assert expected == (b >= areg)
+        assert monomial_bound_check(j, p, a, b) == expected
