@@ -30,6 +30,7 @@ from fatpoints.geometry import (
     general_position_on,
     hyperplane_containing_avoiding,
     span,
+    span_dim,
 )
 from fatpoints.schemes import (
     FatPointScheme,
@@ -79,6 +80,7 @@ __all__ = [
     "general_position_on",
     "hyperplane_containing_avoiding",
     "span",
+    "span_dim",
     "FatPointScheme",
     "Form",
     "MonomialBasis",

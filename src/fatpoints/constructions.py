@@ -38,6 +38,7 @@ from fatpoints.geometry import (
     frame_change,
     hyperplane_containing_avoiding,
     span,
+    span_dim,
     transform_point,
 )
 from fatpoints.linalg import Matrix
@@ -50,7 +51,7 @@ from fatpoints.schemes import (
     monomial_basis,
     regularity_index,
 )
-from fatpoints.segre import SegreReport, segre_bound
+from fatpoints.segre import SegreReport, _candidate_flats, segre_bound
 
 _LOG = logging.getLogger("fatpoints.constructions")
 
@@ -448,7 +449,7 @@ class Verdict:
 
 def classify_scheme(z: FatPointScheme) -> str:
     """Which proven hypothesis family the configuration belongs to."""
-    d = span(list(z.points)).dim
+    d = span_dim(list(z.points))
     s2 = z.size - 2
     if 1 <= s2 <= z.n and d >= s2:
         return "lemma24"
@@ -460,12 +461,18 @@ def classify_scheme(z: FatPointScheme) -> str:
 
 def segre_verdict(z: FatPointScheme) -> Verdict:
     """Compute regularity and bound, classify, and compare."""
-    pts = list(z.points)
-    d = span(pts).dim
+    d = span_dim(list(z.points))
     report = segre_bound(z)
     reg = regularity_index(z)
-    # on their own span, general position is exactly the absence of degeneracy
-    degeneracy = degeneracy_index(pts)
+    # equals degeneracy_index(z.points), read off the flats the bound found:
+    # h+2 points on an h-flat span a flat of some dimension e <= h holding
+    # at least e+2 points, such a flat holds e+2 points on an e-flat, and a
+    # 0-flat holds one point only.  On their own span, general position is
+    # exactly the absence of degeneracy.
+    degeneracy = min(
+        (dim for dim, witness, _ in _candidate_flats(z) if dim < d and len(witness) >= dim + 2),
+        default=None,
+    )
     return Verdict(
         point_count=z.size,
         span_dim=d,

@@ -41,6 +41,7 @@ from fatpoints.geometry import (
     degeneracy_index,
     flat_contains,
     span,
+    span_dim,
 )
 from fatpoints.schemes import FatPointScheme
 
@@ -166,11 +167,11 @@ def _gen_on_flat(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSche
         raise GeneratorError("too few points to span the requested flat")
     mults = _resolve_mults(spec, spec.s)
     anchors = _distinct_points(lambda: _random_point(rng, spec.n, spec.height), d + 1)
-    if anchors is None or span(anchors).dim != d:
+    if anchors is None or span_dim(anchors) != d:
         return None
     flat = span(anchors)
     pts = _distinct_points(lambda: _random_point_on(rng, flat, spec.height), spec.s)
-    if pts is None or span(pts).dim != d:
+    if pts is None or span_dim(pts) != d:
         return None
     if spec.s >= 3 and degeneracy_index(pts) is not None:
         return None
@@ -183,7 +184,7 @@ def _gen_lemma24(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSche
     count = spec.s + 2
     mults = _resolve_mults(spec, count)
     pts = _distinct_points(lambda: _random_point(rng, spec.n, spec.height), count)
-    if pts is None or span(pts).dim < spec.s:
+    if pts is None or span_dim(pts) < spec.s:
         return None
     return FatPointScheme(spec.n, tuple(pts), mults)
 
@@ -196,7 +197,7 @@ def _gen_theorem34(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSc
     if len(set(mults)) != 1:
         raise GeneratorError("theorem34 pattern is equimultiple")
     pts = _distinct_points(lambda: _random_point(rng, spec.n, spec.height), count)
-    if pts is None or span(pts).dim < spec.s:
+    if pts is None or span_dim(pts) < spec.s:
         return None
     return FatPointScheme(spec.n, tuple(pts), mults)
 
@@ -214,7 +215,7 @@ def _gen_prop43(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSchem
 
     sampler = lambda: _random_point_in_sflat(rng, spec.n, spec.s, spec.height)
     anchors = _distinct_points(sampler, k + 1)
-    if anchors is None or span(anchors).dim != k:
+    if anchors is None or span_dim(anchors) != k:
         return None
     alpha = span(anchors)
     extra = _random_point_on(rng, alpha, spec.height)
@@ -230,7 +231,7 @@ def _gen_prop43(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSchem
     pts = anchors + [extra] + rest
     if len(pts) != count or len(set(pts)) != count:
         return None
-    if span(pts).dim != spec.s:
+    if span_dim(pts) != spec.s:
         return None
     if degeneracy_index(pts) != k:
         return None
@@ -263,16 +264,16 @@ def _gen_lem42(spec: PatternSpec, rng: random.Random) -> Optional[FatPointScheme
     pts = [p1, p2, p3, p4] + tail + [p_last]
     if len(set(pts)) != count:
         return None
-    if span(pts).dim != s:
+    if span_dim(pts) != s:
         return None
-    if span(pts[: s + 1]).dim != s - 1:  # alpha holds P_1..P_{s+1}
+    if span_dim(pts[: s + 1]) != s - 1:  # alpha holds P_1..P_{s+1}
         return None
-    if span(pts[2:]).dim != s - 1:  # beta holds P_3..P_{s+3}
+    if span_dim(pts[2:]) != s - 1:  # beta holds P_3..P_{s+3}
         return None
-    for sub in combinations(range(count), s + 2):
-        if span([pts[i] for i in sub]).dim <= s - 1:
+    for sub in combinations(pts, s + 2):
+        if span_dim(sub) <= s - 1:
             return None
-    for sub in combinations(range(count), s):
-        if span([pts[i] for i in sub]).dim <= s - 2:
+    for sub in combinations(pts, s):
+        if span_dim(sub) <= s - 2:
             return None
     return FatPointScheme(spec.n, tuple(pts), mults)

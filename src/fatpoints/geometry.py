@@ -17,7 +17,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from fatpoints.linalg import Matrix, inverse, kernel_basis, mat_vec, rref
+from fatpoints.linalg import Matrix, inverse, kernel_basis, mat_vec, rank_rows, rref
 
 Coords = tuple[Fraction, ...]
 
@@ -129,14 +129,26 @@ class Flat:
         return cls(ambient_n, basis)
 
 
-def span(points: Sequence[ProjPoint]) -> Flat:
-    """Smallest flat containing the given points."""
+def _cone_rows(points: Sequence[ProjPoint]) -> list[tuple[int, ...]]:
     if not points:
         raise ValueError("span of an empty point set is undefined")
     n = points[0].ambient_n
     if any(p.ambient_n != n for p in points):
         raise ValueError("ambient dimensions disagree")
-    return Flat.from_vectors(n, [p.integer_rep() for p in points])
+    return [p.integer_rep() for p in points]
+
+
+def span(points: Sequence[ProjPoint]) -> Flat:
+    """Smallest flat containing the given points."""
+    rows = _cone_rows(points)
+    return Flat.from_vectors(len(rows[0]) - 1, rows)
+
+
+def span_dim(points: Sequence[ProjPoint]) -> int:
+    """Dimension of span(points), read off the rank of their integer rows."""
+    rows = _cone_rows(points)
+    # at most (n+2) x (n+1): a modular pass would cost more than it saves
+    return rank_rows(rows, len(rows[0]), modular=False) - 1
 
 
 def flat_contains(f: Flat, p: ProjPoint) -> bool:
@@ -165,7 +177,7 @@ def general_position_on(points: Sequence[ProjPoint], r: int) -> bool:
     j-flat for any j < r.
     """
     _require_distinct(points)
-    d = span(points).dim
+    d = span_dim(points)
     # below r, any d+2 of the points already lie on the d-flat they span
     return d <= r and degeneracy_index(points) is None and (d == r or len(points) <= d + 1)
 
@@ -176,12 +188,12 @@ def degeneracy_index(points: Sequence[ProjPoint]) -> Optional[int]:
     Returns None when the points are in general position on their span.
     """
     _require_distinct(points)
-    top = span(points).dim
+    top = span_dim(points)
     for h in range(1, top):
         if len(points) < h + 2:
             break
         for sub in combinations(points, h + 2):
-            if span(sub).dim <= h:
+            if span_dim(sub) <= h:
                 return h
     return None
 

@@ -201,6 +201,8 @@ def batch_check(spec: PatternSpec, trials: int, base_seed: int, workers: int = 1
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
+    if workers < 1:
+        raise ValueError("at least one worker is required")
     seeds = range(base_seed, base_seed + trials)
     if workers <= 1:
         results = [_run_trial(spec, s) for s in seeds]

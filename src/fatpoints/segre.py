@@ -3,9 +3,11 @@
 For each j the quantity T_j maximizes floor((sum of multiplicities + j - 2)/j)
 over groups of points lying on a common j-flat, and the bound is the
 largest T_j.  An optimal flat can always be taken to be the span of at
-most j+1 of the points, so candidates are enumerated as spans of small
-subsets, deduplicated by their canonical echelon bases, and scored by the
-total multiplicity of all scheme points they contain.
+most j+1 of the points.  The flats spanned by the points are found once
+per scheme, lazily: a subset is spanned only when no flat found so far
+holds it, and the points on its span are found by integer rank.  Each
+candidate is scored by the total multiplicity of the scheme points it
+contains, and a :class:`Flat` is built only for the winner at each j.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from fatpoints.geometry import Flat, flat_contains, span
+from fatpoints.geometry import Flat, span
+from fatpoints.linalg import rank_rows
 from fatpoints.schemes import FatPointScheme
 
 
@@ -41,23 +44,41 @@ class SegreReport:
 
 
 @lru_cache(maxsize=256)
-def _candidate_flats(z: FatPointScheme) -> tuple[tuple[int, tuple[int, ...], Flat], ...]:
-    """All spans of point subsets of size <= n+1, deduplicated.
+def _candidate_flats(
+    z: FatPointScheme,
+) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """Every flat spanned by the points, each found once, smallest first.
 
-    Returns (dim, witness index tuple, flat) triples.  The witness set of
-    a candidate flat spans it, so distinct candidates have distinct
-    witness sets.
+    Returns (dim, witness index tuple, spanning index tuple) triples; the
+    witness set is every point on the flat.  Subsets are walked by size,
+    and one whose indices all lie in a witness set already found is
+    skipped: it spans nothing new.  By induction on the size, a dependent
+    subset is always skipped (dropping a dependent point keeps its span,
+    which was found from the smaller subset), so every subset that is not
+    skipped is independent and spans a new flat of dimension size-1.  The
+    flats therefore appear in the order of a deduplicated scan of all
+    subsets.  Point i lies on the span of an independent subset exactly
+    when adding its integer row leaves the rank at the subset's size.  No
+    :class:`Flat` is built here: ``max_multiplicity_on_flats`` spans only
+    the winning subset at each j.
     """
-    seen: dict[Flat, tuple[int, ...]] = {}
-    indices = range(z.size)
-    for size in range(1, min(z.size, z.n + 1) + 1):
-        for sub in combinations(indices, size):
-            f = span([z.points[i] for i in sub])
-            if f in seen:
+    ints = [p.integer_rep() for p in z.points]
+    width = z.n + 1
+    found: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    covered: list[frozenset[int]] = []
+    for size in range(1, min(z.size, width) + 1):
+        for sub in combinations(range(z.size), size):
+            if any(w.issuperset(sub) for w in covered):
                 continue
-            witness = tuple(i for i in indices if flat_contains(f, z.points[i]))
-            seen[f] = witness
-    return tuple((f.dim, witness, f) for f, witness in seen.items())
+            rows = [ints[i] for i in sub]
+            witness = tuple(
+                i
+                for i in range(z.size)
+                if i in sub or rank_rows(rows + [ints[i]], width, modular=False) == size
+            )
+            found.append((size - 1, witness, sub))
+            covered.append(frozenset(witness))
+    return tuple(found)
 
 
 def max_multiplicity_on_flats(z: FatPointScheme, j: int):
@@ -68,15 +89,15 @@ def max_multiplicity_on_flats(z: FatPointScheme, j: int):
     """
     if not 1 <= j <= z.n:
         raise ValueError("flat dimension out of range")
-    best: Optional[tuple[int, tuple[int, ...], Flat]] = None
-    for dim, witness, f in _candidate_flats(z):
+    best: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
+    for dim, witness, sub in _candidate_flats(z):
         if dim > j:
             continue
         total = sum(z.mults[i] for i in witness)
         if best is None or total > best[0] or (total == best[0] and witness < best[1]):
-            best = (total, witness, f)
+            best = (total, witness, sub)
     assert best is not None  # singletons always qualify
-    return best[0], best[2], best[1]
+    return best[0], span([z.points[i] for i in best[2]]), best[1]
 
 
 def segre_T(z: FatPointScheme, j: int) -> int:

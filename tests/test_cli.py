@@ -1,10 +1,16 @@
+import hashlib
 import json
+import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from fatpoints.cli import cli_dispatch
-from fatpoints.harness import load_scheme, scheme_from_obj
-from fatpoints.schemes import hilbert_function, multiplicity, regularity_index
+from fatpoints.generators import GeneratorError, PatternSpec, generate
+from fatpoints.geometry import ProjPoint
+from fatpoints.harness import load_scheme, save_scheme, scheme_from_obj
+from fatpoints.schemes import FatPointScheme, hilbert_function, multiplicity, regularity_index
 
 
 @pytest.fixture
@@ -155,6 +161,18 @@ def test_batch_roundtrip_and_exit(tmp_path):
     assert report["aggregates"]["violations"] == 0
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_batch_without_workers_exit_one(tmp_path, capsys, workers):
+    out = tmp_path / "report.json"
+    code = cli_dispatch(
+        ["batch", "--pattern", "theorem34", "--n", "2", "--s", "1", "--m", "2",
+         "--trials", "2", "--seed", "33", "--workers", workers, "--out", str(out)]
+    )
+    assert code == 1
+    assert "at least one worker is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_modular_flag_accepted(double_point_scheme, capsys):
     from fatpoints import linalg
 
@@ -275,3 +293,52 @@ def test_env_seed_malformed_exit_one(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert "FATPOINTS_SEED" in capsys.readouterr().err
     assert not out.exists()
+
+
+def segre_check_corpus(seed=0, count=60):
+    """Seeded schemes for the segre and check reports: prop43, lem42 and
+    lemma24 schemes of small height, and random points of height 2, often
+    on a coordinate flat, with multiplicities 1..3."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = ("prop43", "lem42", "lemma24", "random")[len(out) % 4]
+        n = rng.randint(3 if kind == "lem42" else 2 if kind == "prop43" else 1, 4)
+        if kind == "random":
+            free = rng.randint(1, n + 1)
+            pts = []
+            for _ in range(rng.randint(1, 7)):
+                coords = [rng.randint(-2, 2) for _ in range(free)] + [0] * (n + 1 - free)
+                if any(coords):
+                    p = ProjPoint(tuple(Fraction(c) for c in coords))
+                    if p not in pts:
+                        pts.append(p)
+            if pts:
+                out.append(FatPointScheme(n, tuple(pts), tuple(rng.randint(1, 3) for _ in pts)))
+            continue
+        s = rng.randint(3 if kind == "lem42" else 2 if kind == "prop43" else 1, n)
+        spec_seed = rng.randrange(1 << 30)
+        if kind == "lemma24":
+            mults = tuple(rng.randint(1, 3) for _ in range(s + 2))
+            spec = PatternSpec(kind, n=n, s=s, mults=mults, seed=spec_seed, height=3)
+        else:
+            spec = PatternSpec(kind, n=n, s=s, m=rng.randint(1, 2), seed=spec_seed, height=5)
+        try:
+            out.append(generate(spec))
+        except GeneratorError:
+            continue
+    return out
+
+
+def test_segre_and_check_reports_match_pinned_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    codes = Counter()
+    path = str(tmp_path / "scheme.json")
+    for z in segre_check_corpus():
+        save_scheme(z, path)
+        for command in ("segre", "check"):
+            code = cli_dispatch([command, "--scheme", path])
+            codes[command, code] += 1
+            digest.update(f"{command} {code}\n{capsys.readouterr().out}".encode())
+    assert codes == {("segre", 0): 60, ("check", 0): 60}
+    assert digest.hexdigest() == "f9d55f4d056392921775469738b8d6d469d4b0a1ad7d64a82b83f941989c05c0"

@@ -19,6 +19,7 @@ from fatpoints.geometry import (
     hyperplane_containing_avoiding,
     random_invertible_change,
     span,
+    span_dim,
     transform_flat,
     transform_form,
     transform_point,
@@ -246,6 +247,22 @@ def test_general_position_on_matches_subset_scan(case):
         assert general_position_on(pts, r) == _general_position_by_subsets(pts, r)
         with pytest.raises(ValueError, match="distinct"):
             general_position_on(pts + [pts[0]], r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(distinct_points())
+def test_span_dim_matches_span(case):
+    n, pts = case
+    for size in range(1, len(pts) + 1):
+        for sub in combinations(pts, size):
+            assert span_dim(sub) == span(sub).dim
+
+
+def test_span_dim_rejects_what_span_rejects():
+    with pytest.raises(ValueError, match="empty"):
+        span_dim([])
+    with pytest.raises(ValueError, match="ambient"):
+        span_dim([unit(2, 0), unit(3, 0)])
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,12 @@ def test_batch_requires_positive_trials():
         batch_check(PatternSpec("general", n=2, s=3), trials=0, base_seed=0)
 
 
+@pytest.mark.parametrize("workers", [0, -4])
+def test_batch_requires_a_worker(workers):
+    with pytest.raises(ValueError, match="at least one worker is required"):
+        batch_check(PatternSpec("general", n=2, s=3), trials=1, base_seed=0, workers=workers)
+
+
 def test_histogram_keys_are_reg_minus_bound():
     spec = PatternSpec("lemma24", n=2, s=2, m=2, height=9)
     report = batch_check(spec, trials=4, base_seed=3)

@@ -3,8 +3,17 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fatpoints.geometry import ProjPoint, random_invertible_change, span
+from fatpoints.constructions import segre_verdict
+from fatpoints.geometry import (
+    ProjPoint,
+    degeneracy_index,
+    flat_contains,
+    random_invertible_change,
+    span,
+)
 from fatpoints.schemes import FatPointScheme
 from fatpoints.segre import max_multiplicity_on_flats, segre_T, segre_bound
 
@@ -172,3 +181,66 @@ def test_out_of_range_j():
         max_multiplicity_on_flats(z, 0)
     with pytest.raises(ValueError):
         max_multiplicity_on_flats(z, 3)
+
+
+# ---------------------------------------------------------------------------
+# the whole table against a brute-force flat lattice
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_schemes(draw):
+    """Distinct points of height 2, often confined to a coordinate flat so
+    that collinear and coplanar subsets are common, with multiplicities 1..3."""
+    n = draw(st.integers(1, 4))
+    free = draw(st.integers(1, n + 1))
+    coords = st.tuples(*[st.integers(-2, 2)] * free).filter(any)
+    raw = draw(st.lists(coords, min_size=1, max_size=7))
+    pad = (Fraction(0),) * (n + 1 - free)
+    pts = list(dict.fromkeys(ProjPoint(tuple(Fraction(c) for c in v) + pad) for v in raw))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts)))
+    return FatPointScheme(n, tuple(pts), tuple(mults))
+
+
+def brute_force_table(z):
+    """(T_j, total, witness indices, witness flat) for every j: every subset
+    is spanned, each distinct flat keeps the points it contains, and per j
+    the largest total wins, ties to the lexicographically smallest witness."""
+    flats = {}
+    for size in range(1, z.size + 1):
+        for sub in combinations(range(z.size), size):
+            f = span([z.points[i] for i in sub])
+            flats[f] = tuple(i for i in range(z.size) if flat_contains(f, z.points[i]))
+    table = []
+    for j in range(1, z.n + 1):
+        total, witness, f = min(
+            (-sum(z.mults[i] for i in w), w, f) for f, w in flats.items() if f.dim <= j
+        )
+        table.append(((-total + j - 2) // j, -total, witness, f))
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_schemes())
+@example(FatPointScheme(2, tuple(ProjPoint((1, k, 0)) for k in range(4)), (1, 2, 3, 1)))
+@example(  # four coplanar points and one off their plane in P^3
+    FatPointScheme(
+        3,
+        (unit(3, 0), unit(3, 1), unit(3, 2), ProjPoint((1, 1, 1, 0)), unit(3, 3)),
+        (2, 1, 1, 3, 2),
+    )
+)
+@example(  # two lines through a common point in P^3
+    FatPointScheme(
+        3,
+        (unit(3, 0), unit(3, 1), ProjPoint((1, 1, 0, 0)), unit(3, 2), ProjPoint((1, 0, 1, 0))),
+        (1, 1, 1, 2, 2),
+    )
+)
+def test_segre_table_matches_brute_force_lattice(z):
+    report = segre_bound(z)
+    got = [(e.value, e.total_mult, e.witness_indices, e.witness_flat) for e in report.entries]
+    assert got == brute_force_table(z)
+    assert [e.j for e in report.entries] == list(range(1, z.n + 1))
+    verdict = segre_verdict(z)
+    assert verdict.degeneracy == degeneracy_index(list(z.points))
+    assert verdict.general_position == (verdict.degeneracy is None)
