@@ -23,7 +23,7 @@ from fatpoints.constructions import (
     segre_verdict,
     verify_certificate,
 )
-from fatpoints.generators import GeneratorError, PATTERNS, PatternSpec, generate
+from fatpoints.generators import PATTERNS, PatternSpec, generate
 from fatpoints.harness import batch_check, load_scheme, scheme_to_obj
 from fatpoints.schemes import (
     artinian_quotient_regularity,
@@ -337,10 +337,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     linalg.set_modular_filter(args.modular)
     try:
         return _COMMANDS[args.command](args)
-    except (GeneratorError, ValueError, OSError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # GeneratorError and ConstructionError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

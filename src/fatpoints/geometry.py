@@ -14,10 +14,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from fatpoints.linalg import Matrix, inverse, kernel_basis, mat_vec, rank_rows, rref
+from fatpoints.linalg import (
+    Matrix,
+    inverse,
+    kernel_basis,
+    mat_vec,
+    primitive_row,
+    rank_rows,
+    reduce_by_rref,
+    rref,
+)
 
 Coords = tuple[Fraction, ...]
 
@@ -30,20 +38,6 @@ def _normalize(coords: Sequence[object], kind: str) -> Coords:
     if lead != 1:
         vals = tuple(c / lead for c in vals)
     return vals
-
-
-def _primitive_ints(coords: Coords) -> tuple[int, ...]:
-    lcm = 1
-    for c in coords:
-        d = c.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(c.numerator) * (lcm // c.denominator) for c in coords]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
-    if content > 1:
-        ints = [v // content for v in ints]
-    return tuple(ints)
 
 
 @dataclass(frozen=True)
@@ -60,8 +54,8 @@ class ProjPoint:
         return len(self.coords) - 1
 
     def integer_rep(self) -> tuple[int, ...]:
-        """A primitive integer representative of the same point."""
-        return _primitive_ints(self.coords)
+        """A primitive integer representative of the same point, in Python ints."""
+        return tuple(map(int, primitive_row(self.coords)))
 
     @classmethod
     def unit(cls, n: int, i: int) -> "ProjPoint":
@@ -155,14 +149,8 @@ def flat_contains(f: Flat, p: ProjPoint) -> bool:
     """Whether the point lies on the flat."""
     if p.ambient_n != f.ambient_n:
         raise ValueError("ambient dimensions disagree")
-    v = list(p.coords)
-    for row in f.cone_basis:
-        pivot = next(j for j, x in enumerate(row) if x != 0)
-        t = v[pivot]
-        if t:
-            for j in range(pivot, len(v)):
-                v[j] -= t * row[j]
-    return not any(v)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in f.cone_basis]
+    return not any(reduce_by_rref(list(p.coords), f.cone_basis, pivots))
 
 
 def _require_distinct(points: Sequence[ProjPoint]) -> None:
@@ -252,38 +240,22 @@ def frame_change(
     until it has n+1 vectors.  The change sends the k-th basis vector to
     e_k.  Also returns the indices of the candidates taken, in basis
     order: candidate ``taken[i]`` goes to e_(len(leading) + i).
+
+    One elimination both picks the basis and inverts it.  Put the vectors
+    in the columns of M = [leading | candidates | I].  The I block gives M
+    full row rank, so its reduced echelon form E M, with E invertible, has
+    n+1 pivots.  The pivot columns are the columns independent of those
+    before them: the greedy basis, in order.  E sends the k-th of them to
+    e_k, and the I block ends as E itself, the wanted change.
     """
-    basis: list[list[int]] = []
-    echelon: list[tuple[int, list[Fraction]]] = []  # (pivot, row with a 1 there)
-
-    def take(v: Sequence[int]) -> bool:
-        r = [Fraction(x) for x in v]
-        for pc, row in echelon:
-            c = r[pc]
-            if c:
-                r = [x - c * y for x, y in zip(r, row)]
-        pc = next((j for j, x in enumerate(r) if x), None)
-        if pc is None:
-            return False
-        lead = r[pc]
-        echelon.append((pc, [x / lead for x in r]))
-        basis.append(list(v))
-        return True
-
-    for v in leading:
-        if not take(v):
-            raise ValueError("the leading vectors are dependent")
-    taken = []
-    for idx, v in enumerate(candidates):
-        if len(basis) == n + 1:
-            break
-        if take(v):
-            taken.append(idx)
-    for i in range(n + 1):
-        if len(basis) == n + 1:
-            break
-        take([int(j == i) for j in range(n + 1)])
-    return inverse(Matrix.from_rows(basis).transpose()), tuple(taken)
+    lead = len(leading)
+    width = lead + len(candidates)
+    vectors = [*leading, *candidates, *([int(j == i) for j in range(n + 1)] for i in range(n + 1))]
+    res = rref(Matrix.from_rows([[v[i] for v in vectors] for i in range(n + 1)]))
+    if res.pivot_cols[:lead] != tuple(range(lead)):
+        raise ValueError("the leading vectors are dependent")
+    taken = tuple(c - lead for c in res.pivot_cols if lead <= c < width)
+    return Matrix.from_rows([res.rref.row(i)[width:] for i in range(n + 1)]), taken
 
 
 def coordinate_change_to_origin(p: ProjPoint) -> Matrix:

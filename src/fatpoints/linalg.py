@@ -115,7 +115,23 @@ class RrefResult:
 # integer core
 # ---------------------------------------------------------------------------
 
-def _strip_ints(ints: Sequence[int]) -> list:
+def primitive_row(xs: Sequence) -> list:
+    """The primitive integer row proportional to xs, as a list of ``mpz``.
+
+    Clears the denominators of the rational (or integer) entries with
+    their lcm, then divides out the content.  Row scaling by nonzero
+    rationals preserves the row space, hence rank, pivot columns and the
+    reduced echelon form.  A zero row stays zero.
+    """
+    lcm = 1
+    for x in xs:
+        d = x.denominator
+        if d != 1:
+            lcm = lcm // gcd(lcm, d) * d
+    if lcm == 1:  # integer rows, as rank_rows mostly gets, skip the rescale
+        ints = [mpz(x.numerator) for x in xs]
+    else:
+        ints = [mpz(x.numerator * (lcm // x.denominator)) for x in xs]
     content = 0
     for v in ints:
         if v:
@@ -124,26 +140,7 @@ def _strip_ints(ints: Sequence[int]) -> list:
                 break
     if content > 1:
         ints = [v // content for v in ints]
-    return [mpz(v) for v in ints]
-
-
-def _int_rows(m: Matrix) -> list[list[int]]:
-    """Clear denominators row by row.
-
-    Row scaling by nonzero rationals preserves the row space, hence rank,
-    pivot columns and the reduced echelon form.  The rows keep their
-    content; :func:`_strip_ints` divides it out.
-    """
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                lcm = lcm // gcd(lcm, d) * d
-        out.append([int(x.numerator) * (lcm // x.denominator) for x in row])
-    return out
+    return ints
 
 
 def _bareiss_forward(m: list[list], ncols: int) -> list[int]:
@@ -183,29 +180,39 @@ def _bareiss_forward(m: list[list], ncols: int) -> list[int]:
 # public operations
 # ---------------------------------------------------------------------------
 
+def reduce_by_rref(v: list, rows: Sequence[Sequence], pivots: Sequence[int]) -> list:
+    """Reduce v in place by canonical rref rows with the given pivot columns.
+
+    Each row has a 1 in its own pivot column and a 0 in the others', so
+    v ends with a 0 in every pivot column, and it lies in the span of the
+    rows exactly when it ends all zero.
+    """
+    for pc, row in zip(pivots, rows):
+        t = v[pc]
+        if t:
+            v[pc:] = [x - t * y for x, y in zip(v[pc:], row[pc:])]
+    return v
+
+
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form, exact and deterministic.
 
     The row space is preserved; each pivot is 1 and is the only nonzero
     entry of its column.  Zero rows sink to the bottom.
     """
-    irows = [_strip_ints(row) for row in _int_rows(m)]
+    irows = [primitive_row(m.row(i)) for i in range(m.rows)]
     pivot_cols = _bareiss_forward(irows, m.cols)
     rank = len(pivot_cols)
 
+    # back substitution from the bottom: each row is reduced by the final
+    # rows below it, then scaled to a leading 1
     qrows = [[mpq(x) for x in irows[i]] for i in range(rank)]
     for i in reversed(range(rank)):
+        qi = reduce_by_rref(qrows[i], qrows[i + 1 :], pivot_cols[i + 1 :])
         c = pivot_cols[i]
-        qi = qrows[i]
         pv = qi[c]
         if pv != 1:
             qi[c:] = [x / pv for x in qi[c:]]
-        tail = qi[c:]
-        for i2 in range(i):
-            t = qrows[i2][c]
-            if t:
-                q2 = qrows[i2]
-                q2[c:] = [x - t * y for x, y in zip(q2[c:], tail)]
 
     zero = Fraction(0)
     entries: list[Fraction] = []
@@ -247,25 +254,17 @@ class SpanTester:
 
     def __init__(self, basis: Sequence[Sequence[object]], length: int):
         self.length = length
-        rows = [list(b) for b in basis]
-        for b in rows:
-            if len(b) != length:
-                raise ValueError("dimension mismatch")
-        self._res = rref(Matrix.from_rows(rows)) if rows else None
+        if any(len(b) != length for b in basis):
+            raise ValueError("dimension mismatch")
+        res = rref(Matrix(len(basis), length, tuple(Fraction(x) for b in basis for x in b)))
+        self._rows = res.rref.to_rows()
+        self._pivots = res.pivot_cols
 
     def contains(self, v: Sequence[object]) -> bool:
         v = [Fraction(x) for x in v]
         if len(v) != self.length:
             raise ValueError("dimension mismatch")
-        if self._res is not None:  # reduce by the pivots of the rref
-            r = self._res.rref
-            for i, pc in enumerate(self._res.pivot_cols):
-                t = v[pc]
-                if t:
-                    row = r.row(i)
-                    for j in range(pc, len(v)):
-                        v[j] -= t * row[j]
-        return not any(v)
+        return not any(reduce_by_rref(v, self._rows, self._pivots))
 
 
 def rank_mod_p(m: Matrix, p: int) -> int:
@@ -357,11 +356,11 @@ def _bump(key: str) -> None:
 
 def rank(m: Matrix, *, modular: bool | None = None) -> int:
     """Exact rank of m; see :func:`rank_rows`."""
-    return rank_rows(_int_rows(m), m.cols, modular=modular)
+    return rank_rows([m.row(i) for i in range(m.rows)], m.cols, modular=modular)
 
 
-def rank_rows(rows: Sequence[Sequence[int]], ncols: int, *, modular: bool | None = None) -> int:
-    """Exact rank of a list of integer rows.
+def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool | None = None) -> int:
+    """Exact rank of a list of integer (or rational) rows.
 
     With the filter on (``modular``, or the global setting when None), a
     rank mod ``MODULAR_PRIMES[0]`` equal to min(rows, cols) is returned
@@ -370,7 +369,7 @@ def rank_rows(rows: Sequence[Sequence[int]], ncols: int, *, modular: bool | None
     counted and logged.
     """
     use = _MODULAR_FILTER if modular is None else modular
-    irows = [_strip_ints(row) for row in rows]
+    irows = [primitive_row(row) for row in rows]
     rp = None
     if use:
         rp = _rank_mod(irows, ncols, MODULAR_PRIMES[0])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,7 @@ from fatpoints.geometry import (
     transform_form,
     transform_point,
 )
-from fatpoints.linalg import Matrix, in_span, inverse, rref
+from fatpoints.linalg import Matrix, in_span, inverse, rank_rows, rref
 
 
 def unit(n, i):
@@ -266,6 +267,49 @@ def test_span_dim_rejects_what_span_rejects():
 
 
 # ---------------------------------------------------------------------------
+# incidence and integer representatives against rank oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def flat_and_probe(draw):
+    """Points spanning a flat, and a probe that is often a combination of them."""
+    n, pts = draw(distinct_points())
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=len(pts), max_size=len(pts)))
+        vec = [sum(w * p.integer_rep()[j] for w, p in zip(weights, pts)) for j in range(n + 1)]
+    else:
+        vec = draw(st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1))
+    if not any(vec):
+        vec = pts[0].integer_rep()
+    return pts, ProjPoint(tuple(Fraction(c) for c in vec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_and_probe())
+def test_flat_contains_matches_rank_oracle(case):
+    pts, probe = case
+    f = span(pts)
+    rows = [p.integer_rep() for p in pts]
+    on_flat = rank_rows(rows + [probe.integer_rep()], len(rows[0]), modular=False) == f.dim + 1
+    assert flat_contains(f, probe) == on_flat
+
+
+coordinate = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-7, max_value=7, max_denominator=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(coordinate, min_size=1, max_size=6).filter(any))
+def test_integer_rep_is_primitive_and_proportional(coords):
+    rep = ProjPoint(tuple(coords)).integer_rep()
+    assert len(rep) == len(coords)
+    assert all(type(v) is int for v in rep)
+    assert gcd(*rep) == 1
+    lead = next(j for j, c in enumerate(coords) if c)
+    assert all(v == 0 for v in rep[:lead]) and rep[lead] > 0
+    assert all(v * coords[lead] == c * rep[lead] for v, c in zip(rep, coords))
+
+
+# ---------------------------------------------------------------------------
 # hyperplane_containing_avoiding
 # ---------------------------------------------------------------------------
 
@@ -399,6 +443,34 @@ def test_frame_change_matches_probing_reference():
         assert (change, taken) == _probing_frame(n, leading, candidates)
         for axis, idx in enumerate(taken, start=len(leading)):
             assert transform_point(change, ProjPoint(tuple(map(Fraction, candidates[idx])))) == unit(n, axis)
+
+
+@st.composite
+def frame_cases(draw):
+    """Leading vectors (possibly dependent) and candidates with zeros and repeats."""
+    n = draw(st.integers(1, 4))
+    vec = st.one_of(
+        st.just([0] * (n + 1)),
+        st.lists(st.sampled_from([0, 0, 1, -1, 2, 3]), min_size=n + 1, max_size=n + 1),
+    )
+    leading = draw(st.lists(vec, max_size=2))
+    fresh = draw(st.lists(vec, max_size=n + 3))
+    repeats = draw(st.lists(st.sampled_from(fresh), max_size=3)) if fresh else []
+    candidates = draw(st.permutations(fresh + repeats))
+    return n, leading, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_cases())
+@example((2, [[1, 2, 0], [2, 4, 0]], []))  # dependent leading vectors
+@example((1, [], [[0, 0], [1, 1], [1, 1], [2, 2], [0, 1], [1, 0]]))  # more candidates than n+1
+def test_frame_change_matches_probing_reference_with_edge_candidates(case):
+    n, leading, candidates = case
+    if leading and rref(Matrix.from_rows(leading)).rank < len(leading):
+        with pytest.raises(ValueError, match="dependent"):
+            frame_change(n, leading, candidates)
+        return
+    assert frame_change(n, leading, candidates) == _probing_frame(n, leading, candidates)
 
 
 def test_frame_change_rejects_dependent_leading_vectors():
