@@ -14,7 +14,9 @@ Three layers:
   one hyperplane through every point, then one grouped covering
   construction with two groups (split) or one (single group); the trusted
   component is ``verify_certificate``, which re-checks everything from
-  scratch.
+  scratch.  It never expands a product: the order of vanishing at a point
+  is a valuation, so a product of linear factors vanishes there to the
+  number of its factors through the point (``vanishing_orders``).
 
 * verdicts: ``removal_recursion_check`` confirms the regularity recursion
   for a removed point, and ``segre_verdict`` classifies a scheme and
@@ -44,10 +46,7 @@ from fatpoints.geometry import (
 from fatpoints.linalg import Matrix
 from fatpoints.schemes import (
     FatPointScheme,
-    Form,
     artinian_quotient_regularity,
-    in_fat_ideal,
-    linear_form_to_form,
     monomial_basis,
     regularity_index,
 )
@@ -194,6 +193,28 @@ def _origin(n: int) -> ProjPoint:
 def _monomial_order_at(mono: tuple[int, ...], q: ProjPoint) -> int:
     """Vanishing order of a monomial in X_1..X_n at a point."""
     return sum(c for c, x in zip(mono, q.coords[1:]) if x == 0)
+
+
+def vanishing_orders(
+    monomial: tuple[int, ...],
+    hyperplanes: Sequence[LinearForm],
+    points: Sequence[ProjPoint],
+    zeros: dict[LinearForm, list[int]],
+) -> list[int]:
+    """Vanishing order at each point of X^monomial (in X_1..X_n) times the hyperplanes.
+
+    The order is the number of linear factors through the point, repeats
+    counted (see :func:`verify_certificate`).  ``zeros`` caches the indices
+    of each hyperplane's points; share it only between calls on the same
+    points.
+    """
+    orders = [_monomial_order_at(monomial, q) for q in points]
+    for h in hyperplanes:
+        if h not in zeros:
+            zeros[h] = [i for i, q in enumerate(points) if h.vanishes_at(q)]
+        for i in zeros[h]:
+            orders[i] += 1
+    return orders
 
 
 def _normalizing_change(j: FatPointScheme, p: ProjPoint):
@@ -365,13 +386,30 @@ def verify_certificate(
     Valid means: the stored coordinate change sends p to (1, 0, ..., 0),
     every monomial of degree < a appears, every listed hyperplane misses
     p, and each hyperplane product times its monomial vanishes to the
-    scheme's orders.  Soundness (delta bounds the artinian regularity) is
-    a theorem about valid certificates, checked separately in the tests.
+    scheme's orders.  The last check expands nothing.  In the local ring
+    at a moved point q the order of vanishing is a valuation, so
+    ord_q(fg) = ord_q f + ord_q g, and a linear form (X_k among them) has
+    order 1 at q if it vanishes there and 0 otherwise.  The product's order
+    at q is therefore the number of its factors through q, repeats counted
+    (:func:`vanishing_orders`): exact rational incidence, nothing modular.
+    An entry whose monomial is not n nonnegative exponents, or with a
+    hyperplane of another ambient dimension, raises ``ValueError``.
+    Soundness (delta bounds the artinian regularity) is a theorem about
+    valid certificates, checked separately in the tests.
     """
     if a < 1:
         raise ValueError("the vanishing order must be positive")
     n = j.n
     origin = _origin(n)
+    for k, e in enumerate(cert.entries):
+        if len(e.monomial) != n or min(e.monomial, default=0) < 0:
+            raise ValueError(
+                f"certificate entry {k} (monomial {e.monomial}) needs {n} nonnegative exponents"
+            )
+        if any(h.ambient_n != n for h in e.hyperplanes):
+            raise ValueError(
+                f"certificate entry {k} (monomial {e.monomial}) has a hyperplane outside P^{n}"
+            )
     delta = max((len(e.hyperplanes) + sum(e.monomial) for e in cert.entries), default=0)
     guard = sum(j.mults) + a
     if any(len(e.hyperplanes) + sum(e.monomial) > guard for e in cert.entries):
@@ -394,19 +432,18 @@ def verify_certificate(
         _LOG.warning("certificate is missing %d monomials", len(needed - provided))
         return False, delta
 
+    zeros: dict[LinearForm, list[int]] = {}  # each hyperplane's moved points
     for e in cert.entries:
         for h in e.hyperplanes:
-            if h.vanishes_at(origin):
+            if h not in zeros and h.vanishes_at(origin):
                 _LOG.warning(
                     "hyperplane %s passes through the distinguished point (monomial %s)",
                     h.coeffs,
                     e.monomial,
                 )
                 return False, delta
-        product = Form.monomial(n + 1, (0,) + e.monomial)
-        for h in e.hyperplanes:
-            product = product * linear_form_to_form(h.coeffs)
-        if not in_fat_ideal(product, moved):
+        orders = vanishing_orders(e.monomial, e.hyperplanes, moved.points, zeros)
+        if any(o < m for o, m in zip(orders, moved.mults)):
             _LOG.warning("product fails the vanishing conditions (monomial %s)", e.monomial)
             return False, delta
     return True, delta

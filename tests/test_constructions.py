@@ -1,15 +1,22 @@
+import dataclasses
 import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fatpoints.generators import GeneratorError, PatternSpec, generate
-from fatpoints.geometry import ProjPoint, flat_contains, span
+from fatpoints.geometry import LinearForm, ProjPoint, flat_contains, span, transform_point
 from fatpoints.schemes import (
     FatPointScheme,
+    Form,
     artinian_quotient_regularity,
+    in_fat_ideal,
+    linear_form_to_form,
+    monomial_basis,
     regularity_index,
 )
 from fatpoints.constructions import (
@@ -22,6 +29,7 @@ from fatpoints.constructions import (
     distribute_flats,
     removal_recursion_check,
     segre_verdict,
+    vanishing_orders,
     verify_certificate,
 )
 
@@ -276,6 +284,98 @@ def test_hand_built_certificate_on_two_points():
     assert delta == 1  # one hyperplane suffices: the line through both points
 
 
+def drop_one_factor(cert, k):
+    """The certificate with one hyperplane taken from entry k."""
+    e = cert.entries[k]
+    short = CertificateEntry(e.monomial, e.hyperplanes[1:])
+    return dataclasses.replace(cert, entries=cert.entries[:k] + (short,) + cert.entries[k + 1 :])
+
+
+def expand(n, monomial, hyperplanes):
+    """X^monomial (in X_1..X_n) times the hyperplanes, as a form."""
+    product = Form.monomial(n + 1, (0,) + monomial)
+    for h in hyperplanes:
+        product = product * linear_form_to_form(h.coeffs)
+    return product
+
+
+def test_verify_rejects_product_one_factor_short():
+    rng = random.Random(15)
+    j, p = case1_configuration(rng, m=2)
+    cert = build_certificate(j, p, 2, seed=1)
+    assert cert.strategy == "covering_hyperplane"
+    # the constant monomial's entry is the common hyperplane squared; with one
+    # factor it vanishes only to order 1 at the double points
+    k = next(i for i, e in enumerate(cert.entries) if not any(e.monomial))
+    ok, delta = verify_certificate(drop_one_factor(cert, k), j, p, 2)
+    assert not ok
+    assert delta == cert.delta
+
+
+@pytest.mark.parametrize(
+    "kind", ["long monomial", "short monomial", "negative exponent", "higher ambient", "lower ambient"]
+)
+def test_verify_rejects_malformed_entry(kind):
+    rng = random.Random(14)
+    j, p = case1_configuration(rng, m=1)
+    cert = build_certificate(j, p, 1, seed=1)
+    (entry,) = cert.entries
+    mono, hs = entry.monomial, entry.hyperplanes
+    extra = {
+        "long monomial": CertificateEntry(mono + (0,), hs),
+        "short monomial": CertificateEntry(mono[:-1], hs),
+        "negative exponent": CertificateEntry(mono[:-1] + (-1,), hs),
+        "higher ambient": CertificateEntry(mono, hs + (LinearForm((1,) * (j.n + 2)),)),
+        "lower ambient": CertificateEntry(mono, hs + (LinearForm((1,) * j.n),)),
+    }[kind]
+    tampered = dataclasses.replace(cert, entries=cert.entries + (extra,))
+    with pytest.raises(ValueError, match="certificate entry 1 "):
+        verify_certificate(tampered, j, p, 1)
+
+
+@st.composite
+def hyperplane_products(draw):
+    """n, points with multiplicities, a monomial in X_1..X_n and 0-5 linear
+    factors drawn with repeats from up to three forms, each random or
+    through one of the points."""
+    n = draw(st.integers(1, 4))
+    coords = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1).filter(any)
+    points = list(dict.fromkeys(ProjPoint(tuple(c)) for c in draw(st.lists(coords, min_size=1, max_size=3))))
+    mults = draw(st.lists(st.integers(1, 4), min_size=len(points), max_size=len(points)))
+    monomial = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    forms = []
+    for through in draw(st.lists(st.sampled_from([None] + points), min_size=1, max_size=3)):
+        if through is None:
+            forms.append(LinearForm(tuple(draw(coords))))
+            continue
+        # q_k X_l - q_l X_k vanishes at q
+        q = through.integer_rep()
+        k = draw(st.sampled_from([i for i, x in enumerate(q) if x]))
+        l = draw(st.sampled_from([i for i in range(n + 1) if i != k]))
+        c = [0] * (n + 1)
+        c[k], c[l] = -q[l], q[k]
+        forms.append(LinearForm(tuple(c)))
+    hyperplanes = draw(st.lists(st.sampled_from(forms), max_size=5))
+    return n, points, mults, monomial, hyperplanes
+
+
+@settings(max_examples=150, deadline=None)
+@given(hyperplane_products())
+# points on coordinate hyperplanes: X_1 X_2^2 vanishes to orders 1, 2 and 3
+@example((2, [ProjPoint((1, 0, 1)), ProjPoint((1, 1, 0)), ProjPoint((1, 0, 0))], [1, 2, 3], (1, 2), []))
+@example((2, [ProjPoint((1, 0, 1)), ProjPoint((1, 1, 0)), ProjPoint((1, 0, 0))], [1, 2, 4], (1, 2), []))
+# one factor repeated m times, and m one higher
+@example((3, [ProjPoint((0, 1, 2, 0)), ProjPoint((1, 1, 1, 0))], [3, 3], (0, 0, 0), [LinearForm((0, 0, 0, 1))] * 3))
+@example((3, [ProjPoint((0, 1, 2, 0)), ProjPoint((1, 1, 1, 0))], [3, 4], (0, 0, 0), [LinearForm((0, 0, 0, 1))] * 3))
+# m above the product's degree
+@example((1, [ProjPoint((1, 0))], [4], (1,), [LinearForm((0, 1))] * 2))
+def test_vanishing_orders_match_fat_ideal_membership(case):
+    n, points, mults, monomial, hyperplanes = case
+    z = FatPointScheme(n, tuple(points), tuple(mults))
+    orders = vanishing_orders(monomial, hyperplanes, points, {})
+    assert all(o >= m for o, m in zip(orders, mults)) == in_fat_ideal(expand(n, monomial, hyperplanes), z)
+
+
 # ---------------------------------------------------------------------------
 # removal recursion
 # ---------------------------------------------------------------------------
@@ -401,3 +501,39 @@ def test_certificates_match_pinned_digest():
         digest.update(f"{cert!r}\n".encode())
     assert strategies == {"covering_hyperplane": 24, "split": 36, "single_group": 30}
     assert digest.hexdigest() == "b1150833fc4ded807cdb098b88917a8284cdb7b61fef0c48b4ba247fa81ea6e9"
+
+
+def expanding_verify(cert, j, p, a):
+    """The plain check: expand each monomial times its hyperplane product
+    into a form and test it against every derivative condition."""
+    n = j.n
+    origin = ProjPoint.unit(n, 0)
+    delta = max((len(e.hyperplanes) + sum(e.monomial) for e in cert.entries), default=0)
+    if cert.order != a or transform_point(cert.change, p) != origin:
+        return False, delta
+    needed = {mono for i in range(a) for mono in monomial_basis(i, n).exponents}
+    if needed - {e.monomial for e in cert.entries}:
+        return False, delta
+    moved = j.transform(cert.change)
+    for e in cert.entries:
+        if any(h.vanishes_at(origin) for h in e.hyperplanes):
+            return False, delta
+        if not in_fat_ideal(expand(n, e.monomial, e.hyperplanes), moved):
+            return False, delta
+    return True, delta
+
+
+def test_verify_matches_expanding_verifier_on_corpus():
+    strategies = Counter()
+    rejected = 0
+    for j, p, a, seed in certificate_corpus():
+        cert = build_certificate(j, p, a, seed=seed)
+        strategies[cert.strategy] += 1
+        assert verify_certificate(cert, j, p, a) == expanding_verify(cert, j, p, a) == (True, cert.delta)
+        longest = max(range(len(cert.entries)), key=lambda i: len(cert.entries[i].hyperplanes))
+        short = drop_one_factor(cert, longest)
+        ok, delta = verify_certificate(short, j, p, a)
+        assert (ok, delta) == expanding_verify(short, j, p, a)
+        rejected += not ok
+    assert strategies == {"covering_hyperplane": 24, "split": 36, "single_group": 30}
+    assert rejected == 89
