@@ -12,7 +12,8 @@ Three layers:
   of hyperplanes avoiding the distinguished point whose product with the
   monomial vanishes to the scheme's orders.  ``build_certificate`` tries
   one hyperplane through every point, then one grouped covering
-  construction with two groups (split) or one (single group); the trusted
+  construction with two groups (split) or one (single group), its scans,
+  spans and lifts computed once per build, not per monomial; the trusted
   component is ``verify_certificate``, which re-checks everything from
   scratch.  It never expands a product: the order of vanishing at a point
   is a valuation, so a product of linear factors vanishes there to the
@@ -38,12 +39,11 @@ from fatpoints.geometry import (
     flat_contains,
     degeneracy_index,
     frame_change,
-    hyperplane_containing_avoiding,
     span,
     span_dim,
     transform_point,
 )
-from fatpoints.linalg import Matrix
+from fatpoints.linalg import Matrix, kernel_basis
 from fatpoints.schemes import (
     FatPointScheme,
     artinian_quotient_regularity,
@@ -81,15 +81,36 @@ def cover_threshold(mults: Sequence[int], r: int) -> int:
     return max(max(mults), (sum(mults) + r - 1) // r)
 
 
-def _scan_avoiding(points: Sequence[ProjPoint], avoid: ProjPoint, r: int) -> None:
+def _span_of(points: Sequence[ProjPoint], spans: dict) -> Flat:
+    """span(points), memoized in ``spans`` under the point set."""
+    key = frozenset(points)
+    return spans[key] if key in spans else spans.setdefault(key, span(points))
+
+
+def _scan_avoiding(points: Sequence[ProjPoint], avoid: ProjPoint, r: int, spans: dict) -> None:
     """Check that no span of min(r, len(points)) points captures the avoided point."""
     size = min(r, len(points))
     for sub in combinations(range(len(points)), size):
-        if flat_contains(span([points[i] for i in sub]), avoid):
+        if flat_contains(_span_of([points[i] for i in sub], spans), avoid):
             raise ValueError(
                 f"avoided point lies on the span of points {list(sub)}; "
                 "the covering construction cannot proceed"
             )
+
+
+def _check_cover_args(points: Sequence[ProjPoint], mults: Sequence[int], r: int, t: int) -> None:
+    """The argument checks of :func:`distribute_flats`, run on every cover."""
+    if not points or len(points) != len(mults):
+        raise ValueError("points and multiplicities must be nonempty and aligned")
+    if any(m < 1 for m in mults):
+        raise ValueError("multiplicities must be positive")
+    if not 1 <= r <= points[0].ambient_n:
+        raise ValueError("r must be between 1 and the ambient dimension")
+    if len(set(points)) != len(points):
+        raise ValueError("points must be pairwise distinct")
+    threshold = cover_threshold(mults, r)
+    if t < threshold:
+        raise ValueError(f"t={t} is below the admissible threshold {threshold}")
 
 
 def distribute_flats(
@@ -111,20 +132,17 @@ def distribute_flats(
     """
     points = list(points)
     mults = [int(m) for m in mults]
-    if not points or len(points) != len(mults):
-        raise ValueError("points and multiplicities must be nonempty and aligned")
-    if any(m < 1 for m in mults):
-        raise ValueError("multiplicities must be positive")
-    n = points[0].ambient_n
-    if not 1 <= r <= n:
-        raise ValueError("r must be between 1 and the ambient dimension")
-    if len(set(points)) != len(points):
-        raise ValueError("points must be pairwise distinct")
-    threshold = cover_threshold(mults, r)
-    if t < threshold:
-        raise ValueError(f"t={t} is below the admissible threshold {threshold}")
-    _scan_avoiding(points, avoid, r)
+    _check_cover_args(points, mults, r, t)
+    spans: dict = {}
+    _scan_avoiding(points, avoid, r, spans)
+    return _cover(points, avoid, mults, r, t, seed, spans)
 
+
+def _cover(points, avoid, mults, r, t, seed, spans) -> Distribution:
+    """The loop of :func:`distribute_flats` on checked, scanned arguments.
+
+    ``spans`` memoizes spans by point set; coverage is tested once per distinct flat.
+    """
     remaining = list(mults)
     flats: list[Flat] = []
     step = 0
@@ -133,20 +151,21 @@ def distribute_flats(
         slots = t - len(flats)
         step += 1
         if len(active) <= r:
-            base = span([points[i] for i in active])
+            base = _span_of([points[i] for i in active], spans)
             flat = extend_flat_avoiding(base, r - 1, avoid, seed * 1009 + step)
             flats.extend([flat] * slots)
             break
         order = sorted(active, key=lambda i: (-remaining[i], i))
         heavy = order[:r]
-        base = span([points[i] for i in heavy])
+        base = _span_of([points[i] for i in heavy], spans)
         flat = extend_flat_avoiding(base, r - 1, avoid, seed * 1009 + step)
         flats.append(flat)
         for i in heavy:
             remaining[i] -= 1
 
+    on = {id(f): [flat_contains(f, p) for p in points] for f in flats}
     coverage = tuple(
-        tuple(k for k, f in enumerate(flats) if flat_contains(f, p)) for p in points
+        tuple(k for k, f in enumerate(flats) if on[id(f)][i]) for i in range(len(points))
     )
     for i, m in enumerate(mults):
         if len(coverage[i]) < m:
@@ -233,17 +252,24 @@ def _all_entry_monomials(a: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _lift_to_hyperplane(f: Flat, origin: ProjPoint) -> LinearForm:
-    if flat_contains(f, origin) or f.dim > f.ambient_n - 1:
-        raise ConstructionError("no hyperplane through the flat avoids the origin")
-    return hyperplane_containing_avoiding(f, origin)
+def _lift_to_hyperplane(vectors: Sequence[Sequence[object]]) -> LinearForm:
+    """A hyperplane through the cone vectors' span missing e_0, by one ``kernel_basis``.
+
+    The kernel depends only on the row space, and the flat is the zero set
+    of its forms; so no basis form misses e_0 (has coefficient 0 nonzero)
+    exactly when the flat is the whole space or passes through e_0.
+    """
+    for coeffs in kernel_basis(Matrix.from_rows([list(v) for v in vectors])):
+        if coeffs[0] != 0:
+            return LinearForm(coeffs)
+    raise ConstructionError("no hyperplane through the flat avoids the origin")
 
 
 def _covering_certificate(moved, origin, a, change, positions) -> Optional[Certificate]:
-    everything = span(list(moved.points))
-    if everything.dim > moved.n - 1 or flat_contains(everything, origin):
+    try:
+        h = _lift_to_hyperplane([q.integer_rep() for q in moved.points])
+    except ConstructionError:
         return None
-    h = hyperplane_containing_avoiding(everything, origin)
     power = max(moved.mults)
     entries = tuple(
         CertificateEntry(mono, (h,) * power) for mono in _all_entry_monomials(a, moved.n)
@@ -266,7 +292,18 @@ def _grouped_certificate(
     left is covered by t (r-1)-flats avoiding the origin, t the largest of
     their thresholds, and the t joins of one flat per group are lifted to
     hyperplanes avoiding the origin.
+
+    Geometry is computed once per build.  Each group is scanned up front:
+    the first monomial, (0, ..., 0), leaves every member, and a subset of a
+    set that passes the scan passes too (a span of at most r of its points
+    lies in a span of r of the set's, or in the whole set's if it has fewer),
+    so errors come in the same order.  Spans are shared by all covers, and
+    each distinct slot join is lifted once.
     """
+    spans: dict = {}
+    lifts: dict = {}  # ids of a slot's flats -> (the flats, kept alive; the hyperplane)
+    for members, r in groups:
+        _scan_avoiding([moved.points[i] for i in members], origin, r, spans)
     entries = []
     delta = 0
     for index, mono in enumerate(_all_entry_monomials(a, moved.n)):
@@ -274,27 +311,23 @@ def _grouped_certificate(
             max(0, m - _monomial_order_at(mono, q))
             for q, m in zip(moved.points, moved.mults)
         ]
-        covers = []  # (position in groups, points left, r)
+        covers = []  # (position in groups, points left, their multiplicities, r)
         for g, (members, r) in enumerate(groups):
             left = [i for i in members if adjusted[i] > 0]
             if left:
-                covers.append((g, left, r))
-        t = max((cover_threshold([adjusted[i] for i in left], r) for _, left, r in covers), default=0)
-        dists = [
-            distribute_flats(
-                [moved.points[i] for i in left],
-                origin,
-                [adjusted[i] for i in left],
-                r,
-                t,
-                _entry_seed(seed, index, g),
-            )
-            for g, left, r in covers
-        ]
+                covers.append((g, [moved.points[i] for i in left], [adjusted[i] for i in left], r))
+        t = max((cover_threshold(mults, r) for _, _, mults, r in covers), default=0)
+        dists = []
+        for g, points, mults, r in covers:
+            _check_cover_args(points, mults, r, t)
+            dists.append(_cover(points, origin, mults, r, t, _entry_seed(seed, index, g), spans))
         hyperplanes = []
         for slot in range(t):
-            vectors = [v for d in dists for v in d.flats[slot].cone_basis]
-            hyperplanes.append(_lift_to_hyperplane(Flat.from_vectors(moved.n, vectors), origin))
+            flats = tuple(d.flats[slot] for d in dists)
+            key = tuple(map(id, flats))
+            if key not in lifts:
+                lifts[key] = flats, _lift_to_hyperplane([v for f in flats for v in f.cone_basis])
+            hyperplanes.append(lifts[key][1])
         entries.append(CertificateEntry(mono, tuple(hyperplanes)))
         delta = max(delta, t + sum(mono))
     return Certificate(a, change, tuple(entries), positions, strategy, delta)
@@ -335,7 +368,7 @@ def _single_group_certificate(moved, origin, a, seed, change, positions) -> Cert
     r = 1
     for candidate in range(min(moved.n, moved.size), 1, -1):
         try:
-            _scan_avoiding(moved.points, origin, candidate)
+            _scan_avoiding(moved.points, origin, candidate, {})
         except ValueError:
             continue
         r = candidate

@@ -1,15 +1,28 @@
 import dataclasses
 import hashlib
+import logging
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints.generators import GeneratorError, PatternSpec, generate
-from fatpoints.geometry import LinearForm, ProjPoint, flat_contains, span, transform_point
+from fatpoints import constructions
+from fatpoints.geometry import (
+    Flat,
+    LinearForm,
+    ProjPoint,
+    extend_flat_avoiding,
+    flat_contains,
+    hyperplane_containing_avoiding,
+    span,
+    transform_point,
+)
 from fatpoints.schemes import (
     FatPointScheme,
     Form,
@@ -235,6 +248,22 @@ def test_certificate_determinism():
     c1 = build_certificate(j, p, 2, seed=42)
     c2 = build_certificate(j, p, 2, seed=42)
     assert c1 == c2
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_split_rejection_falls_back_to_single_group(a, caplog):
+    # q1, q2 on one line through p and q3, q4 on another: split takes the
+    # first line as its flat, and the scan of its second group {q3, q4, q5},
+    # covered by lines, meets the second line (points [0, 1] of that group)
+    p = ProjPoint((1, 0, 0, 0))
+    coords = [(1, 1, 0, 0), (1, 2, 0, 0), (1, 0, 1, 0), (1, 0, 3, 0), (1, 2, 3, 5)]
+    pts = [ProjPoint(c) for c in coords]
+    j = FatPointScheme(3, tuple(pts), (2, 1, 2, 1, 1))
+    with caplog.at_level(logging.INFO, logger="fatpoints.constructions"):
+        cert = build_certificate(j, p, a, seed=3)
+    assert cert.strategy == "single_group"
+    assert verify_certificate(cert, j, p, a) == (True, 7)
+    assert "split construction rejected: avoided point lies on the span of points [0, 1]" in caplog.text
 
 
 def test_verify_rejects_hyperplane_through_point():
@@ -537,3 +566,155 @@ def test_verify_matches_expanding_verifier_on_corpus():
         rejected += not ok
     assert strategies == {"covering_hyperplane": 24, "split": 36, "single_group": 30}
     assert rejected == 89
+
+
+# ---------------------------------------------------------------------------
+# differential: the grouped construction against the per-monomial builder
+# ---------------------------------------------------------------------------
+
+def plain_distribute(points, avoid, mults, r, t, seed):
+    """distribute_flats as one plain function: checks, scan, covering loop,
+    every span computed afresh and every slot's coverage tested."""
+    points = list(points)
+    mults = [int(m) for m in mults]
+    if not points or len(points) != len(mults):
+        raise ValueError("points and multiplicities must be nonempty and aligned")
+    if any(m < 1 for m in mults):
+        raise ValueError("multiplicities must be positive")
+    if not 1 <= r <= points[0].ambient_n:
+        raise ValueError("r must be between 1 and the ambient dimension")
+    if len(set(points)) != len(points):
+        raise ValueError("points must be pairwise distinct")
+    threshold = cover_threshold(mults, r)
+    if t < threshold:
+        raise ValueError(f"t={t} is below the admissible threshold {threshold}")
+    for sub in combinations(range(len(points)), min(r, len(points))):
+        if flat_contains(span([points[i] for i in sub]), avoid):
+            raise ValueError(
+                f"avoided point lies on the span of points {list(sub)}; "
+                "the covering construction cannot proceed"
+            )
+    remaining = list(mults)
+    flats = []
+    step = 0
+    while len(flats) < t:
+        active = [i for i, m in enumerate(remaining) if m > 0]
+        step += 1
+        if len(active) <= r:
+            base = span([points[i] for i in active])
+            flats.extend([extend_flat_avoiding(base, r - 1, avoid, seed * 1009 + step)] * (t - len(flats)))
+            break
+        heavy = sorted(active, key=lambda i: (-remaining[i], i))[:r]
+        base = span([points[i] for i in heavy])
+        flats.append(extend_flat_avoiding(base, r - 1, avoid, seed * 1009 + step))
+        for i in heavy:
+            remaining[i] -= 1
+    coverage = tuple(tuple(k for k, f in enumerate(flats) if flat_contains(f, p)) for p in points)
+    for i, m in enumerate(mults):
+        if len(coverage[i]) < m:
+            raise ConstructionError(f"coverage of point {i} fell short ({len(coverage[i])} < {m})")
+    return constructions.Distribution(tuple(flats), coverage)
+
+
+def per_monomial_grouped(moved, origin, a, seed, change, positions, groups, strategy):
+    """The plain grouped loop: per monomial, one plain_distribute per group,
+    each slot's join spanned afresh and lifted through the public
+    hyperplane_containing_avoiding."""
+    entries = []
+    delta = 0
+    for index, mono in enumerate(constructions._all_entry_monomials(a, moved.n)):
+        adjusted = [
+            max(0, m - constructions._monomial_order_at(mono, q))
+            for q, m in zip(moved.points, moved.mults)
+        ]
+        covers = []
+        for g, (members, r) in enumerate(groups):
+            left = [i for i in members if adjusted[i] > 0]
+            if left:
+                covers.append((g, left, r))
+        t = max((cover_threshold([adjusted[i] for i in left], r) for _, left, r in covers), default=0)
+        dists = [
+            plain_distribute(
+                [moved.points[i] for i in left],
+                origin,
+                [adjusted[i] for i in left],
+                r,
+                t,
+                constructions._entry_seed(seed, index, g),
+            )
+            for g, left, r in covers
+        ]
+        hyperplanes = []
+        for slot in range(t):
+            f = Flat.from_vectors(moved.n, [v for d in dists for v in d.flats[slot].cone_basis])
+            if flat_contains(f, origin) or f.dim > moved.n - 1:
+                raise ConstructionError("no hyperplane through the flat avoids the origin")
+            hyperplanes.append(hyperplane_containing_avoiding(f, origin))
+        entries.append(CertificateEntry(mono, tuple(hyperplanes)))
+        delta = max(delta, t + sum(mono))
+    return Certificate(a, change, tuple(entries), positions, strategy, delta)
+
+
+def per_monomial_covering(moved, origin, a, change, positions):
+    everything = span(list(moved.points))
+    if everything.dim > moved.n - 1 or flat_contains(everything, origin):
+        return None
+    h = hyperplane_containing_avoiding(everything, origin)
+    power = max(moved.mults)
+    entries = tuple(
+        CertificateEntry(mono, (h,) * power)
+        for mono in constructions._all_entry_monomials(a, moved.n)
+    )
+    return Certificate(a, change, entries, positions, "covering_hyperplane", power + a - 1)
+
+
+def build_outcome(j, p, a, seed):
+    """repr of the certificate, or the exception's type and message."""
+    try:
+        return repr(build_certificate(j, p, a, seed=seed))
+    except Exception as exc:  # compared, never swallowed: both sides must agree
+        return f"{type(exc).__name__}: {exc}"
+
+
+def reference_outcome(j, p, a, seed):
+    with mock.patch.object(constructions, "_grouped_certificate", per_monomial_grouped), \
+            mock.patch.object(constructions, "_covering_certificate", per_monomial_covering):
+        return build_outcome(j, p, a, seed)
+
+
+def test_grouped_construction_matches_per_monomial_builder_on_corpus():
+    for j, p, a, seed in certificate_corpus():
+        assert build_outcome(j, p, a, seed) == reference_outcome(j, p, a, seed)
+
+
+@st.composite
+def grouped_instances(draw):
+    """n 2..4, a point p and 2..n+2 distinct points of height 2, some moved
+    onto the line through p and an earlier point (p + c q), so that split
+    and single-group builds both occur; multiplicities 1..3, a 1..3."""
+    n = draw(st.integers(2, 4))
+    coords = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1).filter(any)
+    p = ProjPoint(tuple(draw(coords)))
+    size = draw(st.integers(2, n + 2))
+    pts = []
+    for _ in range(size):
+        c = draw(st.sampled_from([0, 1, -1, 2])) if pts else 0
+        if c:
+            q = pts[draw(st.integers(0, len(pts) - 1))].integer_rep()
+            cand = [x + c * y for x, y in zip(p.integer_rep(), q)]
+        else:
+            cand = draw(coords)
+        if any(cand) and ProjPoint(tuple(cand)) not in pts + [p]:
+            pts.append(ProjPoint(tuple(cand)))
+    assume(len(pts) >= 2)
+    mults = tuple(draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts))))
+    a = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 999))
+    return FatPointScheme(n, tuple(pts), mults), p, a, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(grouped_instances())
+def test_grouped_construction_matches_per_monomial_builder(case):
+    j, p, a, seed = case
+    assert build_outcome(j, p, a, seed) == reference_outcome(j, p, a, seed)
