@@ -8,6 +8,8 @@ Runs, at configurable scale:
 * the bound family (s+3 equimultiple points off any (s-1)-flat),
   including the two degenerate incidence patterns: the bound must hold;
 * the removal recursion on random schemes, every removal choice;
+* the monomial criterion as a two-sided oracle: it holds at the artinian
+  regularity and fails one degree below it;
 * certificate construction and verification, with the independently
   computed artinian regularity as the soundness reference.
 
@@ -32,7 +34,7 @@ from fatpoints.constructions import (
 from fatpoints.generators import PatternSpec
 from fatpoints.geometry import ProjPoint
 from fatpoints.harness import batch_check
-from fatpoints.schemes import FatPointScheme, artinian_quotient_regularity
+from fatpoints.schemes import FatPointScheme, artinian_quotient_regularity, monomial_bound_check
 
 
 def batch_battery(name, spec, trials, seed, expect_tight):
@@ -51,6 +53,17 @@ def batch_battery(name, spec, trials, seed, expect_tight):
     return bad == 0
 
 
+def random_points(rng, n, count):
+    pts = []
+    while len(pts) < count:
+        coords = [rng.randint(-9, 9) for _ in range(n + 1)]
+        if any(coords):
+            p = ProjPoint(tuple(Fraction(c) for c in coords))
+            if p not in pts:
+                pts.append(p)
+    return pts
+
+
 def recursion_battery(trials, base_seed):
     t0 = time.time()
     failures = 0
@@ -58,13 +71,7 @@ def recursion_battery(trials, base_seed):
         rng = random.Random(base_seed + trial)
         n = rng.randint(1, 3)
         s = rng.randint(2, 5)
-        pts = []
-        while len(pts) < s:
-            coords = [rng.randint(-9, 9) for _ in range(n + 1)]
-            if any(coords):
-                p = ProjPoint(tuple(Fraction(c) for c in coords))
-                if p not in pts:
-                    pts.append(p)
+        pts = random_points(rng, n, s)
         z = FatPointScheme(n, tuple(pts), tuple(rng.randint(1, 3) for _ in range(s)))
         for i0 in range(s):
             if not removal_recursion_check(z, i0):
@@ -72,6 +79,29 @@ def recursion_battery(trials, base_seed):
                 print(f"    recursion failed: seed={base_seed + trial} removal={i0}")
     elapsed = time.time() - t0
     print(f"  {'removal recursion':<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]")
+    return failures == 0
+
+
+def monomial_battery(trials, base_seed):
+    t0 = time.time()
+    failures = 0
+    for trial in range(trials):
+        rng = random.Random(base_seed + trial)
+        n = rng.randint(1, 3)
+        s = rng.randint(2, 5)
+        pts = random_points(rng, n, s + 1)
+        j = FatPointScheme(n, tuple(pts[:s]), tuple(rng.randint(1, 3) for _ in range(s)))
+        p, a = pts[s], rng.randint(1, 3)
+        b = artinian_quotient_regularity(j, p, a)
+        below = monomial_bound_check(j, p, a, b - 1) if b - 1 >= a - 1 else False
+        if not monomial_bound_check(j, p, a, b) or below:
+            failures += 1
+            print(f"    monomial criterion failed: seed={base_seed + trial}")
+    elapsed = time.time() - t0
+    print(
+        f"  {'monomial criterion, two-sided':<34} trials={trials:<4} failures={failures} "
+        f"[{elapsed:5.1f}s]"
+    )
     return failures == 0
 
 
@@ -83,13 +113,7 @@ def certificate_battery(trials, base_seed):
         n = rng.randint(2, 4)
         count = rng.randint(2, 4)
         m = rng.randint(1, 3)
-        pts = []
-        while len(pts) < count + 1:
-            coords = [rng.randint(-9, 9) for _ in range(n + 1)]
-            if any(coords):
-                p = ProjPoint(tuple(Fraction(c) for c in coords))
-                if p not in pts:
-                    pts.append(p)
+        pts = random_points(rng, n, count + 1)
         j = FatPointScheme(n, tuple(pts[:count]), (m,) * count)
         p = pts[count]
         cert = build_certificate(j, p, m, seed=base_seed + trial)
@@ -141,6 +165,7 @@ def main() -> int:
         all_ok &= batch_battery(name, spec, trials, args.seed, expect_tight=False)
     print("cross-verifiers:")
     all_ok &= recursion_battery(max(10, trials // 2), args.seed + 10_000)
+    all_ok &= monomial_battery(max(10, trials // 2), args.seed + 30_000)
     all_ok &= certificate_battery(max(10, trials // 2), args.seed + 20_000)
 
     print("overall:", "clean" if all_ok else "PROBLEMS FOUND")

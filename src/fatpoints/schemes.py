@@ -25,18 +25,25 @@ blocks, and H(t) = |U| + the rank of the other points' rows restricted
 to the columns outside U.  This is exact at every degree: only the row
 space of the vertex rows enters, so blocks may overlap (t < m_i + m_j - 1)
 or cover every monomial (t < m - 1).
+
+The artinian reductions at a point p use the same frame with p sent to
+e_0 first and up to n points of the scheme, heaviest first, on e_1, ...
+In it the monomials of order <= i at p are a prefix of the basis, and
+only the non-vertex points' rows on the columns outside the vertex
+blocks are built and eliminated.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 from typing import Sequence
 
-from fatpoints.geometry import ProjPoint, coordinate_change_to_origin, frame_change, transform_point
-from fatpoints.linalg import Matrix, SpanTester, kernel_basis, mat_vec, rank_rows
+from fatpoints.geometry import ProjPoint, frame_change, transform_point
+from fatpoints.linalg import Matrix, SpanTester, kernel_basis, mat_vec, rank_rows, rref
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +285,9 @@ class SimplexFrame:
     ``vertices`` pairs each occupied vertex index k with the multiplicity
     of the point sent to e_k; ``others`` holds the primitive integer
     coordinates and the multiplicity of every other point, in the new
-    coordinates.
+    coordinates.  In the frame of an artinian reduction e_0 holds the
+    distinguished point, which is not in the scheme, so the vertices
+    start at 1.
     """
 
     scheme: FatPointScheme
@@ -286,17 +295,45 @@ class SimplexFrame:
     others: tuple[tuple[tuple[int, ...], int], ...]
 
 
-def simplex_frame(z: FatPointScheme) -> SimplexFrame:
-    """Move independent points, heaviest first (ties by index), to the vertices."""
+def _frame(z: FatPointScheme, leading: list[tuple[int, ...]]) -> SimplexFrame:
+    """Send ``leading`` to the first vertices, then independent points of z.
+
+    The points go heaviest first, ties by index.
+    """
     order = sorted(range(z.size), key=lambda i: (-z.mults[i], i))
-    change, taken = frame_change(z.n, [], [z.points[i].integer_rep() for i in order])
+    change, taken = frame_change(z.n, leading, [z.points[i].integer_rep() for i in order])
     on_vertex = [order[i] for i in taken]
     others = tuple(
         (transform_point(change, p).integer_rep(), m)
         for i, (p, m) in enumerate(zip(z.points, z.mults))
         if i not in on_vertex
     )
-    return SimplexFrame(z, tuple((k, z.mults[i]) for k, i in enumerate(on_vertex)), others)
+    first = len(leading)
+    return SimplexFrame(z, tuple((first + k, z.mults[i]) for k, i in enumerate(on_vertex)), others)
+
+
+def simplex_frame(z: FatPointScheme) -> SimplexFrame:
+    """Move independent points, heaviest first (ties by index), to the vertices."""
+    return _frame(z, [])
+
+
+def _free_columns(frame: SimplexFrame, t: int) -> list[int]:
+    """Basis indices of the degree-t monomials outside every vertex block.
+
+    The vertex rows span the unit vectors of the other columns, the union
+    U of the blocks, so the rank of any set of columns C of the condition
+    matrix is |U & C| plus the rank of the other points' rows on the free
+    columns in C.
+    """
+    exponents = monomial_basis(t, frame.scheme.n + 1).exponents
+    return [c for c, b in enumerate(exponents) if all(b[k] <= t - m for k, m in frame.vertices)]
+
+
+def _other_rows(frame: SimplexFrame, t: int, free: list[int]) -> list[list[int]]:
+    rows: list[list[int]] = []
+    for coords, m in frame.others:
+        rows.extend(_point_condition_rows(coords, m, t, free))
+    return rows
 
 
 def hilbert_function(z: FatPointScheme, t: int, *, frame: SimplexFrame | None = None) -> int:
@@ -315,17 +352,11 @@ def hilbert_function(z: FatPointScheme, t: int, *, frame: SimplexFrame | None = 
         frame = simplex_frame(z)
     elif frame.scheme != z:
         raise ValueError("the frame belongs to another scheme")
-    basis = monomial_basis(t, z.n + 1)
-    free = [
-        c for c, b in enumerate(basis.exponents) if all(b[k] <= t - m for k, m in frame.vertices)
-    ]
-    covered = len(basis) - len(free)
+    free = _free_columns(frame, t)
+    covered = comb(t + z.n, z.n) - len(free)
     if not free or not frame.others:
         return covered
-    rows: list[list[int]] = []
-    for coords, m in frame.others:
-        rows.extend(_point_condition_rows(coords, m, t, free))
-    return covered + rank_rows(rows, len(free))
+    return covered + rank_rows(_other_rows(frame, t, free), len(free))
 
 
 # reg(Z) is reused only across the removals of one scheme, which run back to
@@ -379,56 +410,123 @@ def in_fat_ideal(f: Form, z: FatPointScheme) -> bool:
 # artinian reductions at a distinguished point
 # ---------------------------------------------------------------------------
 
-def _checked_origin_setup(j: FatPointScheme, p: ProjPoint, a: int) -> FatPointScheme:
+def _origin_frame(j: FatPointScheme, p: ProjPoint, a: int) -> SimplexFrame:
+    """The simplex frame of j with p sent to e_0 first."""
     if a < 1:
         raise ValueError("the vanishing order must be positive")
     if p.ambient_n != j.n:
         raise ValueError("ambient dimensions disagree")
     if p in j.points:
         raise ValueError("the distinguished point coincides with a point of the scheme")
-    return j.transform(coordinate_change_to_origin(p))
+    return _frame(j, [p.integer_rep()])
+
+
+def _artinian_ranks(frame: SimplexFrame, t: int, low: int) -> tuple[int, int]:
+    """Ranks of the degree-t condition matrix on all columns and from index low on.
+
+    Both are the vertex-covered count of those columns plus the rank of
+    the other points' rows on their free columns.  The free columns from
+    low on are a suffix of the free list.
+    """
+    free = _free_columns(frame, t)
+    split = bisect_left(free, low)
+    covered = comb(t + frame.scheme.n, frame.scheme.n) - len(free)
+    covered_high = covered - (low - split)
+    if not free or not frame.others:
+        return covered, covered_high
+    rows = _other_rows(frame, t, free)
+    ncols = len(free)
+    return (
+        covered + rank_rows(rows, ncols),
+        covered_high + rank_rows([row[split:] for row in rows], ncols - split),
+    )
 
 
 def artinian_quotient_regularity(j: FatPointScheme, p: ProjPoint, a: int) -> int:
     """Regularity index of the quotient by the scheme plus p's a-th power.
 
     The quotient is artinian, so its Hilbert function stabilizes at 0 and
-    the regularity index is the first degree where it vanishes.  After
-    moving p to (1, 0, ..., 0), the degree-t dimension of the quotient
-    equals the rank of the condition matrix minus the rank of its columns
-    at monomials of order >= a at p, the basis from index C(a-1+n, n) on.
-    Below degree a the quotient is R/I_J, of dimension H_J(t) >= 1, so the
-    scan starts at a and stops at the first zero, since an artinian
-    standard graded quotient cannot revive.
+    the regularity index is the first degree where it vanishes.  With p
+    at (1, 0, ..., 0), the degree-t dimension of the quotient equals the
+    rank of the condition matrix minus the rank of its columns at
+    monomials of order >= a at p, the basis from index C(a-1+n, n) on.
+    Both ranks are invariant under changes of coordinates fixing p, so
+    they are computed in the frame that also puts up to n points of the
+    scheme on the other vertices (see :func:`_artinian_ranks`).
+
+    The quotient maps onto the quotient by q's m-th power plus p's a-th
+    power for each point q of multiplicity m, which is nonzero up to
+    degree a + m - 2, so the scan starts at a + max(m_i) - 1 and stops at
+    the first zero, since an artinian standard graded quotient cannot
+    revive.
     """
-    moved = _checked_origin_setup(j, p, a)
+    frame = _origin_frame(j, p, a)
     low = comb(a - 1 + j.n, j.n)
-    for t in range(a, sum(j.mults) + a + 1):
-        rows = condition_rows(moved, t)
-        ncols = comb(t + j.n, j.n)
-        if rank_rows(rows, ncols) == rank_rows([row[low:] for row in rows], ncols - low):
+    for t in range(a + max(j.mults) - 1, sum(j.mults) + a + 1):
+        full, high = _artinian_ranks(frame, t, low)
+        if full == high:
             return t
     raise RuntimeError("artinian quotient failed to terminate; this indicates a bug")
+
+
+def _ideal_piece(frame: SimplexFrame, b: int, low: int) -> list[list]:
+    """The degree-b piece of the scheme's ideal, cut to its first low columns.
+
+    A form lies in the ideal exactly when it is zero on the vertex blocks
+    and its free coefficients lie in the kernel of the other points' rows
+    on the free columns.  That kernel is read off one rref, one vector per
+    non-pivot column.  The vectors stay lists: short tuples freed in bulk
+    are kept on CPython's tuple free lists and raise the peak RSS.
+    """
+    free = _free_columns(frame, b)
+    split = bisect_left(free, low)
+    if not frame.others:
+        return [[int(c == free[f]) for c in range(low)] for f in range(split)]
+    res = rref(Matrix.from_rows(_other_rows(frame, b, free)))
+    pivots = res.pivot_cols
+    pivot_set = set(pivots)
+    piece = []
+    for f in range(len(free)):
+        if f in pivot_set:
+            continue
+        vec: list = [0] * low
+        if f < split:
+            vec[free[f]] = 1
+        # rref entries right of the non-pivot column f are zero
+        for i, pc in enumerate(pivots):
+            if pc >= min(f, split):
+                break
+            vec[free[pc]] = -res.rref.at(i, f)
+        piece.append(vec)
+    return piece
 
 
 def monomial_bound_check(j: FatPointScheme, p: ProjPoint, a: int, b: int) -> bool:
     """Monomial-by-monomial certificate that the artinian regularity is <= b.
 
-    After the coordinate change sending p to (1, 0, ..., 0), checks for
-    every i < a and every degree-i monomial M in the last n variables
-    that X0^(b-i) * M lies in the span of the degree-b ideal piece
-    together with the monomials of order >= i+1 at p.  These are the
-    basis from index C(i+n, n) on, so the test cuts the ideal piece to
-    its first C(i+n, n) columns.  Equivalent to
-    artinian_quotient_regularity(j, p, a) <= b.
+    With p at (1, 0, ..., 0), checks for every i < a and every degree-i
+    monomial M in the last n variables that X0^(b-i) * M lies in the span
+    of the degree-b ideal piece together with the monomials of order
+    >= i+1 at p.  These are the basis from index C(i+n, n) on, so the
+    test cuts the ideal piece to its first C(i+n, n) columns.  Equivalent
+    to artinian_quotient_regularity(j, p, a) <= b.
+
+    The ideal piece is taken in the frame of
+    :func:`artinian_quotient_regularity`.  The answer does not depend on
+    that frame: a change fixing p keeps the forms of order >= i+1 at p,
+    and modulo them it sends X0^(b-i) * M to a multiple of X0^(b-i) * M',
+    where M' is M under an invertible linear substitution of the last n
+    variables, so the family tested at each i spans the same space.  The
+    test is kernel and span based, with no rank count, so it stays an
+    independent check of the artinian regularity.
     """
     if b < a - 1:
         raise ValueError("the degree must be at least a - 1")
-    moved = _checked_origin_setup(j, p, a)
-    ideal_piece = kernel_basis(condition_matrix(moved, b))
+    frame = _origin_frame(j, p, a)
+    piece = _ideal_piece(frame, b, comb(a - 1 + j.n, j.n))
     for i in range(a):
         width = comb(i + j.n, j.n)
-        tester = SpanTester([vec[:width] for vec in ideal_piece], width)
+        tester = SpanTester([vec[:width] for vec in piece], width)
         for k in range(comb(i - 1 + j.n, j.n), width):
             if not tester.contains([int(c == k) for c in range(width)]):
                 return False

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -29,6 +30,7 @@ from fatpoints.schemes import (
     regularity_index,
     simplex_frame,
 )
+from fatpoints.schemes import _artinian_ranks, _ideal_piece, _origin_frame
 
 
 def unit(n, i):
@@ -569,3 +571,116 @@ def test_artinian_layer_matches_stacked_references(instance):
         expected = _reference_monomial_bound(j, p, a, b)
         assert expected == (b >= areg)
         assert monomial_bound_check(j, p, a, b) == expected
+
+
+def _plain_artinian_ranks(moved, a, t):
+    """Ranks of the plain degree-t condition matrix of a scheme moved so that p is the origin.
+
+    On all columns, and on the columns of order >= a at p.
+    """
+    mat = condition_matrix(moved, t)
+    low = comb(a - 1 + moved.n, moved.n)
+    rows = mat.to_rows()
+    return rank_rows(rows, mat.cols), rank_rows([row[low:] for row in rows], mat.cols - low)
+
+
+def _prefix_monomial_bound(ideal, n, a):
+    """The monomial criterion on a whole ideal piece, cut to basis prefixes."""
+    for i in range(a):
+        width = comb(i + n, n)
+        prefix = [vec[:width] for vec in ideal]
+        for k in range(comb(i - 1 + n, n), width):
+            if not in_span([int(c == k) for c in range(width)], prefix):
+                return False
+    return True
+
+
+@st.composite
+def frame_instances(draw):
+    """A scheme J (n 1..3, 1..6 points), a point p off J and an order a.
+
+    Up to six points, so J often has more points than its frame has
+    vertices; small coordinates put points on coordinate flats.
+    """
+    n = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-2, 2)] * (n + 1)).filter(any)
+    raw = draw(st.lists(coords, min_size=2, max_size=7))
+    pts = list(dict.fromkeys(ProjPoint(tuple(Fraction(c) for c in v)) for v in raw))
+    assume(len(pts) >= 2)
+    p, pts = pts[0], pts[1:]
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts)))
+    return FatPointScheme(n, tuple(pts), tuple(mults)), p, draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_instances())
+# points on coordinate flats
+@example((_scheme([(0, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1)], [2, 1, 3]), ProjPoint((1, 1, 0, 0)), 2))
+# s > n + 1
+@example((_scheme([(0, 1), (1, 1), (1, -1), (2, 1)], [3, 1, 2, 2]), ProjPoint((1, 0)), 2))
+@example(
+    (
+        _scheme([(0, 1, 0), (0, 0, 1), (1, 1, 1), (1, -1, 2), (2, 1, -1)], [2, 2, 1, 3, 1]),
+        ProjPoint((1, 2, 0)),
+        3,
+    )
+)
+# every point of J on a vertex: no non-vertex rows
+@example((_scheme([(0, 1, 0), (1, 1, 1)], [3, 2]), ProjPoint((1, 0, 0)), 2))
+@example((_scheme([(0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1)], [1, 3, 2]), ProjPoint((1, 0, 0, 0)), 3))
+# vertex blocks reaching the low-order columns up to degree a + m - 2
+@example((_scheme([(1, 1, 0), (0, 1, 1), (1, 0, 2)], [3, 3, 1]), ProjPoint((1, 0, 1)), 3))
+# a = 1
+@example((_scheme([(1, 2), (2, -1), (0, 1)], [2, 3, 1]), ProjPoint((1, 1)), 1))
+def test_artinian_frame_matches_plain_condition_matrices(instance):
+    """The frame's ranks and ideal piece against the plain condition matrices.
+
+    Both ranks are compared at every degree from a to one past the
+    artinian regularity, so the vertex blocks meet the low-order columns
+    at the first degrees.  The ideal piece is compared by the rank of
+    its first C(a-1+n, n) columns, which does not depend on a frame
+    fixing p, and the criterion at every degree from a - 1 to one past
+    the artinian regularity.
+    """
+    j, p, a = instance
+    frame = _origin_frame(j, p, a)
+    moved = j.transform(coordinate_change_to_origin(p))
+    low = comb(a - 1 + j.n, j.n)
+    areg = artinian_quotient_regularity(j, p, a)
+    for t in range(a, areg + 2):
+        full, high = _plain_artinian_ranks(moved, a, t)
+        assert _artinian_ranks(frame, t, low) == (full, high)
+        assert (full == high) == (t >= areg)
+    for b in range(a - 1, areg + 2):
+        plain = kernel_basis(condition_matrix(moved, b))
+        piece = _ideal_piece(frame, b, low)
+        assert all(len(vec) == low for vec in piece)
+        assert rank_rows(piece, low) == rank_rows([vec[:low] for vec in plain], low)
+        expected = _prefix_monomial_bound(plain, j.n, a)
+        assert expected == (b >= areg)
+        assert monomial_bound_check(j, p, a, b) == expected
+
+
+# sha256 of "trial i0 reg(Z) reg(Z - P) areg" lines over criterion 3's corpus,
+# recorded with the artinian layer of the origin-only coordinate change
+CRITERION_3_RECURSION_DIGEST = "f12918209de03aa9f8996340a9b2da9275569f4edf0761b0eb56981a60d655ec"
+
+
+def test_removal_recursion_pinned_on_criterion_3_corpus():
+    """reg(Z) = max(m - 1, reg(Z - P), areg) on every removal, with pinned values."""
+    lines = []
+    for trial in range(50):
+        rng = random.Random(3000 + trial)
+        n = rng.randint(1, 3)
+        s = rng.randint(2, 5) if n > 1 else rng.randint(2, 4)
+        pts = random_points(rng, n, s)
+        mults = tuple(rng.randint(1, 3) for _ in range(s))
+        z = FatPointScheme(n, tuple(pts), mults)
+        for i0 in range(s):
+            rest = z.without_point(i0)
+            areg = artinian_quotient_regularity(rest, z.points[i0], mults[i0])
+            reg, reg_rest = regularity_index(z), regularity_index(rest)
+            assert reg == max(mults[i0] - 1, reg_rest, areg)
+            lines.append(f"{trial} {i0} {reg} {reg_rest} {areg}")
+    assert len(lines) == 187
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CRITERION_3_RECURSION_DIGEST
