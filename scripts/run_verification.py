@@ -136,7 +136,7 @@ def main() -> int:
     parser.add_argument(
         "--pure-rational",
         action="store_true",
-        help="disable the certified modular rank filter (slower, same values)",
+        help="disable the modular rank filter (same values)",
     )
     args = parser.parse_args()
     if args.trials < 1:

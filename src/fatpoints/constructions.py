@@ -35,10 +35,10 @@ from fatpoints.geometry import (
     Flat,
     LinearForm,
     ProjPoint,
+    canonical_change,
     extend_flat_avoiding,
     flat_contains,
     degeneracy_index,
-    frame_change,
     span,
     span_dim,
     transform_point,
@@ -238,7 +238,7 @@ def vanishing_orders(
 
 def _normalizing_change(j: FatPointScheme, p: ProjPoint):
     """Coordinates with p at (1, 0, ...) and independent scheme points on the axes."""
-    change, taken = frame_change(j.n, [p.integer_rep()], [q.integer_rep() for q in j.points])
+    change, taken = canonical_change(j.n, [p.integer_rep()], [q.integer_rep() for q in j.points])
     positions: list[Optional[int]] = [None] * j.size
     for axis, idx in enumerate(taken, start=1):
         positions[idx] = axis
@@ -388,6 +388,8 @@ def build_certificate(j: FatPointScheme, p: ProjPoint, a: int, seed: int) -> Cer
     """
     if a < 1:
         raise ValueError("the vanishing order must be positive")
+    if p.ambient_n != j.n:
+        raise ValueError("ambient dimensions disagree")
     if p in j.points:
         raise ValueError("the distinguished point coincides with a point of the scheme")
     change, positions = _normalizing_change(j, p)

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from fatpoints.linalg import (
     Matrix,
-    inverse,
+    _echelon,
     kernel_basis,
     mat_vec,
     primitive_row,
@@ -231,50 +231,52 @@ def extend_flat_avoiding(f: Flat, target_dim: int, avoid: ProjPoint, seed: int) 
 
 def frame_change(
     n: int, leading: Sequence[Sequence[int]], candidates: Sequence[Sequence[int]] = ()
-) -> tuple[Matrix, tuple[int, ...]]:
+) -> tuple[list[list], list, tuple[int, ...]]:
     """Invertible change of coordinates sending a greedy basis to the coordinate frame.
 
     The basis of Q^(n+1) starts with ``leading``, which must be independent.
     It then takes, in order, every candidate and after them every unit
     vector e_0, e_1, ... that is independent of the vectors already taken,
-    until it has n+1 vectors.  The change sends the k-th basis vector to
-    e_k.  Also returns the indices of the candidates taken, in basis
-    order: candidate ``taken[i]`` goes to e_(len(leading) + i).
+    until it has n+1 vectors.  Every vector must have n+1 integer entries.
 
-    One elimination both picks the basis and inverts it.  Put the vectors
-    in the columns of M = [leading | candidates | I].  The I block gives M
-    full row rank, so its reduced echelon form E M, with E invertible, has
-    n+1 pivots.  The pivot columns are the columns independent of those
-    before them: the greedy basis, in order.  E sends the k-th of them to
-    e_k, and the I block ends as E itself, the wanted change.
+    Returns the change as integer rows D E, the pivot values v_k > 0 that
+    make up D = diag(v_k), and the indices of the candidates taken, in
+    basis order: candidate ``taken[i]`` is basis vector len(leading) + i.
+    E sends the k-th basis vector to e_k, so D E sends it to v_k * e_k.
+
+    One integer elimination both picks the basis and inverts it.  The
+    reduced echelon form E M of M = [leading | candidates | I] has n+1
+    pivots, at the columns independent of those before them: the greedy
+    basis, in order.  Its integer rows are D E M, whose I block is D E.
     """
-    lead = len(leading)
-    width = lead + len(candidates)
-    vectors = [*leading, *candidates, *([int(j == i) for j in range(n + 1)] for i in range(n + 1))]
-    res = rref(Matrix.from_rows([[v[i] for v in vectors] for i in range(n + 1)]))
-    if res.pivot_cols[:lead] != tuple(range(lead)):
+    vectors = [*leading, *candidates]
+    if any(len(v) != n + 1 for v in vectors):
+        raise ValueError("ambient dimensions disagree")
+    lead, width = len(leading), len(vectors)
+    rows = [[v[i] for v in vectors] + [int(j == i) for j in range(n + 1)] for i in range(n + 1)]
+    rows, pivot_cols = _echelon(rows, width + n + 1)
+    if pivot_cols[:lead] != list(range(lead)):
         raise ValueError("the leading vectors are dependent")
-    taken = tuple(c - lead for c in res.pivot_cols if lead <= c < width)
-    return Matrix.from_rows([res.rref.row(i)[width:] for i in range(n + 1)]), taken
+    taken = tuple(c - lead for c in pivot_cols if lead <= c < width)
+    return [row[width:] for row in rows], [row[c] for row, c in zip(rows, pivot_cols)], taken
+
+
+def canonical_change(
+    n: int, leading: Sequence[Sequence[int]], candidates: Sequence[Sequence[int]] = ()
+) -> tuple[Matrix, tuple[int, ...]]:
+    """:func:`frame_change` with each row divided by its pivot value: E, and ``taken``."""
+    rows, pivots, taken = frame_change(n, leading, candidates)
+    entries = tuple(Fraction(int(x), int(v)) for row, v in zip(rows, pivots) for x in row)
+    return Matrix(n + 1, n + 1, entries), taken
 
 
 def coordinate_change_to_origin(p: ProjPoint) -> Matrix:
     """Invertible change of coordinates sending p to (1, 0, ..., 0)."""
-    return frame_change(p.ambient_n, [p.integer_rep()])[0]
+    return canonical_change(p.ambient_n, [p.integer_rep()])[0]
 
 
 def transform_point(change: Matrix, p: ProjPoint) -> ProjPoint:
     return ProjPoint(mat_vec(change, p.coords))
-
-
-def transform_form(change: Matrix, form: LinearForm) -> LinearForm:
-    """Push a hyperplane through a coordinate change of the points."""
-    coeffs = mat_vec(inverse(change).transpose(), form.coeffs)
-    return LinearForm(coeffs)
-
-
-def transform_flat(change: Matrix, f: Flat) -> Flat:
-    return Flat.from_vectors(f.ambient_n, [mat_vec(change, row) for row in f.cone_basis])
 
 
 def random_invertible_change(n: int, rng: random.Random) -> Matrix:

@@ -1,9 +1,11 @@
 """Deterministic exact linear algebra over the rationals.
 
 Every rank, echelon form and kernel in the package is computed here, in
-exact arithmetic.  The workhorse is fraction-free forward elimination
-(one-step Bareiss) on denominator-cleared integer rows, followed by a
-normalization pass that produces the canonical reduced row echelon form.
+exact arithmetic.  The core, :func:`_echelon`, stays in integers: one-step
+Bareiss forward elimination on denominator-cleared rows, then integer
+back substitution to the reduced echelon form as primitive rows with
+positive pivots, unique as positive multiples of the canonical rows.
+:func:`rref` and :func:`kernel_basis` are their ``Fraction`` views.
 Pivots are chosen deterministically: leftmost nonzero column, first
 nonzero row.
 
@@ -27,10 +29,9 @@ from math import gcd
 from typing import Iterable, Sequence
 
 try:
-    from gmpy2 import mpq, mpz
+    from gmpy2 import mpz
 except ImportError:  # gmpy2 is an optional extra; same values, slower
     mpz = int
-    mpq = Fraction
 
 _LOG = logging.getLogger("fatpoints.linalg")
 
@@ -176,6 +177,38 @@ def _bareiss_forward(m: list[list], ncols: int) -> list[int]:
     return pivot_cols
 
 
+def _reduce(v: list, rows: Sequence[Sequence], pivots: Sequence[int]) -> list:
+    """A positive multiple of v minus a combination of reduced echelon rows.
+
+    It is zero in every pivot column, and all zero exactly when v lies in
+    the span of the rows.
+    """
+    for row, pc in zip(rows, pivots):
+        t = v[pc]
+        if t:
+            pv = row[pc]
+            g = gcd(t, pv)
+            a, b = pv // g, t // g
+            v = [a * x - b * y for x, y in zip(v, row)]
+    return v
+
+
+def _echelon(m: list[list], ncols: int) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of integer rows, in integers.
+
+    Reduces each pivot row of the forward pass, from the bottom, by the
+    finished rows below it.  Returns the rank many rows, each primitive
+    with a positive pivot, and their pivot columns.  Row i divided by its
+    pivot is row i of the canonical rref.
+    """
+    pivot_cols = _bareiss_forward(m, ncols)
+    rank = len(pivot_cols)
+    for i in reversed(range(rank)):
+        row = primitive_row(_reduce(m[i], m[i + 1 : rank], pivot_cols[i + 1 :]))
+        m[i] = row if row[pivot_cols[i]] > 0 else [-x for x in row]
+    return m[:rank], pivot_cols
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -200,28 +233,14 @@ def rref(m: Matrix) -> RrefResult:
     The row space is preserved; each pivot is 1 and is the only nonzero
     entry of its column.  Zero rows sink to the bottom.
     """
-    irows = [primitive_row(m.row(i)) for i in range(m.rows)]
-    pivot_cols = _bareiss_forward(irows, m.cols)
-    rank = len(pivot_cols)
-
-    # back substitution from the bottom: each row is reduced by the final
-    # rows below it, then scaled to a leading 1
-    qrows = [[mpq(x) for x in irows[i]] for i in range(rank)]
-    for i in reversed(range(rank)):
-        qi = reduce_by_rref(qrows[i], qrows[i + 1 :], pivot_cols[i + 1 :])
-        c = pivot_cols[i]
-        pv = qi[c]
-        if pv != 1:
-            qi[c:] = [x / pv for x in qi[c:]]
-
+    rows, pivot_cols = _echelon([primitive_row(m.row(i)) for i in range(m.rows)], m.cols)
     zero = Fraction(0)
     entries: list[Fraction] = []
-    for i in range(m.rows):
-        if i < rank:
-            entries.extend(Fraction(int(x.numerator), int(x.denominator)) for x in qrows[i])
-        else:
-            entries.extend([zero] * m.cols)
-    return RrefResult(Matrix(m.rows, m.cols, tuple(entries)), rank, tuple(pivot_cols))
+    for row, c in zip(rows, pivot_cols):
+        v = int(row[c])
+        entries.extend(Fraction(int(x), v) if x else zero for x in row)
+    entries.extend([zero] * ((m.rows - len(rows)) * m.cols))
+    return RrefResult(Matrix(m.rows, m.cols, tuple(entries)), len(rows), tuple(pivot_cols))
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -230,16 +249,18 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     One vector per non-pivot column, in ascending column order, with the
     free variable set to 1.  The result has cols - rank(m) vectors.
     """
-    res = rref(m)
-    pivot_set = set(res.pivot_cols)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    rows, pivot_cols = _echelon([primitive_row(m.row(i)) for i in range(m.rows)], m.cols)
+    pivot_set = set(pivot_cols)
+    zero, one = Fraction(0), Fraction(1)
     basis: list[Vector] = []
-    r = res.rref
-    for f in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, pc in enumerate(res.pivot_cols):
-            v[pc] = -r.at(i, f)
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        v = [zero] * m.cols
+        v[f] = one
+        for row, pc in zip(rows, pivot_cols):
+            if row[f]:
+                v[pc] = Fraction(-int(row[f]), int(row[pc]))
         basis.append(tuple(v))
     return basis
 
@@ -250,21 +271,18 @@ def in_span(v: Sequence[object], basis: Iterable[Sequence[object]]) -> bool:
 
 
 class SpanTester:
-    """Repeated membership tests against a fixed spanning set."""
+    """Repeated membership tests of rational vectors against a fixed spanning set."""
 
-    def __init__(self, basis: Sequence[Sequence[object]], length: int):
+    def __init__(self, basis: Sequence[Sequence], length: int):
         self.length = length
         if any(len(b) != length for b in basis):
             raise ValueError("dimension mismatch")
-        res = rref(Matrix(len(basis), length, tuple(Fraction(x) for b in basis for x in b)))
-        self._rows = res.rref.to_rows()
-        self._pivots = res.pivot_cols
+        self._rows, self._pivots = _echelon([primitive_row(b) for b in basis], length)
 
-    def contains(self, v: Sequence[object]) -> bool:
-        v = [Fraction(x) for x in v]
+    def contains(self, v: Sequence) -> bool:
         if len(v) != self.length:
             raise ValueError("dimension mismatch")
-        return not any(reduce_by_rref(v, self._rows, self._pivots))
+        return not any(_reduce(primitive_row(v), self._rows, self._pivots))
 
 
 def rank_mod_p(m: Matrix, p: int) -> int:
@@ -400,27 +418,3 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
     if len(v) != m.cols:
         raise ValueError("dimension mismatch")
     return tuple(sum((m.at(i, j) * v[j] for j in range(m.cols)), Fraction(0)) for i in range(m.rows))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise ValueError("dimension mismatch")
-    rows = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        rows.append(
-            [sum((arow[k] * b.at(k, j) for k in range(a.cols)), Fraction(0)) for j in range(b.cols)]
-        )
-    return Matrix.from_rows(rows) if rows else Matrix(0, b.cols, ())
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises ValueError when singular."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be inverted")
-    k = m.rows
-    aug = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    res = rref(Matrix.from_rows(aug))
-    if res.pivot_cols[:k] != tuple(range(k)):
-        raise ValueError("matrix is singular")
-    return Matrix.from_rows([[res.rref.at(i, k + j) for j in range(k)] for i in range(k)])

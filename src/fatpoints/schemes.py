@@ -31,6 +31,11 @@ e_0 first and up to n points of the scheme, heaviest first, on e_1, ...
 In it the monomials of order <= i at p are a prefix of the basis, and
 only the non-vertex points' rows on the columns outside the vertex
 blocks are built and eliminated.
+
+Frames are applied in integers, by the rows D E of
+:func:`fatpoints.geometry.frame_change`: E the canonical change and
+D = diag(v_k), all v_k > 0.  D fixes every coordinate point, so it
+changes no vertex block, rank, artinian regularity or criterion answer.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from functools import lru_cache
 from math import comb, perm
 from typing import Sequence
 
-from fatpoints.geometry import ProjPoint, frame_change, transform_point
-from fatpoints.linalg import Matrix, SpanTester, kernel_basis, mat_vec, rank_rows, rref
+from fatpoints.geometry import ProjPoint, frame_change
+from fatpoints.linalg import Matrix, SpanTester, kernel_basis, mat_vec, primitive_row, rank_rows
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +197,8 @@ class FatPointScheme:
         return len(self.points)
 
     def without_point(self, i: int) -> "FatPointScheme":
+        if not 0 <= i < self.size:
+            raise ValueError(f"point index {i} is out of range 0..{self.size - 1}")
         if self.size < 2:
             raise ValueError("cannot remove the only point")
         pts = self.points[:i] + self.points[i + 1 :]
@@ -287,7 +294,9 @@ class SimplexFrame:
     coordinates and the multiplicity of every other point, in the new
     coordinates.  In the frame of an artinian reduction e_0 holds the
     distinguished point, which is not in the scheme, so the vertices
-    start at 1.
+    start at 1.  The coordinates are those of the integer change D E, the
+    canonical ones scaled by v_k > 0, which changes no rank (see the
+    module docstring).
     """
 
     scheme: FatPointScheme
@@ -301,11 +310,12 @@ def _frame(z: FatPointScheme, leading: list[tuple[int, ...]]) -> SimplexFrame:
     The points go heaviest first, ties by index.
     """
     order = sorted(range(z.size), key=lambda i: (-z.mults[i], i))
-    change, taken = frame_change(z.n, leading, [z.points[i].integer_rep() for i in order])
+    reps = [p.integer_rep() for p in z.points]
+    rows, _, taken = frame_change(z.n, leading, [reps[i] for i in order])
     on_vertex = [order[i] for i in taken]
     others = tuple(
-        (transform_point(change, p).integer_rep(), m)
-        for i, (p, m) in enumerate(zip(z.points, z.mults))
+        (tuple(primitive_row([sum(r * x for r, x in zip(row, rep)) for row in rows])), m)
+        for i, (rep, m) in enumerate(zip(reps, z.mults))
         if i not in on_vertex
     )
     first = len(leading)
@@ -474,29 +484,19 @@ def _ideal_piece(frame: SimplexFrame, b: int, low: int) -> list[list]:
 
     A form lies in the ideal exactly when it is zero on the vertex blocks
     and its free coefficients lie in the kernel of the other points' rows
-    on the free columns.  That kernel is read off one rref, one vector per
-    non-pivot column.  The vectors stay lists: short tuples freed in bulk
-    are kept on CPython's tuple free lists and raise the peak RSS.
+    on the free columns: one ``kernel_basis`` vector per non-pivot column.
+    The vectors stay lists: short tuples freed in bulk are kept on
+    CPython's tuple free lists and raise the peak RSS.
     """
     free = _free_columns(frame, b)
     split = bisect_left(free, low)
     if not frame.others:
         return [[int(c == free[f]) for c in range(low)] for f in range(split)]
-    res = rref(Matrix.from_rows(_other_rows(frame, b, free)))
-    pivots = res.pivot_cols
-    pivot_set = set(pivots)
     piece = []
-    for f in range(len(free)):
-        if f in pivot_set:
-            continue
+    for kernel_vec in kernel_basis(Matrix.from_rows(_other_rows(frame, b, free))):
         vec: list = [0] * low
-        if f < split:
-            vec[free[f]] = 1
-        # rref entries right of the non-pivot column f are zero
-        for i, pc in enumerate(pivots):
-            if pc >= min(f, split):
-                break
-            vec[free[pc]] = -res.rref.at(i, f)
+        for f in range(split):
+            vec[free[f]] = kernel_vec[f]
         piece.append(vec)
     return piece
 

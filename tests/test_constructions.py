@@ -303,6 +303,20 @@ def test_verify_degenerate_order_rejected():
         verify_certificate(cert, j, p, 0)
 
 
+def test_build_certificate_rejects_point_of_another_ambient_space():
+    j = FatPointScheme(2, (unit(2, 0), unit(2, 1)), (1, 1))
+    for p in (ProjPoint((1, 1, 1, 5)), ProjPoint((1, 1))):
+        with pytest.raises(ValueError, match="ambient dimensions disagree"):
+            build_certificate(j, p, 1, 0)
+
+
+def test_removal_recursion_rejects_out_of_range_index():
+    z = FatPointScheme(2, (unit(2, 0), unit(2, 1)), (2, 1))
+    for i0 in (-1, z.size):
+        with pytest.raises(ValueError, match="out of range"):
+            removal_recursion_check(z, i0)
+
+
 def test_hand_built_certificate_on_two_points():
     # two simple points on the line x2 = 0 in P^2, distinguished point e2
     j = FatPointScheme(2, (unit(2, 0), unit(2, 1)), (1, 1))

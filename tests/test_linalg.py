@@ -2,6 +2,8 @@ import itertools
 import logging
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +12,9 @@ from hypothesis import strategies as st
 from fatpoints.linalg import (
     MODULAR_PRIMES,
     Matrix,
+    _echelon,
     in_span,
-    inverse,
     kernel_basis,
-    mat_mul,
     mat_vec,
     modular_stats,
     rank,
@@ -397,6 +398,55 @@ def test_rref_matches_plain_gauss_jordan_oracle():
         assert res.rref.to_rows() == oracle_rows
 
 
+@st.composite
+def echelon_cases(draw):
+    """Integer rows with planted dependent rows, zero rows and zero columns."""
+    ncols = draw(st.integers(min_value=0, max_value=7))
+    nrows = draw(st.integers(min_value=0, max_value=6))
+    rows = draw(st.lists(st.lists(entry_st, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if rows:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            dependent = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+            rows.insert(draw(st.integers(0, len(rows))), dependent)
+        if draw(st.booleans()):
+            rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+        if draw(st.booleans()):
+            j = draw(st.integers(0, ncols))
+            rows = [r[:j] + [0] + r[j:] for r in rows]
+            ncols += 1
+    return rows, ncols
+
+
+@settings(max_examples=250, deadline=None)
+@given(echelon_cases())
+@example(([], 0))
+@example(([], 3))
+@example(([[], []], 0))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[2**62, 3 * 2**62 + 1, 0], [-(2**63), 5, 2**64], [2**62, 3 * 2**62 + 1, 0]], 3))
+def test_echelon_rows_are_primitive_multiples_of_plain_gauss_jordan(case):
+    rows, ncols = case
+    m = Matrix(len(rows), ncols, tuple(Fraction(x) for r in rows for x in r))
+    oracle_rows, oracle_rank, oracle_pivots = gauss_jordan_oracle(m)
+    got, pivots = _echelon([list(r) for r in rows], ncols)
+    assert tuple(pivots) == oracle_pivots
+    assert [[Fraction(int(x), int(row[c])) for x in row] for row, c in zip(got, pivots)] == oracle_rows[:oracle_rank]
+    for row, c in zip(got, pivots):
+        assert row[c] > 0
+        assert reduce(gcd, map(int, row)) == 1
+    # the public views: rref's rows and one kernel vector per free column
+    assert rref(m).rref.to_rows() == oracle_rows
+    free = [f for f in range(ncols) if f not in oracle_pivots]
+    expected = []
+    for f in free:
+        v = [Fraction(int(c == f)) for c in range(ncols)]
+        for i, pc in enumerate(oracle_pivots):
+            v[pc] = -oracle_rows[i][f]
+        expected.append(tuple(v))
+    assert kernel_basis(m) == expected
+
+
 def test_degenerate_shapes():
     empty = Matrix.from_rows([])
     assert rref(empty).rank == 0
@@ -409,24 +459,6 @@ def test_degenerate_shapes():
     assert rank(zero_row, modular=True) == 0
 
 
-def test_mat_vec_and_mul():
+def test_mat_vec():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     assert mat_vec(a, (Fraction(1), Fraction(1))) == (3, 7)
-    prod = mat_mul(a, Matrix.identity(2))
-    assert prod == a
-
-
-def test_inverse_round_trip():
-    rng = random.Random(17)
-    for _ in range(10):
-        while True:
-            m = random_matrix(rng, 3, 3)
-            if rref(m).rank == 3:
-                break
-        inv = inverse(m)
-        assert mat_mul(m, inv) == Matrix.identity(3)
-
-
-def test_inverse_singular_raises():
-    with pytest.raises(ValueError):
-        inverse(Matrix.from_rows([[1, 2], [2, 4]]))

@@ -110,6 +110,15 @@ def test_scheme_rejects_duplicates():
         FatPointScheme(2, (unit(2, 0), unit(2, 0)), (1, 1))
 
 
+def test_without_point_rejects_out_of_range_indices():
+    z = FatPointScheme(2, (unit(2, 0), unit(2, 1), unit(2, 2)), (1, 2, 1))
+    assert z.without_point(0).points == (unit(2, 1), unit(2, 2))
+    assert z.without_point(2).points == (unit(2, 0), unit(2, 1))
+    for i in (-1, z.size):
+        with pytest.raises(ValueError, match=rf"point index {i} is out of range 0\.\.2"):
+            z.without_point(i)
+
+
 def test_scheme_rejects_bad_multiplicity():
     with pytest.raises(ValueError):
         FatPointScheme(2, (unit(2, 0),), (0,))
