@@ -11,7 +11,9 @@ Runs, at configurable scale:
 * the monomial criterion as a two-sided oracle: it holds at the artinian
   regularity and fails one degree below it;
 * certificate construction and verification, with the independently
-  computed artinian regularity as the soundness reference.
+  computed artinian regularity as the soundness reference, and each
+  certificate's change made singular (rows 1..n zeroed), which must
+  verify false without raising.
 
 Exit code 0 when every battery is clean, 2 otherwise (and, as usual for
 argparse, on a usage error such as ``--trials 0``).
@@ -20,9 +22,11 @@ argparse, on a usage error such as ``--trials 0``).
 from __future__ import annotations
 
 import argparse
+import logging
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from fatpoints import linalg
@@ -34,6 +38,7 @@ from fatpoints.constructions import (
 from fatpoints.generators import PatternSpec
 from fatpoints.geometry import ProjPoint
 from fatpoints.harness import batch_check
+from fatpoints.linalg import Matrix
 from fatpoints.schemes import FatPointScheme, artinian_quotient_regularity, monomial_bound_check
 
 
@@ -108,6 +113,7 @@ def monomial_battery(trials, base_seed):
 def certificate_battery(trials, base_seed):
     t0 = time.time()
     failures = 0
+    log = logging.getLogger("fatpoints.constructions")
     for trial in range(trials):
         rng = random.Random(base_seed + trial)
         n = rng.randint(2, 4)
@@ -121,6 +127,20 @@ def certificate_battery(trials, base_seed):
         if not ok or artinian_quotient_regularity(j, p, m) > delta:
             failures += 1
             print(f"    certificate failed: seed={base_seed + trial}")
+        # rows 1..n zeroed: p still goes to the origin, the change is singular;
+        # the rejection's expected warning is kept off stderr
+        rows = cert.change.to_rows()
+        singular = Matrix.from_rows([rows[0]] + [[0] * (n + 1)] * n)
+        log.disabled = True
+        try:
+            tampered_ok, _ = verify_certificate(replace(cert, change=singular), j, p, m)
+        except ValueError as exc:
+            tampered_ok = f"raised {exc}"
+        finally:
+            log.disabled = False
+        if tampered_ok is not False:
+            failures += 1
+            print(f"    singular change not rejected ({tampered_ok}): seed={base_seed + trial}")
     elapsed = time.time() - t0
     print(
         f"  {'certificate soundness':<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]"

@@ -39,11 +39,12 @@ from fatpoints.geometry import (
     extend_flat_avoiding,
     flat_contains,
     degeneracy_index,
+    incident,
     span,
     span_dim,
     transform_point,
 )
-from fatpoints.linalg import Matrix, kernel_basis
+from fatpoints.linalg import Matrix, integer_kernel, primitive_row, rank
 from fatpoints.schemes import (
     FatPointScheme,
     artinian_quotient_regularity,
@@ -253,13 +254,13 @@ def _all_entry_monomials(a: int, n: int) -> list[tuple[int, ...]]:
 
 
 def _lift_to_hyperplane(vectors: Sequence[Sequence[object]]) -> LinearForm:
-    """A hyperplane through the cone vectors' span missing e_0, by one ``kernel_basis``.
+    """A hyperplane through the cone vectors' span missing e_0, by one integer kernel.
 
     The kernel depends only on the row space, and the flat is the zero set
     of its forms; so no basis form misses e_0 (has coefficient 0 nonzero)
     exactly when the flat is the whole space or passes through e_0.
     """
-    for coeffs in kernel_basis(Matrix.from_rows([list(v) for v in vectors])):
+    for coeffs in integer_kernel([primitive_row(v) for v in vectors], len(vectors[0])):
         if coeffs[0] != 0:
             return LinearForm(coeffs)
     raise ConstructionError("no hyperplane through the flat avoids the origin")
@@ -346,13 +347,15 @@ def _split_certificate(moved, origin, a, seed, change, positions) -> Optional[Ce
     k = degeneracy_index(everyone)
     if k is None:
         return None
-    alpha = None
-    for sub in combinations(range(len(everyone)), k + 2):
-        f = span([everyone[i] for i in sub])
-        if f.dim <= k and flat_contains(f, origin):
-            alpha = f
+    # the first (k+2)-subset, in combinations order, whose span has
+    # dimension <= k (at least n - k normals) and passes through the origin
+    width = moved.n + 1
+    for sub in combinations(everyone, k + 2):
+        normals = integer_kernel([q.integer_rep() for q in sub], width)
+        if len(normals) >= width - 1 - k and incident(normals, origin):
+            alpha = span(sub)
             break
-    if alpha is None:
+    else:
         return None
     group_a = [i for i in range(moved.size) if flat_contains(alpha, moved.points[i])]
     group_b = [i for i in range(moved.size) if i not in group_a]
@@ -418,15 +421,17 @@ def verify_certificate(
 ) -> tuple[bool, int]:
     """Re-check a certificate from scratch; returns (valid, delta).
 
-    Valid means: the stored coordinate change sends p to (1, 0, ..., 0),
-    every monomial of degree < a appears, every listed hyperplane misses
-    p, and each hyperplane product times its monomial vanishes to the
-    scheme's orders.  The last check expands nothing.  In the local ring
-    at a moved point q the order of vanishing is a valuation, so
+    Valid means: the stored coordinate change is invertible and sends p to
+    (1, 0, ..., 0), every monomial of degree < a appears, every listed
+    hyperplane misses p, and each hyperplane product times its monomial
+    vanishes to the scheme's orders.  A singular change, such as one that
+    sends a point to zero or merges two, makes the certificate invalid and
+    raises nothing.  The last check expands nothing.  In the local ring at
+    a moved point q the order of vanishing is a valuation, so
     ord_q(fg) = ord_q f + ord_q g, and a linear form (X_k among them) has
     order 1 at q if it vanishes there and 0 otherwise.  The product's order
     at q is therefore the number of its factors through q, repeats counted
-    (:func:`vanishing_orders`): exact rational incidence, nothing modular.
+    (:func:`vanishing_orders`): exact integer incidence, nothing modular.
     An entry whose monomial is not n nonnegative exponents, or with a
     hyperplane of another ambient dimension, raises ``ValueError``.
     Soundness (delta bounds the artinian regularity) is a theorem about
@@ -457,7 +462,12 @@ def verify_certificate(
         if transform_point(cert.change, p) != origin:
             _LOG.warning("coordinate change does not send the point to the origin")
             return False, delta
-    except ValueError:
+    except ValueError as exc:
+        _LOG.warning("coordinate change cannot move the point: %s", exc)
+        return False, delta
+    # square now: p has n+1 coordinates and its image as many
+    if rank(cert.change, modular=False) < n + 1:
+        _LOG.warning("coordinate change is singular")
         return False, delta
     moved = j.transform(cert.change)
 

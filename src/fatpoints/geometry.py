@@ -6,24 +6,32 @@ basis of their affine cone, and hyperplanes as normalized coefficient
 vectors of the linear forms cutting them out.  Canonical forms make
 structural equality coincide with geometric equality, so flats can be
 deduplicated with a set.
+
+Incidence is decided in integers.  A point keeps its primitive integer
+representative, a hyperplane its primitive integer coefficients and a
+flat the primitive integer normals of its cone, each computed once and
+stored off the dataclass fields; q lies on a hyperplane or flat exactly
+when q's representative dots every one of them to 0.  Changes of
+coordinates move points in integers too.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from fatpoints.linalg import (
     Matrix,
     _echelon,
-    kernel_basis,
-    mat_vec,
+    integer_kernel,
     primitive_row,
     rank_rows,
-    reduce_by_rref,
     rref,
 )
 
@@ -40,6 +48,20 @@ def _normalize(coords: Sequence[object], kind: str) -> Coords:
     return vals
 
 
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def incident(normals: Sequence[Sequence[int]], p: "ProjPoint") -> bool:
+    """Whether p lies on the flat cut out by these integer normals.
+
+    The normals are those of :func:`fatpoints.linalg.integer_kernel`: p is on
+    the flat exactly when its integer representative dots each of them to 0.
+    """
+    rep = p.integer_rep()
+    return not any(_dot(v, rep) for v in normals)
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """A point of P^n in canonical homogeneous coordinates."""
@@ -53,9 +75,18 @@ class ProjPoint:
     def ambient_n(self) -> int:
         return len(self.coords) - 1
 
-    def integer_rep(self) -> tuple[int, ...]:
-        """A primitive integer representative of the same point, in Python ints."""
+    # cached_property keeps its value in the instance __dict__, off the
+    # dataclass fields, so repr, ==, hash and asdict never see it
+    @cached_property
+    def _integer_rep(self) -> tuple[int, ...]:
         return tuple(map(int, primitive_row(self.coords)))
+
+    def integer_rep(self) -> tuple[int, ...]:
+        """A primitive integer representative of the same point, in Python ints.
+
+        Computed once per point.
+        """
+        return self._integer_rep
 
     @classmethod
     def unit(cls, n: int, i: int) -> "ProjPoint":
@@ -75,13 +106,24 @@ class LinearForm:
     def ambient_n(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def _integer_rep(self) -> tuple[int, ...]:
+        return tuple(map(int, primitive_row(self.coeffs)))
+
+    def integer_rep(self) -> tuple[int, ...]:
+        """The primitive integer coefficients of the same form, computed once."""
+        return self._integer_rep
+
     def evaluate(self, p: ProjPoint) -> Fraction:
         if len(self.coeffs) != len(p.coords):
             raise ValueError("ambient dimensions disagree")
         return sum((c * x for c, x in zip(self.coeffs, p.coords)), Fraction(0))
 
     def vanishes_at(self, p: ProjPoint) -> bool:
-        return self.evaluate(p) == 0
+        """Whether the hyperplane passes through p: one integer dot product."""
+        if len(self.coeffs) != len(p.coords):
+            raise ValueError("ambient dimensions disagree")
+        return not _dot(self.integer_rep(), p.integer_rep())
 
 
 @dataclass(frozen=True)
@@ -114,6 +156,15 @@ class Flat:
     @property
     def dim(self) -> int:
         return len(self.cone_basis) - 1
+
+    @cached_property
+    def normals(self) -> tuple[list[int], ...]:
+        """Primitive integer normals of the cone, n - dim of them, computed once.
+
+        A point lies on the flat exactly when it is :func:`incident` to them.
+        """
+        rows = [primitive_row(row) for row in self.cone_basis]
+        return tuple(integer_kernel(rows, self.ambient_n + 1))
 
     @classmethod
     def from_vectors(cls, ambient_n: int, vectors: Iterable[Sequence[object]]) -> "Flat":
@@ -149,8 +200,7 @@ def flat_contains(f: Flat, p: ProjPoint) -> bool:
     """Whether the point lies on the flat."""
     if p.ambient_n != f.ambient_n:
         raise ValueError("ambient dimensions disagree")
-    pivots = [next(j for j, x in enumerate(row) if x) for row in f.cone_basis]
-    return not any(reduce_by_rref(list(p.coords), f.cone_basis, pivots))
+    return incident(f.normals, p)
 
 
 def _require_distinct(points: Sequence[ProjPoint]) -> None:
@@ -194,11 +244,8 @@ def hyperplane_containing_avoiding(f: Flat, avoid: ProjPoint) -> LinearForm:
         raise ValueError("the whole space is contained in no hyperplane")
     if flat_contains(f, avoid):
         raise ValueError("the point lies on the flat; no hyperplane can separate them")
-    for coeffs in kernel_basis(Matrix.from_rows([list(r) for r in f.cone_basis])):
-        form = LinearForm(coeffs)
-        if not form.vanishes_at(avoid):
-            return form
-    raise RuntimeError("unreachable: avoided point is outside the flat")  # pragma: no cover
+    rep = avoid.integer_rep()
+    return LinearForm(next(v for v in f.normals if _dot(v, rep)))
 
 
 def extend_flat_avoiding(f: Flat, target_dim: int, avoid: ProjPoint, seed: int) -> Flat:
@@ -275,8 +322,31 @@ def coordinate_change_to_origin(p: ProjPoint) -> Matrix:
     return canonical_change(p.ambient_n, [p.integer_rep()])[0]
 
 
+def transform_points(change: Matrix, points: Sequence[ProjPoint]) -> tuple[ProjPoint, ...]:
+    """The images of the points under the change, moved in integers.
+
+    The change's entries are brought to one common denominator and its
+    numerators dotted with each point's integer representative: a positive
+    multiple of the image, hence the same projective point.  A point the
+    change sends to zero raises ``ValueError``, as ``ProjPoint`` does.
+    """
+    lcm = 1
+    for x in change.entries:
+        lcm = lcm // gcd(lcm, x.denominator) * x.denominator
+    rows = [
+        [x.numerator * (lcm // x.denominator) for x in change.row(i)] for i in range(change.rows)
+    ]
+    moved = []
+    for p in points:
+        if len(p.coords) != change.cols:
+            raise ValueError("dimension mismatch")
+        rep = p.integer_rep()
+        moved.append(ProjPoint(tuple(_dot(row, rep) for row in rows)))
+    return tuple(moved)
+
+
 def transform_point(change: Matrix, p: ProjPoint) -> ProjPoint:
-    return ProjPoint(mat_vec(change, p.coords))
+    return transform_points(change, [p])[0]
 
 
 def random_invertible_change(n: int, rng: random.Random) -> Matrix:

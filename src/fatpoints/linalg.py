@@ -5,9 +5,10 @@ exact arithmetic.  The core, :func:`_echelon`, stays in integers: one-step
 Bareiss forward elimination on denominator-cleared rows, then integer
 back substitution to the reduced echelon form as primitive rows with
 positive pivots, unique as positive multiples of the canonical rows.
-:func:`rref` and :func:`kernel_basis` are their ``Fraction`` views.
-Pivots are chosen deterministically: leftmost nonzero column, first
-nonzero row.
+:func:`rref` and :func:`kernel_basis` are their ``Fraction`` views;
+:func:`integer_kernel` reads the same kernel off them as primitive
+integer normals, with no ``Fraction``.  Pivots are chosen deterministically:
+leftmost nonzero column, first nonzero row.
 
 Every rank is decided in :func:`rank_rows`.  With the modular filter on,
 it first reduces the rows modulo ``MODULAR_PRIMES[0]``.  When that rank
@@ -213,20 +214,6 @@ def _echelon(m: list[list], ncols: int) -> tuple[list[list], list[int]]:
 # public operations
 # ---------------------------------------------------------------------------
 
-def reduce_by_rref(v: list, rows: Sequence[Sequence], pivots: Sequence[int]) -> list:
-    """Reduce v in place by canonical rref rows with the given pivot columns.
-
-    Each row has a 1 in its own pivot column and a 0 in the others', so
-    v ends with a 0 in every pivot column, and it lies in the span of the
-    rows exactly when it ends all zero.
-    """
-    for pc, row in zip(pivots, rows):
-        t = v[pc]
-        if t:
-            v[pc:] = [x - t * y for x, y in zip(v[pc:], row[pc:])]
-    return v
-
-
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form, exact and deterministic.
 
@@ -243,6 +230,30 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(Matrix(m.rows, m.cols, tuple(entries)), len(rows), tuple(pivot_cols))
 
 
+def _kernel_rows(rows: Sequence[Sequence], pivot_cols: Sequence[int], ncols: int):
+    """Primitive kernel vectors of reduced echelon rows, in Python ints, one per free column.
+
+    Each is positive at its free column f and zero at the other free
+    columns: the canonical kernel vector of f times a positive integer.
+    """
+    pivot_set = set(pivot_cols)
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        hits = [(int(row[f]), int(row[pc]), pc) for row, pc in zip(rows, pivot_cols) if row[f]]
+        scale = 1  # the lcm of the pivots of the rows that column f enters
+        for _, v, _ in hits:
+            scale = scale // gcd(scale, v) * v
+        w = [0] * ncols
+        w[f] = content = scale
+        for t, v, pc in hits:
+            w[pc] = x = -t * (scale // v)
+            content = gcd(content, x)
+        if content > 1:
+            w = [x // content for x in w]
+        yield f, w
+
+
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Canonical basis of the right kernel.
 
@@ -250,19 +261,24 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     free variable set to 1.  The result has cols - rank(m) vectors.
     """
     rows, pivot_cols = _echelon([primitive_row(m.row(i)) for i in range(m.rows)], m.cols)
-    pivot_set = set(pivot_cols)
-    zero, one = Fraction(0), Fraction(1)
-    basis: list[Vector] = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [zero] * m.cols
-        v[f] = one
-        for row, pc in zip(rows, pivot_cols):
-            if row[f]:
-                v[pc] = Fraction(-int(row[f]), int(row[pc]))
-        basis.append(tuple(v))
-    return basis
+    zero = Fraction(0)
+    return [
+        tuple(Fraction(x, w[f]) if x else zero for x in w)
+        for f, w in _kernel_rows(rows, pivot_cols, m.cols)
+    ]
+
+
+def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Primitive integer normals of the row space of integer rows.
+
+    The right kernel as lists of Python ints, each a positive multiple of
+    the matching :func:`kernel_basis` vector: a vector lies in the row
+    space exactly when every normal dots it to 0.
+    """
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("dimension mismatch")
+    echelon, pivot_cols = _echelon([list(row) for row in rows], ncols)
+    return [w for _, w in _kernel_rows(echelon, pivot_cols, ncols)]
 
 
 def in_span(v: Sequence[object], basis: Iterable[Sequence[object]]) -> bool:

@@ -47,8 +47,15 @@ from functools import lru_cache
 from math import comb, perm
 from typing import Sequence
 
-from fatpoints.geometry import ProjPoint, frame_change
-from fatpoints.linalg import Matrix, SpanTester, kernel_basis, mat_vec, primitive_row, rank_rows
+from fatpoints.geometry import ProjPoint, frame_change, transform_points
+from fatpoints.linalg import (
+    Matrix,
+    SpanTester,
+    integer_kernel,
+    kernel_basis,
+    primitive_row,
+    rank_rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +213,7 @@ class FatPointScheme:
         return FatPointScheme(self.n, pts, ms)
 
     def transform(self, change: Matrix) -> "FatPointScheme":
-        moved = tuple(ProjPoint(mat_vec(change, p.coords)) for p in self.points)
-        return FatPointScheme(self.n, moved, self.mults)
+        return FatPointScheme(self.n, transform_points(change, self.points), self.mults)
 
     def permuted(self, order: Sequence[int]) -> "FatPointScheme":
         return FatPointScheme(
@@ -484,7 +490,8 @@ def _ideal_piece(frame: SimplexFrame, b: int, low: int) -> list[list]:
 
     A form lies in the ideal exactly when it is zero on the vertex blocks
     and its free coefficients lie in the kernel of the other points' rows
-    on the free columns: one ``kernel_basis`` vector per non-pivot column.
+    on the free columns: one ``integer_kernel`` vector per non-pivot column,
+    a positive multiple of the ``kernel_basis`` one, which spans the same.
     The vectors stay lists: short tuples freed in bulk are kept on
     CPython's tuple free lists and raise the peak RSS.
     """
@@ -493,7 +500,7 @@ def _ideal_piece(frame: SimplexFrame, b: int, low: int) -> list[list]:
     if not frame.others:
         return [[int(c == free[f]) for c in range(low)] for f in range(split)]
     piece = []
-    for kernel_vec in kernel_basis(Matrix.from_rows(_other_rows(frame, b, free))):
+    for kernel_vec in integer_kernel(_other_rows(frame, b, free), len(free)):
         vec: list = [0] * low
         for f in range(split):
             vec[free[f]] = kernel_vec[f]

@@ -5,9 +5,10 @@ over groups of points lying on a common j-flat, and the bound is the
 largest T_j.  An optimal flat can always be taken to be the span of at
 most j+1 of the points.  The flats spanned by the points are found once
 per scheme, lazily: a subset is spanned only when no flat found so far
-holds it, and the points on its span are found by integer rank.  Each
-candidate is scored by the total multiplicity of the scheme points it
-contains, and a :class:`Flat` is built only for the winner at each j.
+holds it, and the points on its span are found by integer dot products
+with its normals.  Each candidate is scored by the total multiplicity of
+the scheme points it contains, and a :class:`Flat` is built only for the
+winner at each j.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
-from fatpoints.geometry import Flat, span
-from fatpoints.linalg import rank_rows
+from fatpoints.geometry import Flat, incident, span
+from fatpoints.linalg import integer_kernel
 from fatpoints.schemes import FatPointScheme
 
 
@@ -50,34 +51,38 @@ def _candidate_flats(
     """Every flat spanned by the points, each found once, smallest first.
 
     Returns (dim, witness index tuple, spanning index tuple) triples; the
-    witness set is every point on the flat.  Subsets are walked by size,
-    and one whose indices all lie in a witness set already found is
-    skipped: it spans nothing new.  By induction on the size, a dependent
-    subset is always skipped (dropping a dependent point keeps its span,
-    which was found from the smaller subset), so every subset that is not
-    skipped is independent and spans a new flat of dimension size-1.  The
-    flats therefore appear in the order of a deduplicated scan of all
-    subsets.  Point i lies on the span of an independent subset exactly
-    when adding its integer row leaves the rank at the subset's size.  No
-    :class:`Flat` is built here: ``max_multiplicity_on_flats`` spans only
-    the winning subset at each j.
+    witness set is every point on the flat.  The points are distinct, so
+    each 0-flat holds its own point only.  Larger subsets are walked by
+    size, and one whose indices all lie in a witness set already found is
+    skipped: it spans nothing new.  ``covered`` holds the subsets of every
+    witness set, of each size still to come, so that test is one lookup.
+    By induction on the size, a dependent subset is always skipped
+    (dropping a dependent point keeps its span, which was found from the
+    smaller subset), so every subset that is not skipped is independent
+    and spans a new flat of dimension size-1.  The flats therefore appear
+    in the order of a deduplicated scan of all subsets.  Each subset's
+    integer normals are found once, and point i lies on its span exactly
+    when it is incident to them.  No :class:`Flat` is built here:
+    ``max_multiplicity_on_flats`` spans only the winning subset at each j.
     """
     ints = [p.integer_rep() for p in z.points]
     width = z.n + 1
-    found: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-    covered: list[frozenset[int]] = []
-    for size in range(1, min(z.size, width) + 1):
+    found: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [
+        (0, (i,), (i,)) for i in range(z.size)
+    ]
+    top = min(z.size, width)
+    covered: set[tuple[int, ...]] = set()
+    for size in range(2, top + 1):
         for sub in combinations(range(z.size), size):
-            if any(w.issuperset(sub) for w in covered):
+            if sub in covered:
                 continue
-            rows = [ints[i] for i in sub]
+            normals = integer_kernel([ints[i] for i in sub], width)
             witness = tuple(
-                i
-                for i in range(z.size)
-                if i in sub or rank_rows(rows + [ints[i]], width, modular=False) == size
+                i for i in range(z.size) if i in sub or incident(normals, z.points[i])
             )
             found.append((size - 1, witness, sub))
-            covered.append(frozenset(witness))
+            for k in range(size, min(len(witness), top) + 1):
+                covered.update(combinations(witness, k))
     return tuple(found)
 
 

@@ -23,6 +23,7 @@ from fatpoints.geometry import (
     span,
     transform_point,
 )
+from fatpoints.linalg import Matrix, mat_vec
 from fatpoints.schemes import (
     FatPointScheme,
     Form,
@@ -301,6 +302,46 @@ def test_verify_degenerate_order_rejected():
     cert = build_certificate(j, p, 1, seed=1)
     with pytest.raises(ValueError):
         verify_certificate(cert, j, p, 0)
+
+
+def test_verify_rejects_singular_change_that_keeps_the_point(caplog):
+    # row 0 of the change still sends p to the origin, the zeroed rows send
+    # every scheme point to the origin too (or to zero): invalid, no raise
+    rng = random.Random(14)
+    j, p = case1_configuration(rng, m=2)
+    cert = build_certificate(j, p, 2, seed=1)
+    rows = cert.change.to_rows()
+    singular = Matrix.from_rows([rows[0]] + [[0] * (j.n + 1)] * j.n)
+    assert transform_point(singular, p) == unit(j.n, 0)
+    tampered = dataclasses.replace(cert, change=singular)
+    with caplog.at_level(logging.WARNING, logger="fatpoints.constructions"):
+        assert verify_certificate(tampered, j, p, 2) == (False, cert.delta)
+    assert "coordinate change is singular" in caplog.text
+
+
+def test_verify_rejects_change_that_merges_two_points(caplog):
+    # P = I - d e_k^T / d_k fixes e_0 and kills d = E q_0 - E q_1, so the
+    # change P E still sends p to the origin and sends q_0 and q_1 to one point
+    rng = random.Random(15)
+    j, p = case1_configuration(rng, m=1)
+    cert = build_certificate(j, p, 1, seed=1)
+    size = j.n + 1
+    u, v = (mat_vec(cert.change, q.coords) for q in j.points[:2])
+    d = [x - y for x, y in zip(u, v)]
+    k = next(i for i in range(1, size) if d[i])
+    proj = Matrix.from_rows(
+        [[int(r == c) - (d[r] / d[k] if c == k else 0) for c in range(size)] for r in range(size)]
+    )
+    merging = Matrix.from_rows(
+        [[sum(proj.at(r, i) * cert.change.at(i, c) for i in range(size)) for c in range(size)]
+         for r in range(size)]
+    )
+    assert transform_point(merging, p) == unit(j.n, 0)
+    assert transform_point(merging, j.points[0]) == transform_point(merging, j.points[1])
+    tampered = dataclasses.replace(cert, change=merging)
+    with caplog.at_level(logging.WARNING, logger="fatpoints.constructions"):
+        assert verify_certificate(tampered, j, p, 1) == (False, cert.delta)
+    assert "coordinate change is singular" in caplog.text
 
 
 def test_build_certificate_rejects_point_of_another_ambient_space():

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -18,12 +20,14 @@ from fatpoints.geometry import (
     frame_change,
     general_position_on,
     hyperplane_containing_avoiding,
+    incident,
     random_invertible_change,
     span,
     span_dim,
     transform_point,
 )
-from fatpoints.linalg import Matrix, in_span, rank_rows, rref
+from fatpoints.linalg import Matrix, in_span, integer_kernel, mat_vec, rank_rows, rref
+from fatpoints.schemes import FatPointScheme
 
 
 def unit(n, i):
@@ -514,3 +518,146 @@ def test_incidence_invariance_under_change():
         f = span(pts[:2])
         probe = random_point(rng, 3)
         assert flat_contains(f, probe) == flat_contains(span(moved[:2]), transform_point(change, probe))
+
+
+# ---------------------------------------------------------------------------
+# integer incidence and integer moves against their plain references
+# ---------------------------------------------------------------------------
+
+def rational_points(n, min_size, max_size):
+    """Points of P^n with rational coordinates, zero ones common."""
+    coords = st.lists(coordinate, min_size=n + 1, max_size=n + 1).filter(any)
+    return st.lists(coords.map(tuple).map(ProjPoint), min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def rational_flat_and_probe(draw):
+    """d+1 rational points, d in 0..n, and a probe that is often on their span."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, n))
+    pts = draw(rational_points(n, d + 1, d + 1))
+    kind = draw(st.sampled_from(["combination", "free", "unit"]))
+    if kind == "combination":
+        weights = draw(st.lists(coordinate, min_size=len(pts), max_size=len(pts)))
+        vec = [sum(w * p.coords[j] for w, p in zip(weights, pts)) for j in range(n + 1)]
+    elif kind == "unit":
+        k = draw(st.integers(0, n))
+        vec = [Fraction(int(j == k)) for j in range(n + 1)]
+    else:
+        vec = list(draw(rational_points(n, 1, 1))[0].coords)
+    if not any(vec):
+        vec = list(pts[0].coords)
+    return pts, ProjPoint(tuple(vec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_flat_and_probe())
+@example(([unit(3, 0)], unit(3, 0)))  # a 0-flat through its own point
+@example(([unit(2, 0), unit(2, 1), unit(2, 2)], ProjPoint((Fraction(1, 3), 0, 5))))  # all of P^2
+@example(([ProjPoint((0, Fraction(1, 2), 1, 0))], ProjPoint((0, 1, 2, 0))))
+def test_annihilator_incidence_matches_rank_reference(case):
+    pts, probe = case
+    f = span(pts)
+    rows = [p.integer_rep() for p in pts]
+    width = len(rows[0])
+    on_flat = rank_rows(rows + [probe.integer_rep()], width, modular=False) == f.dim + 1
+    normals = f.normals
+    assert len(normals) == f.ambient_n - f.dim
+    for v in normals:
+        assert all(type(x) is int for x in v) and gcd(*v) == 1
+        assert all(sum(a * b for a, b in zip(v, row)) == 0 for row in rows)
+    assert flat_contains(f, probe) == on_flat
+    assert incident(integer_kernel(rows, width), probe) == on_flat
+
+
+@st.composite
+def form_and_point(draw):
+    """A rational linear form and a point, often on its hyperplane."""
+    n = draw(st.integers(1, 4))
+    coeffs = draw(st.lists(coordinate, min_size=n + 1, max_size=n + 1).filter(any))
+    vec = list(draw(rational_points(n, 1, 1))[0].coords)
+    if draw(st.booleans()):
+        k = next(j for j, c in enumerate(coeffs) if c)
+        vec[k] = 0
+        vec[k] = -sum(c * x for c, x in zip(coeffs, vec)) / coeffs[k]
+    if not any(vec):
+        vec[0] = Fraction(1)
+    return LinearForm(tuple(coeffs)), ProjPoint(tuple(vec))
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_and_point())
+@example((LinearForm((0, 1, 0)), unit(2, 0)))
+@example((LinearForm((Fraction(1, 2), Fraction(-1, 3))), ProjPoint((2, 3))))
+def test_vanishes_at_matches_evaluate(case):
+    form, p = case
+    assert form.vanishes_at(p) == (form.evaluate(p) == 0)
+    with pytest.raises(ValueError, match="ambient"):
+        form.vanishes_at(ProjPoint(p.coords + (Fraction(1),)))
+
+
+@st.composite
+def change_and_points(draw):
+    """A rational change of coordinates, often singular, and distinct points."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(coordinate, min_size=n + 1, max_size=n + 1)
+    rows = draw(st.lists(row, min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):  # make the last row a combination of the others
+        weights = draw(st.lists(coordinate, min_size=n, max_size=n))
+        rows[-1] = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n + 1)]
+    pts = list(dict.fromkeys(draw(rational_points(n, 1, 4))))
+    return Matrix.from_rows(rows), pts
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(change_and_points())
+@example((Matrix.from_rows([[1, 0], [0, 0]]), [unit(1, 1)]))  # sent to zero
+@example((Matrix.from_rows([[1, 1], [0, 0]]), [unit(1, 0), unit(1, 1)]))  # two points merged
+@example((Matrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]), [ProjPoint((1, 1))]))
+def test_integer_moves_match_mat_vec(case):
+    change, pts = case
+    for p in pts:
+        want = _outcome(lambda: ProjPoint(mat_vec(change, p.coords)))
+        assert _outcome(lambda: transform_point(change, p)) == want
+    z = FatPointScheme(change.cols - 1, tuple(pts), (1,) * len(pts))
+    want = _outcome(
+        lambda: FatPointScheme(
+            z.n, tuple(ProjPoint(mat_vec(change, q.coords)) for q in z.points), z.mults
+        )
+    )
+    assert _outcome(lambda: z.transform(change)) == want
+    assert _outcome(lambda: transform_point(change, ProjPoint((1,) * (z.n + 2)))) == (
+        "ValueError",
+        "dimension mismatch",
+    )
+
+
+def _identity(x):
+    return repr(x), x, hash(x), dataclasses.asdict(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_flat_and_probe())
+def test_cached_values_leave_the_dataclasses_unchanged(case):
+    pts, probe = case
+    makers = [
+        (lambda: ProjPoint(probe.coords), lambda x: x.integer_rep()),
+        (lambda: LinearForm(probe.coords), lambda x: x.integer_rep()),
+        (lambda: span(pts), lambda x: (x.normals, flat_contains(x, probe))),
+    ]
+    for make, use in makers:
+        obj, fresh = make(), make()
+        before = _identity(obj)
+        first = use(obj)
+        assert _identity(obj) == before == _identity(fresh)
+        assert hash(obj) == hash(dataclasses.astuple(obj))  # the dataclass hash
+        loaded = pickle.loads(pickle.dumps(obj))
+        assert loaded == obj and _identity(loaded) == before
+        assert use(loaded) == first == use(obj)

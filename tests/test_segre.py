@@ -14,8 +14,9 @@ from fatpoints.geometry import (
     random_invertible_change,
     span,
 )
+from fatpoints.linalg import rank_rows
 from fatpoints.schemes import FatPointScheme
-from fatpoints.segre import max_multiplicity_on_flats, segre_T, segre_bound
+from fatpoints.segre import _candidate_flats, max_multiplicity_on_flats, segre_T, segre_bound
 
 
 def unit(n, i):
@@ -244,3 +245,66 @@ def test_segre_table_matches_brute_force_lattice(z):
     verdict = segre_verdict(z)
     assert verdict.degeneracy == degeneracy_index(list(z.points))
     assert verdict.general_position == (verdict.degeneracy is None)
+
+
+# ---------------------------------------------------------------------------
+# the integer-normal enumeration against the rank-based one it replaced
+# ---------------------------------------------------------------------------
+
+def rank_candidate_flats(z):
+    """The flat enumeration with one ``rank_rows`` incidence test per point."""
+    ints = [p.integer_rep() for p in z.points]
+    width = z.n + 1
+    found = []
+    covered = []
+    for size in range(1, min(z.size, width) + 1):
+        for sub in combinations(range(z.size), size):
+            if any(w.issuperset(sub) for w in covered):
+                continue
+            rows = [ints[i] for i in sub]
+            witness = tuple(
+                i
+                for i in range(z.size)
+                if i in sub or rank_rows(rows + [ints[i]], width, modular=False) == size
+            )
+            found.append((size - 1, witness, sub))
+            covered.append(frozenset(witness))
+    return tuple(found)
+
+
+@st.composite
+def planted_schemes(draw):
+    """Rational points with collinear and coplanar groups planted: each
+    planted point is a combination of two or three points drawn before it."""
+    n = draw(st.integers(1, 4))
+    coordinate = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
+    vec = st.lists(coordinate, min_size=n + 1, max_size=n + 1).filter(any)
+    pts = [draw(vec)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            base = draw(st.lists(st.sampled_from(pts), min_size=2, max_size=3))
+            weights = draw(st.lists(coordinate, min_size=len(base), max_size=len(base)))
+            v = [sum(w * b[j] for w, b in zip(weights, base)) for j in range(n + 1)]
+            if any(v):
+                pts.append(v)
+        else:
+            pts.append(draw(vec))
+    pts = list(dict.fromkeys(ProjPoint(tuple(v)) for v in pts))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts)))
+    return FatPointScheme(n, tuple(pts), tuple(mults))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(planted_schemes(), small_schemes()))
+@example(FatPointScheme(2, tuple(ProjPoint((1, k, 0)) for k in range(4)), (1, 2, 3, 1)))
+@example(FatPointScheme(1, (unit(1, 0),), (2,)))
+@example(  # two coplanar pairs of lines in P^3, one of them through a point with zero coordinates
+    FatPointScheme(
+        3,
+        (unit(3, 0), unit(3, 1), ProjPoint((1, 1, 0, 0)), unit(3, 2), ProjPoint((1, 0, 1, 0)),
+         ProjPoint((0, 1, 1, 0)), unit(3, 3)),
+        (1, 1, 1, 2, 2, 1, 3),
+    )
+)
+def test_candidate_flats_match_rank_enumeration(z):
+    assert _candidate_flats.__wrapped__(z) == rank_candidate_flats(z)
