@@ -7,6 +7,9 @@ Runs, at configurable scale:
   must equal the Segre-type bound in every trial;
 * the bound family (s+3 equimultiple points off any (s-1)-flat),
   including the two degenerate incidence patterns: the bound must hold;
+* the Segre flats: on random point sets with planted collinear and
+  coplanar points, the T_j table of ``segre_bound`` and the degeneracy
+  index against a scan of every subset by ``span_dim``;
 * the removal recursion on random schemes, every removal choice;
 * the monomial criterion as a two-sided oracle: it holds at the artinian
   regularity and fails one degree below it;
@@ -28,6 +31,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 from fatpoints import linalg
 from fatpoints.constructions import (
@@ -36,10 +40,11 @@ from fatpoints.constructions import (
     verify_certificate,
 )
 from fatpoints.generators import PatternSpec
-from fatpoints.geometry import ProjPoint
+from fatpoints.geometry import ProjPoint, degeneracy_index, span_dim
 from fatpoints.harness import batch_check
 from fatpoints.linalg import Matrix
 from fatpoints.schemes import FatPointScheme, artinian_quotient_regularity, monomial_bound_check
+from fatpoints.segre import segre_bound
 
 
 def batch_battery(name, spec, trials, seed, expect_tight):
@@ -67,6 +72,57 @@ def random_points(rng, n, count):
             if p not in pts:
                 pts.append(p)
     return pts
+
+
+def planted_points(rng, n, count):
+    """Distinct points, each after the second, with probability 1/2, a
+    combination of two or three points drawn before it."""
+    pts = []
+    while len(pts) < count:
+        if len(pts) >= 2 and rng.random() < 0.5:
+            base = rng.sample(pts, min(len(pts), rng.randint(2, 3)))
+            weights = [rng.randint(-3, 3) for _ in base]
+            coords = [sum(w * b.integer_rep()[i] for w, b in zip(weights, base)) for i in range(n + 1)]
+        else:
+            coords = [rng.randint(-9, 9) for _ in range(n + 1)]
+        if any(coords):
+            p = ProjPoint(tuple(Fraction(c) for c in coords))
+            if p not in pts:
+                pts.append(p)
+    return pts
+
+
+def segre_flats_battery(trials, base_seed):
+    t0 = time.time()
+    failures = 0
+    for trial in range(trials):
+        rng = random.Random(base_seed + trial)
+        n = rng.randint(1, 4)
+        s = rng.randint(1, 7)
+        pts = planted_points(rng, n, s)
+        z = FatPointScheme(n, tuple(pts), tuple(rng.randint(1, 3) for _ in range(s)))
+        # every nonempty subset, spanned by rank
+        dims = {
+            sub: span_dim([pts[i] for i in sub])
+            for size in range(1, s + 1)
+            for sub in combinations(range(s), size)
+        }
+        want = []
+        for j in range(1, n + 1):
+            q = max(sum(z.mults[i] for i in sub) for sub, d in dims.items() if d <= j)
+            want.append((q, (q + j - 2) // j))
+        top = dims[tuple(range(s))]
+        degeneracy = next(
+            (h for h in range(1, top) if any(dims[sub] <= h for sub in combinations(range(s), h + 2))),
+            None,
+        )
+        got = [(e.total_mult, e.value) for e in segre_bound(z).entries]
+        if got != want or degeneracy_index(pts) != degeneracy:
+            failures += 1
+            print(f"    segre flats failed: seed={base_seed + trial}")
+    elapsed = time.time() - t0
+    print(f"  {'segre flats by subset scan':<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]")
+    return failures == 0
 
 
 def recursion_battery(trials, base_seed):
@@ -184,6 +240,7 @@ def main() -> int:
     ]:
         all_ok &= batch_battery(name, spec, trials, args.seed, expect_tight=False)
     print("cross-verifiers:")
+    all_ok &= segre_flats_battery(max(10, trials // 2), args.seed + 40_000)
     all_ok &= recursion_battery(max(10, trials // 2), args.seed + 10_000)
     all_ok &= monomial_battery(max(10, trials // 2), args.seed + 30_000)
     all_ok &= certificate_battery(max(10, trials // 2), args.seed + 20_000)

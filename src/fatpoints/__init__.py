@@ -25,12 +25,14 @@ from fatpoints.geometry import (
     ProjPoint,
     coordinate_change_to_origin,
     degeneracy_index,
+    degeneracy_of,
     extend_flat_avoiding,
     flat_contains,
     general_position_on,
     hyperplane_containing_avoiding,
     span,
     span_dim,
+    spanned_flats,
 )
 from fatpoints.schemes import (
     FatPointScheme,
@@ -75,12 +77,14 @@ __all__ = [
     "ProjPoint",
     "coordinate_change_to_origin",
     "degeneracy_index",
+    "degeneracy_of",
     "extend_flat_avoiding",
     "flat_contains",
     "general_position_on",
     "hyperplane_containing_avoiding",
     "span",
     "span_dim",
+    "spanned_flats",
     "FatPointScheme",
     "Form",
     "MonomialBasis",

@@ -36,12 +36,11 @@ from fatpoints.geometry import (
     LinearForm,
     ProjPoint,
     canonical_change,
+    degeneracy_of,
     extend_flat_avoiding,
     flat_contains,
-    degeneracy_index,
-    incident,
     span,
-    span_dim,
+    spanned_flats,
     transform_point,
 )
 from fatpoints.linalg import Matrix, integer_kernel, primitive_row, rank
@@ -51,7 +50,7 @@ from fatpoints.schemes import (
     monomial_basis,
     regularity_index,
 )
-from fatpoints.segre import SegreReport, _candidate_flats, segre_bound
+from fatpoints.segre import SegreReport, segre_bound
 
 _LOG = logging.getLogger("fatpoints.constructions")
 
@@ -334,30 +333,42 @@ def _grouped_certificate(
     return Certificate(a, change, tuple(entries), positions, strategy, delta)
 
 
+def _split_groups(moved: FatPointScheme, origin: ProjPoint) -> Optional[tuple[int, list[int]]]:
+    """The minimal degeneracy k of the points and the origin, and the points on alpha.
+
+    alpha is the span of the first (k+2)-subset of points+origin, in
+    ``combinations`` order, whose span has dimension <= k and passes
+    through the origin; None when there is no such subset.  Both are read
+    off one :func:`spanned_flats`.  k is minimal, so such a subset spans a
+    k-flat, and any k+2 points on a k-flat span it: the subset is the
+    least W[:k+2] over the k-flats whose witness set W holds the origin.
+    Distinct k-flats share no k+2 of the points, so that is the least W.
+    """
+    everyone = list(moved.points) + [origin]
+    flats = spanned_flats(everyone)
+    k = degeneracy_of(flats)
+    if k is None:
+        return None
+    o = moved.size
+    through_origin = [w for dim, w, _ in flats if dim == k and o in w and len(w) >= k + 2]
+    if not through_origin:
+        return None
+    return k, [i for i in min(through_origin) if i != o]
+
+
 def _split_certificate(moved, origin, a, seed, change, positions) -> Optional[Certificate]:
     """Two-group construction for a degenerate flat through the origin.
 
     Needs a witness flat of the minimal degeneracy of points+origin that
-    passes through the origin; the on-flat points and the remaining
-    points are covered separately by low-dimensional flats, matched up
-    pairwise, and each joined pair is lifted to a hyperplane avoiding the
-    origin.
+    passes through the origin (:func:`_split_groups`); the on-flat points
+    and the remaining points are covered separately by low-dimensional
+    flats, matched up pairwise, and each joined pair is lifted to a
+    hyperplane avoiding the origin.
     """
-    everyone = list(moved.points) + [origin]
-    k = degeneracy_index(everyone)
-    if k is None:
+    split = _split_groups(moved, origin)
+    if split is None:
         return None
-    # the first (k+2)-subset, in combinations order, whose span has
-    # dimension <= k (at least n - k normals) and passes through the origin
-    width = moved.n + 1
-    for sub in combinations(everyone, k + 2):
-        normals = integer_kernel([q.integer_rep() for q in sub], width)
-        if len(normals) >= width - 1 - k and incident(normals, origin):
-            alpha = span(sub)
-            break
-    else:
-        return None
-    group_a = [i for i in range(moved.size) if flat_contains(alpha, moved.points[i])]
+    k, group_a = split
     group_b = [i for i in range(moved.size) if i not in group_a]
     r_a, r_b = k, len(group_b) - 1
     if not group_a or r_b < 1 or r_a + r_b > moved.n:
@@ -531,7 +542,7 @@ class Verdict:
 
 def classify_scheme(z: FatPointScheme) -> str:
     """Which proven hypothesis family the configuration belongs to."""
-    d = span_dim(list(z.points))
+    d = z.flats[-1][0]  # the span of all the points
     s2 = z.size - 2
     if 1 <= s2 <= z.n and d >= s2:
         return "lemma24"
@@ -543,18 +554,11 @@ def classify_scheme(z: FatPointScheme) -> str:
 
 def segre_verdict(z: FatPointScheme) -> Verdict:
     """Compute regularity and bound, classify, and compare."""
-    d = span_dim(list(z.points))
     report = segre_bound(z)
+    d = z.flats[-1][0]  # the span of all the points
     reg = regularity_index(z)
-    # equals degeneracy_index(z.points), read off the flats the bound found:
-    # h+2 points on an h-flat span a flat of some dimension e <= h holding
-    # at least e+2 points, such a flat holds e+2 points on an e-flat, and a
-    # 0-flat holds one point only.  On their own span, general position is
-    # exactly the absence of degeneracy.
-    degeneracy = min(
-        (dim for dim, witness, _ in _candidate_flats(z) if dim < d and len(witness) >= dim + 2),
-        default=None,
-    )
+    # on their own span, general position is exactly the absence of degeneracy
+    degeneracy = degeneracy_of(z.flats)
     return Verdict(
         point_count=z.size,
         span_dim=d,

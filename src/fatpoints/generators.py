@@ -6,6 +6,12 @@ bounded height and every hypothesis is re-checked on the output before it
 is returned, so generation is verified rather than trusted.  Generation
 is a deterministic function of the spec (including its seed).
 
+The checks that ask which subsets lie on which flats (degeneracy, general
+position, lem42's crowded flats) read the scheme's own flat enumeration
+(``FatPointScheme.flats``): the candidate scheme is built first, and the
+verdict later reuses the flats its generator paid for.  A check on the
+span dimension alone is one ``span_dim``.
+
 Patterns:
 
 ``general``
@@ -32,13 +38,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 from fatpoints.geometry import (
     Flat,
     ProjPoint,
-    degeneracy_index,
+    SpannedFlat,
+    degeneracy_of,
     flat_contains,
     span,
     span_dim,
@@ -152,9 +158,12 @@ def _gen_general(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSche
         raise GeneratorError("general pattern needs s >= 1")
     mults = _resolve_mults(spec, spec.s)
     pts = _distinct_points(lambda: _random_point(rng, spec.n, spec.height), spec.s)
-    if pts is None or (spec.s >= 3 and degeneracy_index(pts) is not None):
+    if pts is None:
         return None
-    return FatPointScheme(spec.n, tuple(pts), mults)
+    z = FatPointScheme(spec.n, tuple(pts), mults)
+    if spec.s >= 3 and degeneracy_of(z.flats) is not None:
+        return None
+    return z
 
 
 def _gen_on_flat(spec: PatternSpec, rng: random.Random) -> Optional[FatPointScheme]:
@@ -171,11 +180,14 @@ def _gen_on_flat(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSche
         return None
     flat = span(anchors)
     pts = _distinct_points(lambda: _random_point_on(rng, flat, spec.height), spec.s)
-    if pts is None or span_dim(pts) != d:
+    if pts is None:
         return None
-    if spec.s >= 3 and degeneracy_index(pts) is not None:
+    z = FatPointScheme(spec.n, tuple(pts), mults)
+    if z.flats[-1][0] != d:
         return None
-    return FatPointScheme(spec.n, tuple(pts), mults)
+    if spec.s >= 3 and degeneracy_of(z.flats) is not None:
+        return None
+    return z
 
 
 def _gen_lemma24(spec: PatternSpec, rng: random.Random) -> Optional[FatPointScheme]:
@@ -231,11 +243,10 @@ def _gen_prop43(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSchem
     pts = anchors + [extra] + rest
     if len(pts) != count or len(set(pts)) != count:
         return None
-    if span_dim(pts) != spec.s:
+    z = FatPointScheme(spec.n, tuple(pts), mults)
+    if z.flats[-1][0] != spec.s or degeneracy_of(z.flats) != k:
         return None
-    if degeneracy_index(pts) != k:
-        return None
-    return FatPointScheme(spec.n, tuple(pts), mults)
+    return z
 
 
 def _gen_lem42(spec: PatternSpec, rng: random.Random) -> Optional[FatPointScheme]:
@@ -264,16 +275,26 @@ def _gen_lem42(spec: PatternSpec, rng: random.Random) -> Optional[FatPointScheme
     pts = [p1, p2, p3, p4] + tail + [p_last]
     if len(set(pts)) != count:
         return None
-    if span_dim(pts) != s:
+    z = FatPointScheme(spec.n, tuple(pts), mults)
+    if z.flats[-1][0] != s:
         return None
     if span_dim(pts[: s + 1]) != s - 1:  # alpha holds P_1..P_{s+1}
         return None
     if span_dim(pts[2:]) != s - 1:  # beta holds P_3..P_{s+3}
         return None
-    for sub in combinations(pts, s + 2):
-        if span_dim(sub) <= s - 1:
-            return None
-    for sub in combinations(pts, s):
-        if span_dim(sub) <= s - 2:
-            return None
-    return FatPointScheme(spec.n, tuple(pts), mults)
+    if _crowded_flat(z.flats, s):
+        return None
+    return z
+
+
+def _crowded_flat(flats: Sequence[SpannedFlat], s: int) -> bool:
+    """Whether some (s-1)-flat holds s+2 of the points or some (s-2)-flat holds s.
+
+    Every flat spanned by the points is in ``flats``, so k of the points
+    lie on a flat of dimension <= d exactly when a listed flat of
+    dimension <= d has at least k witnesses: their span is such a flat.
+    """
+    return any(
+        (dim <= s - 1 and len(witness) >= s + 2) or (dim <= s - 2 and len(witness) >= s)
+        for dim, witness, _ in flats
+    )

@@ -13,6 +13,12 @@ flat the primitive integer normals of its cone, each computed once and
 stored off the dataclass fields; q lies on a hyperplane or flat exactly
 when q's representative dots every one of them to 0.  Changes of
 coordinates move points in integers too.
+
+The flats spanned by a point set are enumerated once, by
+:func:`spanned_flats`: one fraction-free elimination step per subset, on
+the values that a basis of the subset's annihilator takes at every point.
+The Segre bound, the degeneracy index (:func:`degeneracy_of`), the span
+dimension and the generators' incidence checks all read that one list.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ from fatpoints.linalg import (
 )
 
 Coords = tuple[Fraction, ...]
+
+#: (dim, witness indices, spanning indices) of one flat spanned by points
+SpannedFlat = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 def _normalize(coords: Sequence[object], kind: str) -> Coords:
@@ -184,9 +193,20 @@ def _cone_rows(points: Sequence[ProjPoint]) -> list[tuple[int, ...]]:
 
 
 def span(points: Sequence[ProjPoint]) -> Flat:
-    """Smallest flat containing the given points."""
+    """Smallest flat containing the given points.
+
+    The canonical basis is read straight off the integer reduced echelon
+    rows of the points' integer representatives: entry x of a row with
+    pivot v is x / v.
+    """
     rows = _cone_rows(points)
-    return Flat.from_vectors(len(rows[0]) - 1, rows)
+    echelon, pivot_cols = _echelon([list(row) for row in rows], len(rows[0]))
+    zero = Fraction(0)
+    basis = []
+    for row, c in zip(echelon, pivot_cols):
+        v = int(row[c])
+        basis.append(tuple(Fraction(int(x), v) if x else zero for x in row))
+    return Flat(len(rows[0]) - 1, tuple(basis))
 
 
 def span_dim(points: Sequence[ProjPoint]) -> int:
@@ -203,9 +223,94 @@ def flat_contains(f: Flat, p: ProjPoint) -> bool:
     return incident(f.normals, p)
 
 
-def _require_distinct(points: Sequence[ProjPoint]) -> None:
-    if len(set(points)) != len(points):
+def _annihilator_step(rows: list[list[int]], prev: int, q: int) -> tuple[list[list[int]], int]:
+    """One fraction-free elimination step of :func:`spanned_flats` at column q.
+
+    The pivot is the first row nonzero at q; every other row becomes
+    (pv row - row[q] prow) / prev, and the pivot row is dropped.  Returns
+    the new rows and the pivot value pv, the next step's prev.
+    """
+    prow = next(row for row in rows if row[q])
+    pv = prow[q]
+    return [
+        [(pv * x - row[q] * y) // prev for x, y in zip(row, prow)]
+        for row in rows
+        if row is not prow
+    ], pv
+
+
+def spanned_flats(points: Sequence[ProjPoint]) -> tuple[SpannedFlat, ...]:
+    """Every flat spanned by the points, each found once, smallest first.
+
+    Returns (dim, witness index tuple, spanning index tuple) triples; the
+    witness set is every point on the flat, and the last triple is the
+    span of all the points.  The points must be pairwise distinct, so
+    each 0-flat holds its own point only.  Larger subsets are walked by
+    size, and one whose indices all lie in a witness set already found is
+    skipped: it spans nothing new.  ``covered`` holds the subsets of every
+    witness set, of each size still to come, so that test is one lookup.
+    By induction on the size, a dependent subset is always skipped
+    (dropping a dependent point keeps its span, which was found from the
+    smaller subset), so every subset that is not skipped is independent
+    and spans a new flat of dimension size-1.  The flats therefore appear
+    in the order of a deduplicated scan of all subsets.
+
+    Incidence is read off one matrix per subset: the values at every point
+    of a basis of the linear forms vanishing on the subset.  The empty
+    subset's basis is the coordinate functionals, whose values are the
+    points' integer representatives, as columns.  Adding an independent
+    point q is one fraction-free (Bareiss) step: the first row nonzero at
+    q is the pivot, every other row becomes (pv row - row[q] prow) / prev
+    (an exact division: each entry is a minor of the starting matrix), and
+    the pivot row is dropped.  A point is on the subset's span exactly
+    when its column is then zero.  Each prefix's matrix is kept for the
+    call, so every subset costs one step.
+    """
+    reps = [p.integer_rep() for p in points]
+    if len(set(reps)) != len(reps):  # primitive reps are canonical
         raise ValueError("points must be pairwise distinct")
+    _cone_rows(points)  # span_dim's errors for no points or mixed ambient spaces
+    size_all, width = len(reps), len(reps[0])
+    found: list[SpannedFlat] = [(0, (i,), (i,)) for i in range(size_all)]
+    # prefix -> (rows, pivot of the step that made them)
+    states: dict[tuple[int, ...], tuple[list[list[int]], int]] = {
+        (): ([list(col) for col in zip(*reps)], 1)
+    }
+
+    def state(sub: tuple[int, ...]) -> tuple[list[list[int]], int]:
+        if sub not in states:
+            states[sub] = _annihilator_step(*state(sub[:-1]), sub[-1])
+        return states[sub]
+
+    top = min(size_all, width)
+    covered: set[tuple[int, ...]] = set()
+    for size in range(2, top + 1):
+        for sub in combinations(range(size_all), size):
+            if sub in covered:
+                continue
+            rows = state(sub)[0]
+            if rows:
+                witness = tuple(i for i, col in enumerate(zip(*rows)) if not any(col))
+            else:  # the subset spans the whole space
+                witness = tuple(range(size_all))
+            found.append((size - 1, witness, sub))
+            for k in range(size, min(len(witness), top) + 1):
+                covered.update(combinations(witness, k))
+    return tuple(found)
+
+
+def degeneracy_of(flats: Sequence[SpannedFlat]) -> Optional[int]:
+    """The degeneracy index read off :func:`spanned_flats`' list.
+
+    The least dim below the span's whose flat holds at least dim+2 of the
+    points, or None.  It equals the minimal h such that some h+2 points lie
+    on an h-flat: such points span a flat of some dimension e <= h that
+    holds at least e+2 of them, and a 0-flat holds one point only.
+    """
+    top = flats[-1][0]
+    return next(
+        (dim for dim, witness, _ in flats if dim < top and len(witness) >= dim + 2), None
+    )
 
 
 def general_position_on(points: Sequence[ProjPoint], r: int) -> bool:
@@ -214,10 +319,10 @@ def general_position_on(points: Sequence[ProjPoint], r: int) -> bool:
     True when all points lie on some r-flat and no j+2 of them lie on a
     j-flat for any j < r.
     """
-    _require_distinct(points)
-    d = span_dim(points)
+    flats = spanned_flats(points)
+    d = flats[-1][0]
     # below r, any d+2 of the points already lie on the d-flat they span
-    return d <= r and degeneracy_index(points) is None and (d == r or len(points) <= d + 1)
+    return d <= r and degeneracy_of(flats) is None and (d == r or len(points) <= d + 1)
 
 
 def degeneracy_index(points: Sequence[ProjPoint]) -> Optional[int]:
@@ -225,15 +330,7 @@ def degeneracy_index(points: Sequence[ProjPoint]) -> Optional[int]:
 
     Returns None when the points are in general position on their span.
     """
-    _require_distinct(points)
-    top = span_dim(points)
-    for h in range(1, top):
-        if len(points) < h + 2:
-            break
-        for sub in combinations(points, h + 2):
-            if span_dim(sub) <= h:
-                return h
-    return None
+    return degeneracy_of(spanned_flats(points))
 
 
 def hyperplane_containing_avoiding(f: Flat, avoid: ProjPoint) -> LinearForm:

@@ -43,11 +43,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, perm
 from typing import Sequence
 
-from fatpoints.geometry import ProjPoint, frame_change, transform_points
+from fatpoints.geometry import (
+    ProjPoint,
+    SpannedFlat,
+    frame_change,
+    spanned_flats,
+    transform_points,
+)
 from fatpoints.linalg import (
     Matrix,
     SpanTester,
@@ -202,6 +208,16 @@ class FatPointScheme:
     @property
     def size(self) -> int:
         return len(self.points)
+
+    # cached_property keeps its value in the instance __dict__, off the
+    # dataclass fields, so repr, ==, hash and asdict never see it
+    @cached_property
+    def flats(self) -> tuple[SpannedFlat, ...]:
+        """:func:`fatpoints.geometry.spanned_flats` of the points, found once per scheme.
+
+        The last flat is the span of all the points.
+        """
+        return spanned_flats(self.points)
 
     def without_point(self, i: int) -> "FatPointScheme":
         if not 0 <= i < self.size:
@@ -381,16 +397,23 @@ def hilbert_function(z: FatPointScheme, t: int, *, frame: SimplexFrame | None = 
 def regularity_index(z: FatPointScheme) -> int:
     """Least degree at which the Hilbert function reaches the multiplicity.
 
-    The search ascends from max(m_i) - 1; values below that are capped by
-    the column count.  The simplex frame is found once and every degree
-    of the scan is computed in it, exactly as in :func:`hilbert_function`.
-    A hard cap at sum(m_i) - 1 guards against arithmetic bugs; it is
-    mathematically unreachable.
+    The search ascends from the larger of two lower bounds.  One is
+    m_1 + m_2 - 1 for the two largest multiplicities (m_1 - 1 for a single
+    point): the regularity index of the two heaviest points, which lie on
+    a line, and the index cannot fall when passing to a subscheme.  The
+    other is the least t with C(t+n, n) >= e, since H(t) <= C(t+n, n).
+    The simplex frame is found once and every degree of the scan is
+    computed in it, exactly as in :func:`hilbert_function`.  A hard cap at
+    sum(m_i) - 1 guards against arithmetic bugs; it is mathematically
+    unreachable.
     """
     e = multiplicity(z)
     frame = simplex_frame(z)
     cap = sum(z.mults) - 1
-    t = max(z.mults) - 1
+    heaviest = sorted(z.mults, reverse=True)[:2]
+    t = sum(heaviest) - 1
+    while comb(t + z.n, z.n) < e:
+        t += 1
     while t <= cap:
         if hilbert_function(z, t, frame=frame) == e:
             return t

@@ -3,23 +3,20 @@
 For each j the quantity T_j maximizes floor((sum of multiplicities + j - 2)/j)
 over groups of points lying on a common j-flat, and the bound is the
 largest T_j.  An optimal flat can always be taken to be the span of at
-most j+1 of the points.  The flats spanned by the points are found once
-per scheme, lazily: a subset is spanned only when no flat found so far
-holds it, and the points on its span are found by integer dot products
-with its normals.  Each candidate is scored by the total multiplicity of
-the scheme points it contains, and a :class:`Flat` is built only for the
-winner at each j.
+most j+1 of the points, so the candidates are the flats spanned by the
+points: ``FatPointScheme.flats`` (see
+:func:`fatpoints.geometry.spanned_flats`), found once per scheme and
+shared with the verdict and the generators.  Each candidate is scored by
+the total multiplicity of the scheme points it contains, in one pass for
+every j, and a :class:`Flat` is built only for each distinct winner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import Optional
 
-from fatpoints.geometry import Flat, incident, span
-from fatpoints.linalg import integer_kernel
+from fatpoints.geometry import Flat, span
 from fatpoints.schemes import FatPointScheme
 
 
@@ -44,46 +41,30 @@ class SegreReport:
         return self.entries[j - 1]
 
 
-@lru_cache(maxsize=256)
-def _candidate_flats(
-    z: FatPointScheme,
-) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-    """Every flat spanned by the points, each found once, smallest first.
+def _winners(z: FatPointScheme) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """For j = 1..n, the best flat of dimension <= j as (total, witness, spanning subset).
 
-    Returns (dim, witness index tuple, spanning index tuple) triples; the
-    witness set is every point on the flat.  The points are distinct, so
-    each 0-flat holds its own point only.  Larger subsets are walked by
-    size, and one whose indices all lie in a witness set already found is
-    skipped: it spans nothing new.  ``covered`` holds the subsets of every
-    witness set, of each size still to come, so that test is one lookup.
-    By induction on the size, a dependent subset is always skipped
-    (dropping a dependent point keeps its span, which was found from the
-    smaller subset), so every subset that is not skipped is independent
-    and spans a new flat of dimension size-1.  The flats therefore appear
-    in the order of a deduplicated scan of all subsets.  Each subset's
-    integer normals are found once, and point i lies on its span exactly
-    when it is incident to them.  No :class:`Flat` is built here:
-    ``max_multiplicity_on_flats`` spans only the winning subset at each j.
+    Ties are broken by the lexicographically smallest witness index set;
+    distinct flats have distinct witness sets, so the best is unique.  The
+    flats come smallest first, so one pass keeps a running best and
+    records it for j just before the first flat of dimension above j.
     """
-    ints = [p.integer_rep() for p in z.points]
-    width = z.n + 1
-    found: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [
-        (0, (i,), (i,)) for i in range(z.size)
-    ]
-    top = min(z.size, width)
-    covered: set[tuple[int, ...]] = set()
-    for size in range(2, top + 1):
-        for sub in combinations(range(z.size), size):
-            if sub in covered:
-                continue
-            normals = integer_kernel([ints[i] for i in sub], width)
-            witness = tuple(
-                i for i in range(z.size) if i in sub or incident(normals, z.points[i])
-            )
-            found.append((size - 1, witness, sub))
-            for k in range(size, min(len(witness), top) + 1):
-                covered.update(combinations(witness, k))
-    return tuple(found)
+    winners: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    best: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
+    for dim, witness, sub in z.flats:
+        while len(winners) < dim - 1:
+            winners.append(best)
+        total = sum(z.mults[i] for i in witness)
+        if best is None or total > best[0] or (total == best[0] and witness < best[1]):
+            best = (total, witness, sub)
+    winners.extend([best] * (z.n - len(winners)))
+    return winners
+
+
+def _winner(z: FatPointScheme, j: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    if not 1 <= j <= z.n:
+        raise ValueError("flat dimension out of range")
+    return _winners(z)[j - 1]
 
 
 def max_multiplicity_on_flats(z: FatPointScheme, j: int):
@@ -92,37 +73,33 @@ def max_multiplicity_on_flats(z: FatPointScheme, j: int):
     Returns (total, witness flat, witness indices); ties are broken by
     the lexicographically smallest witness index set.
     """
-    if not 1 <= j <= z.n:
-        raise ValueError("flat dimension out of range")
-    best: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
-    for dim, witness, sub in _candidate_flats(z):
-        if dim > j:
-            continue
-        total = sum(z.mults[i] for i in witness)
-        if best is None or total > best[0] or (total == best[0] and witness < best[1]):
-            best = (total, witness, sub)
-    assert best is not None  # singletons always qualify
-    return best[0], span([z.points[i] for i in best[2]]), best[1]
+    total, witness, sub = _winner(z, j)
+    return total, span([z.points[i] for i in sub]), witness
 
 
 def segre_T(z: FatPointScheme, j: int) -> int:
     """floor((q_j + j - 2) / j) for the maximal on-flat multiplicity q_j."""
-    q, _, _ = max_multiplicity_on_flats(z, j)
+    q = _winner(z, j)[0]
     return (q + j - 2) // j
 
 
 def segre_bound(z: FatPointScheme) -> SegreReport:
-    """Full table of T_1..T_n with witnesses; the bound is the maximum."""
+    """Full table of T_1..T_n with witnesses; the bound is the maximum.
+
+    A flat that wins at several j is spanned once and shared.
+    """
     entries = []
-    for j in range(1, z.n + 1):
-        q, flat, witness = max_multiplicity_on_flats(z, j)
+    flats: dict[tuple[int, ...], Flat] = {}
+    for j, (q, witness, sub) in enumerate(_winners(z), start=1):
+        if witness not in flats:
+            flats[witness] = span([z.points[i] for i in sub])
         entries.append(
             SegreEntry(
                 j=j,
                 value=(q + j - 2) // j,
                 total_mult=q,
                 witness_indices=witness,
-                witness_flat=flat,
+                witness_flat=flats[witness],
             )
         )
     bound = max(e.value for e in entries)

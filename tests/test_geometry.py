@@ -24,6 +24,7 @@ from fatpoints.geometry import (
     random_invertible_change,
     span,
     span_dim,
+    spanned_flats,
     transform_point,
 )
 from fatpoints.linalg import Matrix, in_span, integer_kernel, mat_vec, rank_rows, rref
@@ -661,3 +662,23 @@ def test_cached_values_leave_the_dataclasses_unchanged(case):
         loaded = pickle.loads(pickle.dumps(obj))
         assert loaded == obj and _identity(loaded) == before
         assert use(loaded) == first == use(obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_flat_and_probe())
+def test_scheme_flats_leave_the_dataclass_unchanged(case):
+    pts, probe = case
+    pts = list(dict.fromkeys(pts + [probe]))
+
+    def make():
+        return FatPointScheme(probe.ambient_n, tuple(pts), tuple(range(1, len(pts) + 1)))
+
+    z, fresh = make(), make()
+    before = _identity(z)
+    flats = z.flats
+    assert flats == spanned_flats(pts) and z.flats is flats  # found once
+    assert _identity(z) == before == _identity(fresh)
+    assert hash(z) == hash(dataclasses.astuple(z))  # the dataclass hash
+    loaded = pickle.loads(pickle.dumps(z))
+    assert loaded == z and _identity(loaded) == before
+    assert loaded.flats == flats == fresh.flats

@@ -243,6 +243,27 @@ def test_reduced_hilbert_matches_full_condition_matrix(z):
         hilbert_function(z, -1)
 
 
+def _regularity_from_max_multiplicity(z):
+    """The regularity scan started at max(m_i) - 1."""
+    e, t = multiplicity(z), max(z.mults) - 1
+    while hilbert_function(z, t) != e:
+        t += 1
+    return t
+
+
+@settings(max_examples=120, deadline=None)
+@given(fat_schemes())
+@example(_scheme([(1, 2, 3)], [3]))  # s = 1
+@example(_scheme([(1, 0)], [1]))  # s = 1, reg 0
+@example(_scheme([(1, 0, 0), (0, 1, 0)], [3, 1]))  # two points: reg m_1 + m_2 - 1
+@example(_scheme([(1, 0), (0, 1), (1, 1), (1, 2)], [1, 1, 1, 1]))  # C(t+n, n) >= e decides
+@example(_scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)], [2, 2, 2, 2, 2]))
+def test_regularity_scan_start_is_a_lower_bound(z):
+    """The scan from max(m_1 + m_2 - 1, least t with C(t+n, n) >= e) finds
+    what the scan from max(m_i) - 1 finds."""
+    assert regularity_index(z) == _regularity_from_max_multiplicity(z)
+
+
 def test_hilbert_rejects_frame_of_another_scheme():
     z = simple_scheme([unit(2, 0), unit(2, 1)])
     other = simple_scheme([unit(2, 0), unit(2, 2)])

@@ -3,20 +3,25 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fatpoints.constructions import segre_verdict
+from fatpoints.constructions import _normalizing_change, _split_groups, segre_verdict
+from fatpoints.generators import GeneratorError, PatternSpec, _crowded_flat, generate
 from fatpoints.geometry import (
     ProjPoint,
+    _annihilator_step,
     degeneracy_index,
+    degeneracy_of,
     flat_contains,
     random_invertible_change,
     span,
+    span_dim,
+    spanned_flats,
 )
 from fatpoints.linalg import rank_rows
 from fatpoints.schemes import FatPointScheme
-from fatpoints.segre import _candidate_flats, max_multiplicity_on_flats, segre_T, segre_bound
+from fatpoints.segre import max_multiplicity_on_flats, segre_T, segre_bound
 
 
 def unit(n, i):
@@ -307,4 +312,200 @@ def planted_schemes(draw):
     )
 )
 def test_candidate_flats_match_rank_enumeration(z):
-    assert _candidate_flats.__wrapped__(z) == rank_candidate_flats(z)
+    assert spanned_flats(z.points) == rank_candidate_flats(z)
+
+
+# ---------------------------------------------------------------------------
+# the one enumeration and its readers, against the subset scans they replaced
+# ---------------------------------------------------------------------------
+
+def subset_scan_degeneracy_index(points):
+    """The degeneracy index by spanning every (h+2)-subset, as it was computed
+    before the enumeration served it."""
+    if len(set(points)) != len(points):
+        raise ValueError("points must be pairwise distinct")
+    top = span_dim(points)
+    for h in range(1, top):
+        if len(points) < h + 2:
+            break
+        for sub in combinations(points, h + 2):
+            if span_dim(sub) <= h:
+                return h
+    return None
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(planted_schemes(), small_schemes()))
+@example(FatPointScheme(2, tuple(ProjPoint((1, k, 0)) for k in range(4)), (1, 1, 1, 1)))
+@example(FatPointScheme(1, (unit(1, 0),), (1,)))
+@example(  # two lines through e_0 and a point off their plane in P^3
+    FatPointScheme(
+        3,
+        (unit(3, 0), unit(3, 1), ProjPoint((1, 1, 0, 0)), unit(3, 2), ProjPoint((1, 0, 1, 0)),
+         unit(3, 3)),
+        (1,) * 6,
+    )
+)
+def test_flat_readers_match_subset_scans(z):
+    """Degeneracy, span dimension, prop43's check and lem42's flat test read
+    off the enumeration agree with the subset scans by ``span_dim``."""
+    pts = list(z.points)
+    flats = spanned_flats(pts)
+    assert z.flats == flats
+    assert flats[-1][0] == span_dim(pts)
+    k = subset_scan_degeneracy_index(pts)
+    assert degeneracy_of(flats) == degeneracy_index(pts) == k
+    for s in range(1, 6):
+        crowded = any(span_dim(sub) <= s - 1 for sub in combinations(pts, s + 2)) or any(
+            span_dim(sub) <= s - 2 for sub in combinations(pts, s)
+        )
+        assert _crowded_flat(flats, s) == crowded
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [],
+        [unit(2, 0), unit(3, 0)],
+        [unit(2, 0), unit(2, 1), unit(2, 0)],
+        [unit(2, 0), unit(3, 0), unit(2, 0)],
+        [ProjPoint((1, 2)), ProjPoint((-2, -4))],
+    ],
+    ids=["empty", "mismatched", "repeated", "repeated-and-mismatched", "same-point"],
+)
+def test_enumeration_errors_match_subset_scan(points):
+    want = _outcome(lambda: subset_scan_degeneracy_index(points))
+    assert want[0] == "ValueError"
+    assert _outcome(lambda: degeneracy_index(points)) == want
+    assert _outcome(lambda: spanned_flats(points)) == want
+    if len(set(points)) == len(points):  # the same messages as span_dim
+        assert _outcome(lambda: span_dim(points)) == want
+
+
+def _det(rows):
+    """Determinant by Gaussian elimination in Fractions."""
+    a = [list(map(Fraction, r)) for r in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        r = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_schemes(), st.randoms(use_true_random=False))
+def test_annihilator_steps_are_bordered_minors(z, rnd):
+    """After steps at columns q_1..q_k with pivot rows r_1..r_k, the entry of
+    row i at column j is the minor of the starting matrix on rows
+    r_1..r_k, i and columns q_1..q_k, j: every division was exact."""
+    reps = [p.integer_rep() for p in z.points]
+    start = [list(col) for col in zip(*reps)]
+    order = list(range(z.size))
+    rnd.shuffle(order)
+    rows, prev, labels, pivots, cols = start, 1, list(range(z.n + 1)), [], []
+    for q in order:
+        if not any(row[q] for row in rows):
+            continue  # q is on the span of the columns taken so far
+        at = next(i for i, row in enumerate(rows) if row[q])
+        pivots.append(labels.pop(at))
+        cols.append(q)
+        rows, prev = _annihilator_step(rows, prev, q)
+        assert prev == _det([[start[r][c] for c in cols] for r in pivots])
+        for label, row in zip(labels, rows):
+            for j, x in enumerate(row):
+                want = _det([[start[r][c] for c in cols + [j]] for r in pivots + [label]])
+                assert x == want
+    assert len(cols) == span_dim(list(z.points)) + 1
+
+
+def reference_split_groups(moved, origin):
+    """alpha by spanning (k+2)-subsets in combinations order, as the split
+    construction found it before reading the enumeration."""
+    everyone = list(moved.points) + [origin]
+    k = subset_scan_degeneracy_index(everyone)
+    if k is None:
+        return None
+    for sub in combinations(everyone, k + 2):
+        f = span(sub)
+        if f.dim <= k and flat_contains(f, origin):
+            return k, [i for i in range(moved.size) if flat_contains(f, moved.points[i])]
+    return None
+
+
+@st.composite
+def points_around_the_origin(draw):
+    """Points of P^n, n 2..4, with lines and planes through e_0 planted:
+    each planted point combines e_0 with one or two points drawn before it."""
+    n = draw(st.integers(2, 4))
+    origin = unit(n, 0)
+    coordinate = st.one_of(st.just(0), st.integers(-3, 3))
+    vec = st.lists(coordinate, min_size=n + 1, max_size=n + 1).filter(any)
+    vecs = [draw(vec)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            base = [list(origin.integer_rep())] + draw(
+                st.lists(st.sampled_from(vecs), min_size=1, max_size=2)
+            )
+            weights = draw(st.lists(coordinate, min_size=len(base), max_size=len(base)))
+            v = [sum(w * b[j] for w, b in zip(weights, base)) for j in range(n + 1)]
+            if any(v):
+                vecs.append(v)
+        else:
+            vecs.append(draw(vec))
+    pts = [p for p in dict.fromkeys(ProjPoint(tuple(v)) for v in vecs) if p != origin]
+    assume(pts)
+    return FatPointScheme(n, tuple(pts), (1,) * len(pts)), origin
+
+
+def _prop43_split_inputs():
+    out = []
+    for n, s, k in ((2, 2, 1), (3, 3, 1), (3, 3, 2), (4, 3, 2), (4, 4, 1), (4, 4, 3)):
+        try:
+            z = generate(PatternSpec("prop43", n=n, s=s, m=1, k=k, seed=n + s + k, height=5))
+        except GeneratorError:
+            continue
+        j, p = z.without_point(0), z.points[0]
+        change, _ = _normalizing_change(j, p)
+        out.append((j.transform(change), unit(n, 0)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(points_around_the_origin())
+@example((FatPointScheme(2, (unit(2, 1), ProjPoint((1, 1, 0)), unit(2, 2)), (1, 1, 1)), unit(2, 0)))
+@example(  # two lines through the origin, each with two points, in P^3
+    (
+        FatPointScheme(
+            3,
+            (ProjPoint((0, 1, 1, 0)), unit(3, 2), ProjPoint((1, 1, 1, 0)), ProjPoint((1, 0, 1, 0))),
+            (1,) * 4,
+        ),
+        unit(3, 0),
+    )
+)
+def test_split_groups_match_combinations_order_reference(case):
+    moved, origin = case
+    assert _split_groups(moved, origin) == reference_split_groups(moved, origin)
+
+
+def test_split_groups_match_reference_on_prop43_inputs():
+    inputs = _prop43_split_inputs()
+    assert len(inputs) >= 4
+    for moved, origin in inputs:
+        got = _split_groups(moved, origin)
+        assert got is not None and got == reference_split_groups(moved, origin)
