@@ -43,7 +43,7 @@ from fatpoints.geometry import (
     spanned_flats,
     transform_point,
 )
-from fatpoints.linalg import Matrix, integer_kernel, primitive_row, rank
+from fatpoints.linalg import Matrix, integer_kernel, rank
 from fatpoints.schemes import (
     FatPointScheme,
     artinian_quotient_regularity,
@@ -252,14 +252,14 @@ def _all_entry_monomials(a: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _lift_to_hyperplane(vectors: Sequence[Sequence[object]]) -> LinearForm:
-    """A hyperplane through the cone vectors' span missing e_0, by one integer kernel.
+def _lift_to_hyperplane(vectors: Sequence[Sequence[int]]) -> LinearForm:
+    """A hyperplane through the integer cone vectors' span missing e_0, by one integer kernel.
 
     The kernel depends only on the row space, and the flat is the zero set
     of its forms; so no basis form misses e_0 (has coefficient 0 nonzero)
     exactly when the flat is the whole space or passes through e_0.
     """
-    for coeffs in integer_kernel([primitive_row(v) for v in vectors], len(vectors[0])):
+    for coeffs in integer_kernel(vectors, len(vectors[0])):
         if coeffs[0] != 0:
             return LinearForm(coeffs)
     raise ConstructionError("no hyperplane through the flat avoids the origin")
@@ -326,7 +326,7 @@ def _grouped_certificate(
             flats = tuple(d.flats[slot] for d in dists)
             key = tuple(map(id, flats))
             if key not in lifts:
-                lifts[key] = flats, _lift_to_hyperplane([v for f in flats for v in f.cone_basis])
+                lifts[key] = flats, _lift_to_hyperplane([v for f in flats for v in f.integer_rows])
             hyperplanes.append(lifts[key][1])
         entries.append(CertificateEntry(mono, tuple(hyperplanes)))
         delta = max(delta, t + sum(mono))

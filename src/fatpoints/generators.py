@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from fatpoints.geometry import (
@@ -93,18 +92,12 @@ def _resolve_mults(spec: PatternSpec, count: int) -> tuple[int, ...]:
     return (m,) * count
 
 
-def _random_point(rng: random.Random, n: int, height: int) -> ProjPoint:
-    while True:
-        coords = [rng.randint(-height, height) for _ in range(n + 1)]
-        if any(coords):
-            return ProjPoint(tuple(Fraction(c) for c in coords))
-
-
 def _random_point_in_sflat(rng: random.Random, n: int, s: int, height: int) -> ProjPoint:
+    """A random point of the coordinate s-flat x_{s+1} = ... = x_n = 0 (all of P^n when s = n)."""
     while True:
         coords = [rng.randint(-height, height) for _ in range(s + 1)] + [0] * (n - s)
         if any(coords):
-            return ProjPoint(tuple(Fraction(c) for c in coords))
+            return ProjPoint(tuple(coords))
 
 
 def _random_point_on(rng: random.Random, flat: Flat, height: int) -> ProjPoint:
@@ -157,7 +150,7 @@ def _gen_general(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSche
     if spec.s < 1:
         raise GeneratorError("general pattern needs s >= 1")
     mults = _resolve_mults(spec, spec.s)
-    pts = _distinct_points(lambda: _random_point(rng, spec.n, spec.height), spec.s)
+    pts = _distinct_points(lambda: _random_point_in_sflat(rng, spec.n, spec.n, spec.height), spec.s)
     if pts is None:
         return None
     z = FatPointScheme(spec.n, tuple(pts), mults)
@@ -175,7 +168,8 @@ def _gen_on_flat(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSche
     if spec.s < d + 1:
         raise GeneratorError("too few points to span the requested flat")
     mults = _resolve_mults(spec, spec.s)
-    anchors = _distinct_points(lambda: _random_point(rng, spec.n, spec.height), d + 1)
+    sampler = lambda: _random_point_in_sflat(rng, spec.n, spec.n, spec.height)
+    anchors = _distinct_points(sampler, d + 1)
     if anchors is None or span_dim(anchors) != d:
         return None
     flat = span(anchors)
@@ -195,7 +189,7 @@ def _gen_lemma24(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSche
         raise GeneratorError("lemma24 pattern needs 1 <= s <= n")
     count = spec.s + 2
     mults = _resolve_mults(spec, count)
-    pts = _distinct_points(lambda: _random_point(rng, spec.n, spec.height), count)
+    pts = _distinct_points(lambda: _random_point_in_sflat(rng, spec.n, spec.n, spec.height), count)
     if pts is None or span_dim(pts) < spec.s:
         return None
     return FatPointScheme(spec.n, tuple(pts), mults)
@@ -208,7 +202,7 @@ def _gen_theorem34(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSc
     mults = _resolve_mults(spec, count)
     if len(set(mults)) != 1:
         raise GeneratorError("theorem34 pattern is equimultiple")
-    pts = _distinct_points(lambda: _random_point(rng, spec.n, spec.height), count)
+    pts = _distinct_points(lambda: _random_point_in_sflat(rng, spec.n, spec.n, spec.height), count)
     if pts is None or span_dim(pts) < spec.s:
         return None
     return FatPointScheme(spec.n, tuple(pts), mults)

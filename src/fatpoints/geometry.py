@@ -1,18 +1,13 @@
 """Points, flats and hyperplanes of projective n-space over the rationals.
 
-Points are stored as canonical homogeneous coordinates (first nonzero
-coordinate scaled to 1), linear subspaces as the reduced row echelon
-basis of their affine cone, and hyperplanes as normalized coefficient
-vectors of the linear forms cutting them out.  Canonical forms make
-structural equality coincide with geometric equality, so flats can be
-deduplicated with a set.
-
-Incidence is decided in integers.  A point keeps its primitive integer
-representative, a hyperplane its primitive integer coefficients and a
-flat the primitive integer normals of its cone, each computed once and
-stored off the dataclass fields; q lies on a hyperplane or flat exactly
-when q's representative dots every one of them to 0.  Changes of
-coordinates move points in integers too.
+Each object is built once from primitive integer rows, which it keeps
+off the dataclass fields: a point its representative, a hyperplane its
+coefficients (both with a positive lead), a flat the integer echelon rows
+of its cone and the normals read off them.  The canonical ``Fraction``
+fields are views of those rows: coordinates with lead 1, the reduced row
+echelon basis of a flat's cone.  So structural equality is geometric
+equality, incidence is an integer dot product, and changes of
+coordinates move points in integers.
 
 The flats spanned by a point set are enumerated once, by
 :func:`spanned_flats`: one fraction-free elimination step per subset, on
@@ -29,16 +24,18 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import getitem, mul
 from typing import Iterable, Optional, Sequence
 
 from fatpoints.linalg import (
     Matrix,
+    _annihilator_step,
     _echelon,
-    integer_kernel,
+    _fraction_rows,
+    _kernel_rows,
+    _reduce,
     primitive_row,
     rank_rows,
-    rref,
 )
 
 Coords = tuple[Fraction, ...]
@@ -47,14 +44,25 @@ Coords = tuple[Fraction, ...]
 SpannedFlat = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
-def _normalize(coords: Sequence[object], kind: str) -> Coords:
-    vals = tuple(Fraction(c) for c in coords)
-    lead = next((c for c in vals if c != 0), None)
+def _rational_row(v: Iterable[object]) -> list:
+    """Entries that ``Fraction()`` takes, as ints or ``Fraction``s."""
+    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+
+
+def _normalize(obj: object, field: str, kind: str) -> None:
+    """Make the field rep / lead, rep primitive with a positive lead, and keep rep as ``_rep``.
+
+    ``_rep`` lives in the instance ``__dict__``: repr, ==, hash and asdict never see it.
+    """
+    rep = primitive_row(_rational_row(getattr(obj, field)))
+    lead = next((x for x in rep if x), None)
     if lead is None:
         raise ValueError(f"{kind} must have a nonzero coordinate vector")
-    if lead != 1:
-        vals = tuple(c / lead for c in vals)
-    return vals
+    if lead < 0:
+        lead, rep = -lead, [-x for x in rep]
+    rep = tuple(map(int, rep))
+    object.__setattr__(obj, field, _fraction_rows([rep], [lead])[0])
+    object.__setattr__(obj, "_rep", rep)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -78,28 +86,22 @@ class ProjPoint:
     coords: Coords
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _normalize(self.coords, "point"))
+        _normalize(self, "coords", "point")
 
     @property
     def ambient_n(self) -> int:
         return len(self.coords) - 1
 
-    # cached_property keeps its value in the instance __dict__, off the
-    # dataclass fields, so repr, ==, hash and asdict never see it
-    @cached_property
-    def _integer_rep(self) -> tuple[int, ...]:
-        return tuple(map(int, primitive_row(self.coords)))
-
     def integer_rep(self) -> tuple[int, ...]:
         """A primitive integer representative of the same point, in Python ints.
 
-        Computed once per point.
+        Its first nonzero entry is positive; computed once per point.
         """
-        return self._integer_rep
+        return self._rep
 
     @classmethod
     def unit(cls, n: int, i: int) -> "ProjPoint":
-        return cls(tuple(Fraction(int(j == i)) for j in range(n + 1)))
+        return cls(tuple(int(j == i) for j in range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -109,19 +111,15 @@ class LinearForm:
     coeffs: Coords
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _normalize(self.coeffs, "linear form"))
+        _normalize(self, "coeffs", "linear form")
 
     @property
     def ambient_n(self) -> int:
         return len(self.coeffs) - 1
 
-    @cached_property
-    def _integer_rep(self) -> tuple[int, ...]:
-        return tuple(map(int, primitive_row(self.coeffs)))
-
     def integer_rep(self) -> tuple[int, ...]:
         """The primitive integer coefficients of the same form, computed once."""
-        return self._integer_rep
+        return self._rep
 
     def evaluate(self, p: ProjPoint) -> Fraction:
         if len(self.coeffs) != len(p.coords):
@@ -166,21 +164,37 @@ class Flat:
     def dim(self) -> int:
         return len(self.cone_basis) - 1
 
+    # cached_property values live in the instance __dict__, as a point's rep
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive integer rows, positive multiples of the cone basis rows.
+
+        A flat built by :meth:`from_vectors` keeps the echelon rows it came from.
+        """
+        return tuple(tuple(map(int, primitive_row(row))) for row in self.cone_basis)
+
     @cached_property
     def normals(self) -> tuple[list[int], ...]:
         """Primitive integer normals of the cone, n - dim of them, computed once.
 
-        A point lies on the flat exactly when it is :func:`incident` to them.
+        Read off :attr:`integer_rows`, which are already reduced.  A point
+        lies on the flat exactly when it is :func:`incident` to them.
         """
-        rows = [primitive_row(row) for row in self.cone_basis]
-        return tuple(integer_kernel(rows, self.ambient_n + 1))
+        rows = self.integer_rows
+        pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+        return tuple(w for _, w in _kernel_rows(rows, pivots, self.ambient_n + 1))
 
     @classmethod
     def from_vectors(cls, ambient_n: int, vectors: Iterable[Sequence[object]]) -> "Flat":
-        rows = [list(v) for v in vectors]
-        res = rref(Matrix.from_rows(rows))
-        basis = tuple(res.rref.row(i) for i in range(res.rank))
-        return cls(ambient_n, basis)
+        """The flat whose cone the vectors (entries as ``Fraction()`` takes) span."""
+        rows = [_rational_row(v) for v in vectors]
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows")
+        rows, pivots = _echelon([primitive_row(row) for row in rows], width)
+        flat = cls(ambient_n, tuple(_fraction_rows(rows, map(getitem, rows, pivots))))
+        flat.__dict__["integer_rows"] = tuple(tuple(map(int, row)) for row in rows)
+        return flat
 
 
 def _cone_rows(points: Sequence[ProjPoint]) -> list[tuple[int, ...]]:
@@ -193,20 +207,9 @@ def _cone_rows(points: Sequence[ProjPoint]) -> list[tuple[int, ...]]:
 
 
 def span(points: Sequence[ProjPoint]) -> Flat:
-    """Smallest flat containing the given points.
-
-    The canonical basis is read straight off the integer reduced echelon
-    rows of the points' integer representatives: entry x of a row with
-    pivot v is x / v.
-    """
+    """Smallest flat containing the given points: the flat of their integer reps."""
     rows = _cone_rows(points)
-    echelon, pivot_cols = _echelon([list(row) for row in rows], len(rows[0]))
-    zero = Fraction(0)
-    basis = []
-    for row, c in zip(echelon, pivot_cols):
-        v = int(row[c])
-        basis.append(tuple(Fraction(int(x), v) if x else zero for x in row))
-    return Flat(len(rows[0]) - 1, tuple(basis))
+    return Flat.from_vectors(len(rows[0]) - 1, rows)
 
 
 def span_dim(points: Sequence[ProjPoint]) -> int:
@@ -221,22 +224,6 @@ def flat_contains(f: Flat, p: ProjPoint) -> bool:
     if p.ambient_n != f.ambient_n:
         raise ValueError("ambient dimensions disagree")
     return incident(f.normals, p)
-
-
-def _annihilator_step(rows: list[list[int]], prev: int, q: int) -> tuple[list[list[int]], int]:
-    """One fraction-free elimination step of :func:`spanned_flats` at column q.
-
-    The pivot is the first row nonzero at q; every other row becomes
-    (pv row - row[q] prow) / prev, and the pivot row is dropped.  Returns
-    the new rows and the pivot value pv, the next step's prev.
-    """
-    prow = next(row for row in rows if row[q])
-    pv = prow[q]
-    return [
-        [(pv * x - row[q] * y) // prev for x, y in zip(row, prow)]
-        for row in rows
-        if row is not prow
-    ], pv
 
 
 def spanned_flats(points: Sequence[ProjPoint]) -> tuple[SpannedFlat, ...]:
@@ -350,7 +337,8 @@ def extend_flat_avoiding(f: Flat, target_dim: int, avoid: ProjPoint, seed: int) 
 
     Directions are drawn from a seeded generator, so the result is a
     deterministic function of (flat, target_dim, avoid, seed).  Each
-    dimension step retries at most 32 random directions.
+    dimension step retries at most 32 random directions, each kept when it
+    raises the rank of the integer rows and the point still reduces to nonzero.
     """
     n = f.ambient_n
     if not f.dim <= target_dim <= n - 1:
@@ -358,19 +346,19 @@ def extend_flat_avoiding(f: Flat, target_dim: int, avoid: ProjPoint, seed: int) 
     if flat_contains(f, avoid):
         raise ValueError("cannot avoid a point already on the flat")
     rng = random.Random(seed)
-    cur = f
-    while cur.dim < target_dim:
+    rows = f.integer_rows
+    while len(rows) <= target_dim:
         for _ in range(32):
-            v = [Fraction(rng.randint(-9, 9)) for _ in range(n + 1)]
+            v = [rng.randint(-9, 9) for _ in range(n + 1)]
             if not any(v):
                 continue
-            cand = Flat.from_vectors(n, [list(r) for r in cur.cone_basis] + [v])
-            if cand.dim == cur.dim + 1 and not flat_contains(cand, avoid):
-                cur = cand
+            cand, pivots = _echelon([list(row) for row in rows] + [v], n + 1)
+            if len(cand) > len(rows) and any(_reduce(avoid.integer_rep(), cand, pivots)):
+                rows = cand
                 break
         else:
             raise RuntimeError("exhausted retries while extending a flat")
-    return cur
+    return f if len(rows) == len(f.integer_rows) else Flat.from_vectors(n, rows)
 
 
 def frame_change(
@@ -410,7 +398,7 @@ def canonical_change(
 ) -> tuple[Matrix, tuple[int, ...]]:
     """:func:`frame_change` with each row divided by its pivot value: E, and ``taken``."""
     rows, pivots, taken = frame_change(n, leading, candidates)
-    entries = tuple(Fraction(int(x), int(v)) for row, v in zip(rows, pivots) for x in row)
+    entries = tuple(x for row in _fraction_rows(rows, pivots) for x in row)
     return Matrix(n + 1, n + 1, entries), taken
 
 
@@ -449,8 +437,6 @@ def transform_point(change: Matrix, p: ProjPoint) -> ProjPoint:
 def random_invertible_change(n: int, rng: random.Random) -> Matrix:
     """A random invertible (n+1) x (n+1) matrix with small integer entries."""
     while True:
-        m = Matrix.from_rows(
-            [[Fraction(rng.randint(-9, 9)) for _ in range(n + 1)] for _ in range(n + 1)]
-        )
-        if rref(m).rank == n + 1:
-            return m
+        rows = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n + 1)]
+        if rank_rows(rows, n + 1, modular=False) == n + 1:
+            return Matrix.from_rows(rows)

@@ -5,10 +5,11 @@ exact arithmetic.  The core, :func:`_echelon`, stays in integers: one-step
 Bareiss forward elimination on denominator-cleared rows, then integer
 back substitution to the reduced echelon form as primitive rows with
 positive pivots, unique as positive multiples of the canonical rows.
-:func:`rref` and :func:`kernel_basis` are their ``Fraction`` views;
-:func:`integer_kernel` reads the same kernel off them as primitive
-integer normals, with no ``Fraction``.  Pivots are chosen deterministically:
-leftmost nonzero column, first nonzero row.
+:func:`integer_kernel` reads the kernel off them as primitive integer
+normals.  Every canonical ``Fraction`` row (of :func:`rref`,
+:func:`kernel_basis` and the geometry layer) is an integer row divided by
+a positive divisor, in :func:`_fraction_rows`.  Pivots are chosen
+deterministically: leftmost nonzero column, first nonzero row.
 
 Every rank is decided in :func:`rank_rows`.  With the modular filter on,
 it first reduces the rows modulo ``MODULAR_PRIMES[0]``.  When that rank
@@ -27,6 +28,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import getitem
 from typing import Iterable, Sequence
 
 try:
@@ -178,6 +180,31 @@ def _bareiss_forward(m: list[list], ncols: int) -> list[int]:
     return pivot_cols
 
 
+def _annihilator_step(rows: list[list[int]], prev: int, q: int) -> tuple[list[list[int]], int]:
+    """One fraction-free step at column q of :func:`fatpoints.geometry.spanned_flats`.
+
+    The pivot is the first row nonzero at q; every other row becomes
+    (pv row - row[q] prow) / prev, and the pivot row is dropped.  Returns
+    the new rows and the pivot value pv, the next step's prev.
+    """
+    prow = next(row for row in rows if row[q])
+    pv = prow[q]
+    return [
+        [(pv * x - row[q] * y) // prev for x, y in zip(row, prow)]
+        for row in rows
+        if row is not prow
+    ], pv
+
+
+def _fraction_rows(rows: Iterable[Sequence], divisors: Iterable) -> list[Vector]:
+    """Each integer row divided by its positive divisor, as ``Fraction``s, zeros ``Fraction(0)``."""
+    zero = Fraction(0)
+    return [
+        tuple(Fraction(int(x), d) if x else zero for x in row)
+        for row, d in zip(rows, map(int, divisors))
+    ]
+
+
 def _reduce(v: list, rows: Sequence[Sequence], pivots: Sequence[int]) -> list:
     """A positive multiple of v minus a combination of reduced echelon rows.
 
@@ -221,12 +248,8 @@ def rref(m: Matrix) -> RrefResult:
     entry of its column.  Zero rows sink to the bottom.
     """
     rows, pivot_cols = _echelon([primitive_row(m.row(i)) for i in range(m.rows)], m.cols)
-    zero = Fraction(0)
-    entries: list[Fraction] = []
-    for row, c in zip(rows, pivot_cols):
-        v = int(row[c])
-        entries.extend(Fraction(int(x), v) if x else zero for x in row)
-    entries.extend([zero] * ((m.rows - len(rows)) * m.cols))
+    entries = [x for row in _fraction_rows(rows, map(getitem, rows, pivot_cols)) for x in row]
+    entries.extend([Fraction(0)] * ((m.rows - len(rows)) * m.cols))
     return RrefResult(Matrix(m.rows, m.cols, tuple(entries)), len(rows), tuple(pivot_cols))
 
 
@@ -261,11 +284,8 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     free variable set to 1.  The result has cols - rank(m) vectors.
     """
     rows, pivot_cols = _echelon([primitive_row(m.row(i)) for i in range(m.rows)], m.cols)
-    zero = Fraction(0)
-    return [
-        tuple(Fraction(x, w[f]) if x else zero for x in w)
-        for f, w in _kernel_rows(rows, pivot_cols, m.cols)
-    ]
+    kernel = list(_kernel_rows(rows, pivot_cols, m.cols))
+    return _fraction_rows([w for _, w in kernel], [w[f] for f, w in kernel])
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
