@@ -10,6 +10,9 @@ Runs, at configurable scale:
 * the Segre flats: on random point sets with planted collinear and
   coplanar points, the T_j table of ``segre_bound`` and the degeneracy
   index against a scan of every subset by ``span_dim``;
+* the regularity index in the span: random schemes of P^d embedded in
+  P^n by random injective integer maps, ``regularity_index`` (which scans
+  P^d) against a scan of P^n through ``hilbert_function``;
 * the removal recursion on random schemes, every removal choice;
 * the monomial criterion as a two-sided oracle: it holds at the artinian
   regularity and fails one degree below it;
@@ -43,7 +46,15 @@ from fatpoints.generators import PatternSpec
 from fatpoints.geometry import ProjPoint, degeneracy_index, span_dim
 from fatpoints.harness import batch_check
 from fatpoints.linalg import Matrix
-from fatpoints.schemes import FatPointScheme, artinian_quotient_regularity, monomial_bound_check
+from fatpoints.schemes import (
+    FatPointScheme,
+    artinian_quotient_regularity,
+    hilbert_function,
+    monomial_bound_check,
+    multiplicity,
+    regularity_index,
+    simplex_frame,
+)
 from fatpoints.segre import segre_bound
 
 
@@ -122,6 +133,32 @@ def segre_flats_battery(trials, base_seed):
             print(f"    segre flats failed: seed={base_seed + trial}")
     elapsed = time.time() - t0
     print(f"  {'segre flats by subset scan':<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]")
+    return failures == 0
+
+
+def span_regularity_battery(trials, base_seed):
+    t0 = time.time()
+    failures = 0
+    for trial in range(trials):
+        rng = random.Random(base_seed + trial)
+        d = rng.randint(0, 3)
+        n = rng.randint(max(d, 1), 4)
+        reps = [p.integer_rep() for p in planted_points(rng, d, 1 if d == 0 else rng.randint(1, 6))]
+        while True:  # an injective map Q^(d+1) -> Q^(n+1)
+            embedding = [[rng.randint(-5, 5) for _ in range(d + 1)] for _ in range(n + 1)]
+            if linalg.rank_rows(embedding, d + 1, modular=False) == d + 1:
+                break
+        pts = [ProjPoint(tuple(sum(a * x for a, x in zip(row, rep)) for row in embedding)) for rep in reps]
+        z = FatPointScheme(n, tuple(pts), tuple(rng.randint(1, 3) for _ in pts))
+        # the least t from max(m_i) - 1 on with H(t) = e in P^n
+        e, frame, t = multiplicity(z), simplex_frame(z), max(z.mults) - 1
+        while hilbert_function(z, t, frame=frame) != e:
+            t += 1
+        if regularity_index(z) != t:
+            failures += 1
+            print(f"    span regularity failed: seed={base_seed + trial} d={d} n={n}")
+    elapsed = time.time() - t0
+    print(f"  {'regularity in the span vs P^n':<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]")
     return failures == 0
 
 
@@ -241,6 +278,7 @@ def main() -> int:
         all_ok &= batch_battery(name, spec, trials, args.seed, expect_tight=False)
     print("cross-verifiers:")
     all_ok &= segre_flats_battery(max(10, trials // 2), args.seed + 40_000)
+    all_ok &= span_regularity_battery(max(10, trials // 2), args.seed + 50_000)
     all_ok &= recursion_battery(max(10, trials // 2), args.seed + 10_000)
     all_ok &= monomial_battery(max(10, trials // 2), args.seed + 30_000)
     all_ok &= certificate_battery(max(10, trials // 2), args.seed + 20_000)

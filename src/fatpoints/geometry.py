@@ -192,8 +192,25 @@ class Flat:
         if any(len(row) != width for row in rows):
             raise ValueError("ragged rows")
         rows, pivots = _echelon([primitive_row(row) for row in rows], width)
-        flat = cls(ambient_n, tuple(_fraction_rows(rows, map(getitem, rows, pivots))))
-        flat.__dict__["integer_rows"] = tuple(tuple(map(int, row)) for row in rows)
+        if not rows:
+            raise ValueError("a flat needs at least one cone vector")
+        if width != ambient_n + 1:
+            raise ValueError("cone vector length does not match ambient dimension")
+        return cls._of_echelon(ambient_n, rows, pivots)
+
+    @classmethod
+    def _of_echelon(cls, ambient_n: int, rows: list[list], pivots: list[int]) -> "Flat":
+        """The flat of nonempty ``_echelon`` rows of width ambient_n + 1, kept as its integer rows.
+
+        Those rows are canonical by construction, so ``__post_init__``'s
+        check, which stays for flats given from outside, is skipped.
+        """
+        flat = object.__new__(cls)
+        vars(flat).update(
+            ambient_n=ambient_n,
+            cone_basis=tuple(_fraction_rows(rows, map(getitem, rows, pivots))),
+            integer_rows=tuple(tuple(map(int, row)) for row in rows),
+        )
         return flat
 
 
@@ -207,9 +224,13 @@ def _cone_rows(points: Sequence[ProjPoint]) -> list[tuple[int, ...]]:
 
 
 def span(points: Sequence[ProjPoint]) -> Flat:
-    """Smallest flat containing the given points: the flat of their integer reps."""
+    """Smallest flat containing the given points: the flat of their integer reps.
+
+    The reps are already primitive, so they go to the echelon as they are.
+    """
     rows = _cone_rows(points)
-    return Flat.from_vectors(len(rows[0]) - 1, rows)
+    width = len(rows[0])
+    return Flat._of_echelon(width - 1, *_echelon([list(row) for row in rows], width))
 
 
 def span_dim(points: Sequence[ProjPoint]) -> int:

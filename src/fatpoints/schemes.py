@@ -32,6 +32,14 @@ In it the monomials of order <= i at p are a prefix of the basis, and
 only the non-vertex points' rows on the columns outside the vertex
 blocks are built and eliminated.
 
+The regularity index is computed in the span P^d of the points.  The
+simplex frame puts d+1 independent points on e_0, ..., e_d, so every
+other point has zero coordinates beyond index d, and the frame's
+coordinates cut to their first d+1 entries are the scheme in P^d.  The
+regularity index does not depend on the ambient space (see
+:func:`regularity_index`), so the scan counts the degree-t monomials in
+d+1 variables, not n+1.
+
 Frames are applied in integers, by the rows D E of
 :func:`fatpoints.geometry.frame_change`: E the canonical change and
 D = diag(v_k), all v_k > 0.  D fixes every coordinate point, so it
@@ -318,12 +326,15 @@ class SimplexFrame:
     distinguished point, which is not in the scheme, so the vertices
     start at 1.  The coordinates are those of the integer change D E, the
     canonical ones scaled by v_k > 0, which changes no rank (see the
-    module docstring).
+    module docstring).  ``n`` is the dimension of the projective space
+    the coordinates live in: the scheme's, or that of the span of the
+    points in :func:`regularity_index`.
     """
 
     scheme: FatPointScheme
     vertices: tuple[tuple[int, int], ...]
     others: tuple[tuple[tuple[int, ...], int], ...]
+    n: int
 
 
 def _frame(z: FatPointScheme, leading: list[tuple[int, ...]]) -> SimplexFrame:
@@ -341,7 +352,8 @@ def _frame(z: FatPointScheme, leading: list[tuple[int, ...]]) -> SimplexFrame:
         if i not in on_vertex
     )
     first = len(leading)
-    return SimplexFrame(z, tuple((first + k, z.mults[i]) for k, i in enumerate(on_vertex)), others)
+    vertices = tuple((first + k, z.mults[i]) for k, i in enumerate(on_vertex))
+    return SimplexFrame(z, vertices, others, z.n)
 
 
 def simplex_frame(z: FatPointScheme) -> SimplexFrame:
@@ -357,7 +369,7 @@ def _free_columns(frame: SimplexFrame, t: int) -> list[int]:
     matrix is |U & C| plus the rank of the other points' rows on the free
     columns in C.
     """
-    exponents = monomial_basis(t, frame.scheme.n + 1).exponents
+    exponents = monomial_basis(t, frame.n + 1).exponents
     return [c for c, b in enumerate(exponents) if all(b[k] <= t - m for k, m in frame.vertices)]
 
 
@@ -368,14 +380,25 @@ def _other_rows(frame: SimplexFrame, t: int, free: list[int]) -> list[list[int]]
     return rows
 
 
+def _frame_hilbert(frame: SimplexFrame, t: int) -> int:
+    """H(t) of the frame's points in P^frame.n: the covered monomials plus a rank.
+
+    The monomials covered by the vertex points' rows are counted, and only
+    the other points' rows on the remaining columns are eliminated.
+    """
+    free = _free_columns(frame, t)
+    covered = comb(t + frame.n, frame.n) - len(free)
+    if not free or not frame.others:
+        return covered
+    return covered + rank_rows(_other_rows(frame, t, free), len(free))
+
+
 def hilbert_function(z: FatPointScheme, t: int, *, frame: SimplexFrame | None = None) -> int:
     """Dimension of the degree-t piece of the homogeneous coordinate ring.
 
     Computed in the simplex frame of the scheme (see the module
-    docstring): the monomials covered by the vertex points' rows are
-    counted, and only the other points' rows on the remaining columns are
-    eliminated.  The count is exact at every t >= 0, with no lower degree
-    threshold.  Callers that evaluate many degrees pass
+    docstring), in P^n.  The count is exact at every t >= 0, with no lower
+    degree threshold.  Callers that evaluate many degrees pass
     ``frame=simplex_frame(z)`` to find the frame once.
     """
     if t < 0:
@@ -384,11 +407,9 @@ def hilbert_function(z: FatPointScheme, t: int, *, frame: SimplexFrame | None = 
         frame = simplex_frame(z)
     elif frame.scheme != z:
         raise ValueError("the frame belongs to another scheme")
-    free = _free_columns(frame, t)
-    covered = comb(t + z.n, z.n) - len(free)
-    if not free or not frame.others:
-        return covered
-    return covered + rank_rows(_other_rows(frame, t, free), len(free))
+    elif frame.n != z.n:
+        raise ValueError(f"the frame lives in P^{frame.n}, not in the scheme's P^{z.n}")
+    return _frame_hilbert(frame, t)
 
 
 # reg(Z) is reused only across the removals of one scheme, which run back to
@@ -397,25 +418,51 @@ def hilbert_function(z: FatPointScheme, t: int, *, frame: SimplexFrame | None = 
 def regularity_index(z: FatPointScheme) -> int:
     """Least degree at which the Hilbert function reaches the multiplicity.
 
+    The scan runs in the span P^d of the points, read off the simplex
+    frame: its d+1 = len(vertices) vertex points span it, every other
+    point has zero frame coordinates beyond index d, and cutting them to
+    their first d+1 entries keeps them primitive.  So the scheme in P^d
+    has multiplicity e = sum C(m_i + d - 1, d), and degree t has C(t+d, d)
+    monomials.  This gives the regularity index in P^n:
+
+    * Splitting.  In coordinates where the span is x_{d+1} = ... = x_n = 0,
+      with c = n - d, H_{Z in P^n}(t) = sum_k C(k+c-1, c-1) H_{Z_k in P^d}(t-k),
+      where Z_k has multiplicities (m_i - k)_+.  Each H_{Z_k} is at most
+      e(Z_k), with equality exactly from reg(Z_k) on, and the e(Z_k) add
+      up to e(Z) in the same way, so
+      reg_{P^n}(Z) = max_k (k + reg_{P^d}(Z_k)).
+    * The k = 0 term decides: reg(Z_1) <= reg(Z) - 1.  Suppose the
+      order-(m_i - 2) rows of Z_1 are dependent in degree t - 1, by
+      coefficients c_{i,alpha}.  Applied to df/dx_j for every f of degree
+      t, that relation is one among Z's order-(m_i - 1) rows in degree t,
+      and it is nonzero: a nonzero c_{i,alpha} lands on row
+      (i, alpha + e_j).  So H_Z(t) = e(Z) implies
+      H_{Z_1}(t - 1) = e(Z_1) for every t >= max(m_i) - 1, which holds
+      from reg(Z) on.  By induction on k, k + reg(Z_k) <= reg(Z) in P^d,
+      hence reg_{P^n}(Z) = reg_{P^d}(Z).
+
     The search ascends from the larger of two lower bounds.  One is
     m_1 + m_2 - 1 for the two largest multiplicities (m_1 - 1 for a single
     point): the regularity index of the two heaviest points, which lie on
     a line, and the index cannot fall when passing to a subscheme.  The
-    other is the least t with C(t+n, n) >= e, since H(t) <= C(t+n, n).
-    The simplex frame is found once and every degree of the scan is
-    computed in it, exactly as in :func:`hilbert_function`.  A hard cap at
-    sum(m_i) - 1 guards against arithmetic bugs; it is mathematically
-    unreachable.
+    other is the least t with C(t+d, d) >= e, since H(t) <= C(t+d, d).
+    Every degree of the scan is computed in the one frame, as in
+    :func:`hilbert_function`.  A single point is d = 0, where the scan
+    returns m - 1, and points that span P^n are d = n, where the cut keeps
+    every coordinate.  A hard cap at sum(m_i) - 1 guards against
+    arithmetic bugs; it is mathematically unreachable.
     """
-    e = multiplicity(z)
     frame = simplex_frame(z)
+    d = len(frame.vertices) - 1
+    frame = SimplexFrame(z, frame.vertices, tuple((c[: d + 1], m) for c, m in frame.others), d)
+    e = sum(comb(m + d - 1, d) for m in z.mults)
     cap = sum(z.mults) - 1
     heaviest = sorted(z.mults, reverse=True)[:2]
     t = sum(heaviest) - 1
-    while comb(t + z.n, z.n) < e:
+    while comb(t + d, d) < e:
         t += 1
     while t <= cap:
-        if hilbert_function(z, t, frame=frame) == e:
+        if _frame_hilbert(frame, t) == e:
             return t
         t += 1
     raise RuntimeError("regularity search passed its cap; this indicates a bug")
@@ -469,7 +516,7 @@ def _artinian_ranks(frame: SimplexFrame, t: int, low: int) -> tuple[int, int]:
     """
     free = _free_columns(frame, t)
     split = bisect_left(free, low)
-    covered = comb(t + frame.scheme.n, frame.scheme.n) - len(free)
+    covered = comb(t + frame.n, frame.n) - len(free)
     covered_high = covered - (low - split)
     if not free or not frame.others:
         return covered, covered_high

@@ -82,6 +82,30 @@ def test_hilbert_table_matches_library(tmp_path, capsys, points, mults):
     assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
+@pytest.mark.parametrize(
+    "points, mults",
+    [
+        ([["1", "2", "3", "4"]], [3]),  # one fat point of P^3
+        ([["1", "2", "3", "4"], ["2", "1", "0", "1"], ["3", "3", "3", "5"]], [2, 3, 2]),  # a line
+        (
+            [["1", "0", "1", "2", "0"], ["0", "1", "1", "0", "3"], ["1", "1", "0", "1", "1"],
+             ["2", "2", "2", "3", "4"], ["1", "-1", "0", "2", "-3"]],
+            [2, 1, 3, 2, 2],
+        ),  # a plane of P^4, three of the points collinear
+    ],
+)
+def test_reg_equals_last_hilbert_row_on_degenerate_schemes(tmp_path, capsys, points, mults):
+    """``reg`` scans the span of the points, ``hilbert`` tabulates P^n: they must agree."""
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({"n": len(points[0]) - 1, "points": points, "multiplicities": mults}))
+    assert cli_dispatch(["reg", "--scheme", str(path)]) == 0
+    reg = capsys.readouterr().out.strip()
+    assert cli_dispatch(["hilbert", "--scheme", str(path), "--csv"]) == 0
+    last_t, last_h = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+    assert last_t == reg
+    assert int(last_h) == multiplicity(load_scheme(str(path)))
+
+
 def test_segre_two_doubles(two_doubles_p3, capsys):
     assert cli_dispatch(["segre", "--scheme", two_doubles_p3]) == 0
     obj = json.loads(capsys.readouterr().out)

@@ -79,6 +79,21 @@ def test_flat_rejects_non_canonical_basis():
         Flat(2, ((Fraction(2), Fraction(0), Fraction(0)),))
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [
+        ((0, 1, 0), (1, 0, 0)),  # pivots out of order
+        ((1, 1, 0), (0, 1, 0)),  # not reduced above a pivot
+        ((1, 0), (0, 1)),  # rows of P^1 given for P^2
+        (),
+    ],
+)
+def test_flat_given_from_outside_is_still_checked(basis):
+    """``span`` and ``from_vectors`` skip the canonical-form check; a hand-built flat does not."""
+    with pytest.raises(ValueError):
+        Flat(2, tuple(tuple(Fraction(x) for x in row) for row in basis))
+
+
 # ---------------------------------------------------------------------------
 # span
 # ---------------------------------------------------------------------------
