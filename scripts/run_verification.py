@@ -22,7 +22,9 @@ Runs, at configurable scale:
   verify false without raising.
 
 Exit code 0 when every battery is clean, 2 otherwise (and, as usual for
-argparse, on a usage error such as ``--trials 0``).
+argparse, on a usage error such as ``--trials 0``).  A battery that raises
+is reported with its exception and counted as failed; the later batteries
+still run.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import logging
 import random
 import sys
 import time
+import traceback
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -103,7 +106,7 @@ def planted_points(rng, n, count):
     return pts
 
 
-def segre_flats_battery(trials, base_seed):
+def segre_flats_battery(name, trials, base_seed):
     t0 = time.time()
     failures = 0
     for trial in range(trials):
@@ -132,11 +135,11 @@ def segre_flats_battery(trials, base_seed):
             failures += 1
             print(f"    segre flats failed: seed={base_seed + trial}")
     elapsed = time.time() - t0
-    print(f"  {'segre flats by subset scan':<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]")
+    print(f"  {name:<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]")
     return failures == 0
 
 
-def span_regularity_battery(trials, base_seed):
+def span_regularity_battery(name, trials, base_seed):
     t0 = time.time()
     failures = 0
     for trial in range(trials):
@@ -146,7 +149,7 @@ def span_regularity_battery(trials, base_seed):
         reps = [p.integer_rep() for p in planted_points(rng, d, 1 if d == 0 else rng.randint(1, 6))]
         while True:  # an injective map Q^(d+1) -> Q^(n+1)
             embedding = [[rng.randint(-5, 5) for _ in range(d + 1)] for _ in range(n + 1)]
-            if linalg.rank_rows(embedding, d + 1, modular=False) == d + 1:
+            if linalg.rank_rows(embedding, d + 1) == d + 1:
                 break
         pts = [ProjPoint(tuple(sum(a * x for a, x in zip(row, rep)) for row in embedding)) for rep in reps]
         z = FatPointScheme(n, tuple(pts), tuple(rng.randint(1, 3) for _ in pts))
@@ -158,11 +161,11 @@ def span_regularity_battery(trials, base_seed):
             failures += 1
             print(f"    span regularity failed: seed={base_seed + trial} d={d} n={n}")
     elapsed = time.time() - t0
-    print(f"  {'regularity in the span vs P^n':<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]")
+    print(f"  {name:<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]")
     return failures == 0
 
 
-def recursion_battery(trials, base_seed):
+def recursion_battery(name, trials, base_seed):
     t0 = time.time()
     failures = 0
     for trial in range(trials):
@@ -176,11 +179,11 @@ def recursion_battery(trials, base_seed):
                 failures += 1
                 print(f"    recursion failed: seed={base_seed + trial} removal={i0}")
     elapsed = time.time() - t0
-    print(f"  {'removal recursion':<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]")
+    print(f"  {name:<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]")
     return failures == 0
 
 
-def monomial_battery(trials, base_seed):
+def monomial_battery(name, trials, base_seed):
     t0 = time.time()
     failures = 0
     for trial in range(trials):
@@ -196,14 +199,11 @@ def monomial_battery(trials, base_seed):
             failures += 1
             print(f"    monomial criterion failed: seed={base_seed + trial}")
     elapsed = time.time() - t0
-    print(
-        f"  {'monomial criterion, two-sided':<34} trials={trials:<4} failures={failures} "
-        f"[{elapsed:5.1f}s]"
-    )
+    print(f"  {name:<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]")
     return failures == 0
 
 
-def certificate_battery(trials, base_seed):
+def certificate_battery(name, trials, base_seed):
     t0 = time.time()
     failures = 0
     log = logging.getLogger("fatpoints.constructions")
@@ -235,10 +235,18 @@ def certificate_battery(trials, base_seed):
             failures += 1
             print(f"    singular change not rejected ({tampered_ok}): seed={base_seed + trial}")
     elapsed = time.time() - t0
-    print(
-        f"  {'certificate soundness':<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]"
-    )
+    print(f"  {name:<34} trials={trials:<4} failures={failures} [{elapsed:5.1f}s]")
     return failures == 0
+
+
+def run_battery(battery, name, *args, **kwargs):
+    """Run one battery; an exception from the code under test fails it, not the run."""
+    try:
+        return battery(name, *args, **kwargs)
+    except Exception as exc:  # any exception is a finding about the code under test
+        traceback.print_exc(file=sys.stdout)
+        print(f"  {name:<34} raised {type(exc).__name__}: {exc}  PROBLEMS")
+        return False
 
 
 def main() -> int:
@@ -246,23 +254,18 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=50, help="trials per battery")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     parser.add_argument("--height", type=int, default=9, help="coordinate height bound")
-    parser.add_argument(
-        "--pure-rational",
-        action="store_true",
-        help="disable the modular rank filter (same values)",
-    )
     args = parser.parse_args()
     if args.trials < 1:
         parser.error("--trials must be at least 1")
 
-    linalg.set_modular_filter(not args.pure_rational)
     trials = args.trials
     h = args.height
     print(f"verification batteries: trials={trials}, base_seed={args.seed}, height={h}")
 
     all_ok = True
     print("equality family (regularity == bound):")
-    all_ok &= batch_battery(
+    all_ok &= run_battery(
+        batch_battery,
         "s+2 points, mixed multiplicities",
         PatternSpec("lemma24", n=3, s=2, mults=(2, 1, 3, 1), height=h),
         trials,
@@ -275,13 +278,16 @@ def main() -> int:
         ("planted degenerate flat", PatternSpec("prop43", n=3, s=3, m=2, k=1, height=h)),
         ("two witness flats", PatternSpec("lem42", n=4, s=3, m=2, height=h)),
     ]:
-        all_ok &= batch_battery(name, spec, trials, args.seed, expect_tight=False)
+        all_ok &= run_battery(batch_battery, name, spec, trials, args.seed, expect_tight=False)
     print("cross-verifiers:")
-    all_ok &= segre_flats_battery(max(10, trials // 2), args.seed + 40_000)
-    all_ok &= span_regularity_battery(max(10, trials // 2), args.seed + 50_000)
-    all_ok &= recursion_battery(max(10, trials // 2), args.seed + 10_000)
-    all_ok &= monomial_battery(max(10, trials // 2), args.seed + 30_000)
-    all_ok &= certificate_battery(max(10, trials // 2), args.seed + 20_000)
+    for name, battery, offset in [
+        ("segre flats by subset scan", segre_flats_battery, 40_000),
+        ("regularity in the span vs P^n", span_regularity_battery, 50_000),
+        ("removal recursion", recursion_battery, 10_000),
+        ("monomial criterion, two-sided", monomial_battery, 30_000),
+        ("certificate soundness", certificate_battery, 20_000),
+    ]:
+        all_ok &= run_battery(battery, name, max(10, trials // 2), args.seed + offset)
 
     print("overall:", "clean" if all_ok else "PROBLEMS FOUND")
     return 0 if all_ok else 2

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--modular",
         action="store_true",
-        help="enable the modular rank filter (same values)",
+        help="accepted; ranks no longer depend on it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

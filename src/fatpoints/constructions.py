@@ -477,7 +477,7 @@ def verify_certificate(
         _LOG.warning("coordinate change cannot move the point: %s", exc)
         return False, delta
     # square now: p has n+1 coordinates and its image as many
-    if rank(cert.change, modular=False) < n + 1:
+    if rank(cert.change) < n + 1:
         _LOG.warning("coordinate change is singular")
         return False, delta
     moved = j.transform(cert.change)

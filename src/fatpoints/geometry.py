@@ -236,8 +236,7 @@ def span(points: Sequence[ProjPoint]) -> Flat:
 def span_dim(points: Sequence[ProjPoint]) -> int:
     """Dimension of span(points), read off the rank of their integer rows."""
     rows = _cone_rows(points)
-    # at most (n+2) x (n+1): a modular pass would cost more than it saves
-    return rank_rows(rows, len(rows[0]), modular=False) - 1
+    return rank_rows(rows, len(rows[0])) - 1
 
 
 def flat_contains(f: Flat, p: ProjPoint) -> bool:
@@ -459,5 +458,5 @@ def random_invertible_change(n: int, rng: random.Random) -> Matrix:
     """A random invertible (n+1) x (n+1) matrix with small integer entries."""
     while True:
         rows = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n + 1)]
-        if rank_rows(rows, n + 1, modular=False) == n + 1:
+        if rank_rows(rows, n + 1) == n + 1:
             return Matrix.from_rows(rows)

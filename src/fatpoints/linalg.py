@@ -11,14 +11,14 @@ normals.  Every canonical ``Fraction`` row (of :func:`rref`,
 a positive divisor, in :func:`_fraction_rows`.  Pivots are chosen
 deterministically: leftmost nonzero column, first nonzero row.
 
-Every rank is decided in :func:`rank_rows`.  With the modular filter on,
-it first reduces the rows modulo ``MODULAR_PRIMES[0]``.  When that rank
-equals min(rows, cols) it is reported: a full-size minor that is nonzero
-mod p is nonzero over Q, and no rank exceeds min(rows, cols).  Every other
-case is decided by rational elimination, and a modular rank that differs
-from it is counted and logged, so a reported rank never depends on
-trusting a prime.  The filter is off by default; see
-:func:`set_modular_filter`.
+Every rank is decided in :func:`rank_rows`, by rational elimination
+unless the caller that asks a full-rank question passes ``modular=True``.
+Then the rows are first reduced modulo ``MODULAR_PRIMES[0]``.  When that
+rank equals min(rows, cols) it is reported: a full-size minor that is
+nonzero mod p is nonzero over Q, and no rank exceeds min(rows, cols).
+Every other case is decided by rational elimination, and a modular rank
+that differs from it is counted and logged, so a reported rank never
+depends on trusting a prime.
 """
 
 from __future__ import annotations
@@ -375,7 +375,7 @@ _stats = {"short_circuits": 0, "certified": 0, "fallbacks": 0, "disagreements": 
 
 
 def set_modular_filter(enabled: bool) -> None:
-    """Globally enable or disable the modular filter for rank queries."""
+    """Set the flag of ``--modular``, kept for the benchmark worker; no rank reads it."""
     global _MODULAR_FILTER
     _MODULAR_FILTER = bool(enabled)
 
@@ -408,24 +408,23 @@ def _bump(key: str) -> None:
         _stats[key] += 1
 
 
-def rank(m: Matrix, *, modular: bool | None = None) -> int:
+def rank(m: Matrix, *, modular: bool = False) -> int:
     """Exact rank of m; see :func:`rank_rows`."""
     return rank_rows([m.row(i) for i in range(m.rows)], m.cols, modular=modular)
 
 
-def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool | None = None) -> int:
+def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool = False) -> int:
     """Exact rank of a list of integer (or rational) rows.
 
-    With the filter on (``modular``, or the global setting when None), a
-    rank mod ``MODULAR_PRIMES[0]`` equal to min(rows, cols) is returned
-    as is, since it is a lower bound that meets the upper one.  Otherwise
-    fraction-free elimination decides, and a differing modular rank is
-    counted and logged.
+    By fraction-free elimination.  A caller that expects full rank passes
+    ``modular=True``: then a rank mod ``MODULAR_PRIMES[0]`` equal to
+    min(rows, cols) is returned as is, since it is a lower bound that
+    meets the upper one.  Otherwise elimination decides, and a differing
+    modular rank is counted and logged.
     """
-    use = _MODULAR_FILTER if modular is None else modular
     irows = [primitive_row(row) for row in rows]
     rp = None
-    if use:
+    if modular:
         rp = _rank_mod(irows, ncols, MODULAR_PRIMES[0])
         if rp == min(len(irows), ncols):
             _bump("short_circuits")

@@ -380,17 +380,17 @@ def _other_rows(frame: SimplexFrame, t: int, free: list[int]) -> list[list[int]]
     return rows
 
 
-def _frame_hilbert(frame: SimplexFrame, t: int) -> int:
+def _frame_hilbert(frame: SimplexFrame, t: int, modular: bool = False) -> int:
     """H(t) of the frame's points in P^frame.n: the covered monomials plus a rank.
 
-    The monomials covered by the vertex points' rows are counted, and only
-    the other points' rows on the remaining columns are eliminated.
+    The monomials covered by the vertex points' rows are counted; only the
+    other rows on the free columns are eliminated, mod p first if ``modular``.
     """
     free = _free_columns(frame, t)
     covered = comb(t + frame.n, frame.n) - len(free)
     if not free or not frame.others:
         return covered
-    return covered + rank_rows(_other_rows(frame, t, free), len(free))
+    return covered + rank_rows(_other_rows(frame, t, free), len(free), modular=modular)
 
 
 def hilbert_function(z: FatPointScheme, t: int, *, frame: SimplexFrame | None = None) -> int:
@@ -447,10 +447,12 @@ def regularity_index(z: FatPointScheme) -> int:
     a line, and the index cannot fall when passing to a subscheme.  The
     other is the least t with C(t+d, d) >= e, since H(t) <= C(t+d, d).
     Every degree of the scan is computed in the one frame, as in
-    :func:`hilbert_function`.  A single point is d = 0, where the scan
-    returns m - 1, and points that span P^n are d = n, where the cut keeps
-    every coordinate.  A hard cap at sum(m_i) - 1 guards against
-    arithmetic bugs; it is mathematically unreachable.
+    :func:`hilbert_function`.  From both bounds on, the vertex blocks are
+    disjoint and the other rows fit in the free columns, so H(t) = e asks
+    for full row rank, which the mod-p pass of :func:`rank_rows` proves.
+    A single point is d = 0, where the scan returns m - 1; points that
+    span P^n are d = n, where the cut keeps every coordinate.  A hard cap
+    at sum(m_i) - 1 guards against bugs; it is mathematically unreachable.
     """
     frame = simplex_frame(z)
     d = len(frame.vertices) - 1
@@ -462,7 +464,7 @@ def regularity_index(z: FatPointScheme) -> int:
     while comb(t + d, d) < e:
         t += 1
     while t <= cap:
-        if _frame_hilbert(frame, t) == e:
+        if _frame_hilbert(frame, t, modular=True) == e:
             return t
         t += 1
     raise RuntimeError("regularity search passed its cap; this indicates a bug")
