@@ -12,7 +12,7 @@ a positive divisor, in :func:`_fraction_rows`.  Pivots are chosen
 deterministically: leftmost nonzero column, first nonzero row.
 
 Every rank is decided in :func:`rank_rows`, by rational elimination
-unless the caller that asks a full-rank question passes ``modular=True``.
+unless the caller, which expects full rank, passes ``modular=True``.
 Then the rows are first reduced modulo ``MODULAR_PRIMES[0]``.  When that
 rank equals min(rows, cols) it is reported: a full-size minor that is
 nonzero mod p is nonzero over Q, and no rank exceeds min(rows, cols).

@@ -380,17 +380,17 @@ def _other_rows(frame: SimplexFrame, t: int, free: list[int]) -> list[list[int]]
     return rows
 
 
-def _frame_hilbert(frame: SimplexFrame, t: int, modular: bool = False) -> int:
+def _frame_hilbert(frame: SimplexFrame, t: int) -> int:
     """H(t) of the frame's points in P^frame.n: the covered monomials plus a rank.
 
     The monomials covered by the vertex points' rows are counted; only the
-    other rows on the free columns are eliminated, mod p first if ``modular``.
+    other rows on the free columns are eliminated, mod p first (rank_rows).
     """
     free = _free_columns(frame, t)
     covered = comb(t + frame.n, frame.n) - len(free)
     if not free or not frame.others:
         return covered
-    return covered + rank_rows(_other_rows(frame, t, free), len(free), modular=modular)
+    return covered + rank_rows(_other_rows(frame, t, free), len(free), modular=True)
 
 
 def hilbert_function(z: FatPointScheme, t: int, *, frame: SimplexFrame | None = None) -> int:
@@ -464,7 +464,7 @@ def regularity_index(z: FatPointScheme) -> int:
     while comb(t + d, d) < e:
         t += 1
     while t <= cap:
-        if _frame_hilbert(frame, t, modular=True) == e:
+        if _frame_hilbert(frame, t) == e:
             return t
         t += 1
     raise RuntimeError("regularity search passed its cap; this indicates a bug")

@@ -1,15 +1,15 @@
 """Which rank path answers: the question asked, not the global modular flag.
 
-``regularity_index`` asks whether the other points' rows have full row
-rank, and only it passes ``modular=True`` to ``rank_rows``; every other
-rank is rational.  The flag that ``set_modular_filter`` and the CLI's
-``--modular`` set is read by no rank.
+The Hilbert function in the simplex frame (``hilbert_function`` and the
+``regularity_index`` scan) is the only caller that passes ``modular=True``
+to ``rank_rows``; every other rank is rational.  The flag that
+``set_modular_filter`` and the CLI's ``--modular`` set is read by no rank.
 """
 
 import logging
 
 from fatpoints import linalg
-from fatpoints.geometry import ProjPoint
+from fatpoints.geometry import ProjPoint, span_dim
 from fatpoints.linalg import MODULAR_PRIMES, modular_stats, rank_rows, reset_modular_stats
 from fatpoints.schemes import (
     FatPointScheme,
@@ -60,11 +60,11 @@ def test_the_global_flag_picks_no_rank_path():
         linalg.set_modular_filter(True)
         reset_modular_stats()
         assert rank_rows([[1, 1], [1, 1 + P0]], 2) == 2
-        z = _scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)])
-        assert hilbert_function(z, 2) == 6
+        assert span_dim([ProjPoint((1, 1, 0)), ProjPoint((1, 1 + P0, 0))]) == 1
         assert modular_stats() == dict.fromkeys(modular_stats(), 0)
 
         linalg.set_modular_filter(False)
+        z = _scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)])
         regularity_index.cache_clear()
         assert regularity_index(z) == 4
         assert modular_stats()["short_circuits"] >= 1
