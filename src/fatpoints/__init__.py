@@ -9,27 +9,21 @@ harness.
 """
 
 from fatpoints.linalg import (
-    MODULAR_PRIMES,
     Matrix,
     RrefResult,
-    in_span,
     kernel_basis,
-    rank,
-    rank_mod_p,
+    rank_rows,
     rref,
-    set_modular_filter,
 )
 from fatpoints.geometry import (
     Flat,
     LinearForm,
     ProjPoint,
-    coordinate_change_to_origin,
     degeneracy_index,
     degeneracy_of,
     extend_flat_avoiding,
     flat_contains,
     general_position_on,
-    hyperplane_containing_avoiding,
     span,
     span_dim,
     spanned_flats,
@@ -39,9 +33,7 @@ from fatpoints.schemes import (
     Form,
     MonomialBasis,
     artinian_quotient_regularity,
-    condition_matrix,
     hilbert_function,
-    ideal_basis,
     in_fat_ideal,
     monomial_bound_check,
     multiplicity,
@@ -63,25 +55,19 @@ from fatpoints.generators import PatternSpec, generate
 from fatpoints.harness import BatchReport, batch_check, load_scheme, save_scheme
 
 __all__ = [
-    "MODULAR_PRIMES",
     "Matrix",
     "RrefResult",
-    "in_span",
     "kernel_basis",
-    "rank",
-    "rank_mod_p",
+    "rank_rows",
     "rref",
-    "set_modular_filter",
     "Flat",
     "LinearForm",
     "ProjPoint",
-    "coordinate_change_to_origin",
     "degeneracy_index",
     "degeneracy_of",
     "extend_flat_avoiding",
     "flat_contains",
     "general_position_on",
-    "hyperplane_containing_avoiding",
     "span",
     "span_dim",
     "spanned_flats",
@@ -89,9 +75,7 @@ __all__ = [
     "Form",
     "MonomialBasis",
     "artinian_quotient_regularity",
-    "condition_matrix",
     "hilbert_function",
-    "ideal_basis",
     "in_fat_ideal",
     "monomial_bound_check",
     "multiplicity",

@@ -13,7 +13,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from fatpoints import linalg
 from fatpoints.constructions import (
     ConstructionError,
     build_certificate,
@@ -71,11 +70,6 @@ def _add_pattern_args(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fatpoints", description=__doc__)
-    parser.add_argument(
-        "--modular",
-        action="store_true",
-        help="accepted; ranks no longer depend on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hilbert", parents=[], help="Hilbert function values")
@@ -334,7 +328,6 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    linalg.set_modular_filter(args.modular)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:  # GeneratorError and ConstructionError included

@@ -43,7 +43,7 @@ from fatpoints.geometry import (
     spanned_flats,
     transform_point,
 )
-from fatpoints.linalg import Matrix, integer_kernel, rank
+from fatpoints.linalg import Matrix, integer_kernel, rank_rows
 from fatpoints.schemes import (
     FatPointScheme,
     artinian_quotient_regularity,
@@ -477,7 +477,7 @@ def verify_certificate(
         _LOG.warning("coordinate change cannot move the point: %s", exc)
         return False, delta
     # square now: p has n+1 coordinates and its image as many
-    if rank(cert.change) < n + 1:
+    if rank_rows([cert.change.row(i) for i in range(n + 1)], n + 1) < n + 1:
         _LOG.warning("coordinate change is singular")
         return False, delta
     moved = j.transform(cert.change)

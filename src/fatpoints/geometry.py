@@ -121,11 +121,6 @@ class LinearForm:
         """The primitive integer coefficients of the same form, computed once."""
         return self._rep
 
-    def evaluate(self, p: ProjPoint) -> Fraction:
-        if len(self.coeffs) != len(p.coords):
-            raise ValueError("ambient dimensions disagree")
-        return sum((c * x for c, x in zip(self.coeffs, p.coords)), Fraction(0))
-
     def vanishes_at(self, p: ProjPoint) -> bool:
         """Whether the hyperplane passes through p: one integer dot product."""
         if len(self.coeffs) != len(p.coords):
@@ -340,18 +335,6 @@ def degeneracy_index(points: Sequence[ProjPoint]) -> Optional[int]:
     return degeneracy_of(spanned_flats(points))
 
 
-def hyperplane_containing_avoiding(f: Flat, avoid: ProjPoint) -> LinearForm:
-    """A hyperplane through the flat that misses the given point."""
-    if avoid.ambient_n != f.ambient_n:
-        raise ValueError("ambient dimensions disagree")
-    if f.dim > f.ambient_n - 1:
-        raise ValueError("the whole space is contained in no hyperplane")
-    if flat_contains(f, avoid):
-        raise ValueError("the point lies on the flat; no hyperplane can separate them")
-    rep = avoid.integer_rep()
-    return LinearForm(next(v for v in f.normals if _dot(v, rep)))
-
-
 def extend_flat_avoiding(f: Flat, target_dim: int, avoid: ProjPoint, seed: int) -> Flat:
     """Grow a flat to the requested dimension while avoiding a point.
 
@@ -422,11 +405,6 @@ def canonical_change(
     return Matrix(n + 1, n + 1, entries), taken
 
 
-def coordinate_change_to_origin(p: ProjPoint) -> Matrix:
-    """Invertible change of coordinates sending p to (1, 0, ..., 0)."""
-    return canonical_change(p.ambient_n, [p.integer_rep()])[0]
-
-
 def transform_points(change: Matrix, points: Sequence[ProjPoint]) -> tuple[ProjPoint, ...]:
     """The images of the points under the change, moved in integers.
 
@@ -452,11 +430,3 @@ def transform_points(change: Matrix, points: Sequence[ProjPoint]) -> tuple[ProjP
 
 def transform_point(change: Matrix, p: ProjPoint) -> ProjPoint:
     return transform_points(change, [p])[0]
-
-
-def random_invertible_change(n: int, rng: random.Random) -> Matrix:
-    """A random invertible (n+1) x (n+1) matrix with small integer entries."""
-    while True:
-        rows = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n + 1)]
-        if rank_rows(rows, n + 1) == n + 1:
-            return Matrix.from_rows(rows)

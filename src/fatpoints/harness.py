@@ -1,10 +1,10 @@
 """Scheme files, batch verification and the report format.
 
 Schemes travel as JSON objects with string coordinates (integers or
-"p/q"), so exactness survives the round trip.  Batch runs generate one
-scheme per seed, compare its regularity index against the Segre-type
-bound, and aggregate the outcomes into a report whose serialized form is
-byte-identical across repeated runs and worker counts.
+"p/q", no exponents), so exactness survives the round trip.  Batch runs
+generate one scheme per seed, compare its regularity index against the
+Segre-type bound, and aggregate the outcomes into a report whose
+serialized form is byte-identical across repeated runs and worker counts.
 """
 
 from __future__ import annotations
@@ -61,8 +61,14 @@ def scheme_from_obj(obj: object) -> FatPointScheme:
             raise ValueError(f"point {i}: expected {n + 1} coordinates")
         parsed = []
         for jx, c in enumerate(coords):
+            text = str(c)
+            # Fraction() takes exponents, whose cost the input's length does not bound
+            if "e" in text or "E" in text:
+                raise ValueError(
+                    f"point {i}, coordinate {jx}: exponent notation is not accepted: {text!r}"
+                )
             try:
-                parsed.append(Fraction(str(c)))
+                parsed.append(Fraction(text))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"point {i}, coordinate {jx}: {exc}") from exc
         if not any(parsed):

@@ -13,7 +13,7 @@ deterministically: leftmost nonzero column, first nonzero row.
 
 Every rank is decided in :func:`rank_rows`, by rational elimination
 unless the caller, which expects full rank, passes ``modular=True``.
-Then the rows are first reduced modulo ``MODULAR_PRIMES[0]``.  When that
+Then the rows are first reduced modulo ``MODULAR_PRIME``.  When that
 rank equals min(rows, cols) it is reported: a full-size minor that is
 nonzero mod p is nonzero over Q, and no rank exceeds min(rows, cols).
 Every other case is decided by rational elimination, and a modular rank
@@ -38,15 +38,8 @@ except ImportError:  # gmpy2 is an optional extra; same values, slower
 
 _LOG = logging.getLogger("fatpoints.linalg")
 
-#: Published 62-bit primes.  The rank filter uses only the first;
-#: :func:`rank_mod_p` accepts any modulus.
-MODULAR_PRIMES: tuple[int, ...] = (
-    4611686018427387847,
-    4611686018427387817,
-    4611686018427387787,
-    4611686018427387761,
-    4611686018427387751,
-)
+#: The published 62-bit prime of the mod-p pass in :func:`rank_rows`.
+MODULAR_PRIME = 4611686018427387847
 
 Vector = tuple[Fraction, ...]
 
@@ -84,11 +77,6 @@ class Matrix:
             entries.extend(Fraction(x) for x in r)
         return cls(nrows, ncols, tuple(entries))
 
-    @classmethod
-    def identity(cls, k: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(k, k, tuple(one if i == j else zero for i in range(k) for j in range(k)))
-
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -97,13 +85,6 @@ class Matrix:
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
 
 
 @dataclass(frozen=True)
@@ -301,11 +282,6 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
     return [w for _, w in _kernel_rows(echelon, pivot_cols, ncols)]
 
 
-def in_span(v: Sequence[object], basis: Iterable[Sequence[object]]) -> bool:
-    """Whether v lies in the rational span of the given vectors."""
-    return SpanTester(list(basis), len(v)).contains(v)
-
-
 class SpanTester:
     """Repeated membership tests of rational vectors against a fixed spanning set."""
 
@@ -319,25 +295,6 @@ class SpanTester:
         if len(v) != self.length:
             raise ValueError("dimension mismatch")
         return not any(_reduce(primitive_row(v), self._rows, self._pivots))
-
-
-def rank_mod_p(m: Matrix, p: int) -> int:
-    """Rank of m reduced modulo the prime p.
-
-    Raises ValueError if p divides the denominator of any entry.  The
-    result never exceeds the rational rank.
-    """
-    if p < 2:
-        raise ValueError("modulus must be a prime >= 2")
-    rows = []
-    for i in range(m.rows):
-        row = []
-        for x in m.row(i):
-            if x.denominator % p == 0:
-                raise ValueError(f"denominator of entry ({i}) divisible by {p}")
-            row.append(x.numerator * pow(x.denominator, -1, p) % p)
-        rows.append(row)
-    return _rank_mod(rows, m.cols, p)
 
 
 def _rank_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> int:
@@ -368,20 +325,16 @@ def _rank_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> int:
 # rank decision
 # ---------------------------------------------------------------------------
 
-_MODULAR_FILTER = False
-
 _stats_lock = threading.Lock()
 _stats = {"short_circuits": 0, "certified": 0, "fallbacks": 0, "disagreements": 0}
 
 
 def set_modular_filter(enabled: bool) -> None:
-    """Set the flag of ``--modular``, kept for the benchmark worker; no rank reads it."""
-    global _MODULAR_FILTER
-    _MODULAR_FILTER = bool(enabled)
+    """Does nothing: the caller's question picks the rank path (see :func:`rank_rows`).
 
-
-def modular_filter_enabled() -> bool:
-    return _MODULAR_FILTER
+    Kept only because the benchmark worker, ``perfbench/worker.py``, still
+    calls it; it goes when the benchmark stops calling it (ROADMAP item 5).
+    """
 
 
 def modular_stats() -> dict[str, int]:
@@ -408,16 +361,11 @@ def _bump(key: str) -> None:
         _stats[key] += 1
 
 
-def rank(m: Matrix, *, modular: bool = False) -> int:
-    """Exact rank of m; see :func:`rank_rows`."""
-    return rank_rows([m.row(i) for i in range(m.rows)], m.cols, modular=modular)
-
-
 def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool = False) -> int:
     """Exact rank of a list of integer (or rational) rows.
 
     By fraction-free elimination.  A caller that expects full rank passes
-    ``modular=True``: then a rank mod ``MODULAR_PRIMES[0]`` equal to
+    ``modular=True``: then a rank mod ``MODULAR_PRIME`` equal to
     min(rows, cols) is returned as is, since it is a lower bound that
     meets the upper one.  Otherwise elimination decides, and a differing
     modular rank is counted and logged.
@@ -425,7 +373,7 @@ def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool = False) ->
     irows = [primitive_row(row) for row in rows]
     rp = None
     if modular:
-        rp = _rank_mod(irows, ncols, MODULAR_PRIMES[0])
+        rp = _rank_mod(irows, ncols, MODULAR_PRIME)
         if rp == min(len(irows), ncols):
             _bump("short_circuits")
             return rp
@@ -437,19 +385,9 @@ def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool = False) ->
             "modular rank %d (mod %d) disagreed with rational rank %d on a %d x %d matrix; "
             "rational result reported",
             rp,
-            MODULAR_PRIMES[0],
+            MODULAR_PRIME,
             true_rank,
             len(irows),
             ncols,
         )
     return true_rank
-
-
-# ---------------------------------------------------------------------------
-# small utilities shared by the geometry layer
-# ---------------------------------------------------------------------------
-
-def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
-    if len(v) != m.cols:
-        raise ValueError("dimension mismatch")
-    return tuple(sum((m.at(i, j) * v[j] for j in range(m.cols)), Fraction(0)) for i in range(m.rows))

@@ -66,7 +66,6 @@ from fatpoints.linalg import (
     Matrix,
     SpanTester,
     integer_kernel,
-    kernel_basis,
     primitive_row,
     rank_rows,
 )
@@ -134,55 +133,6 @@ class Form:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    @classmethod
-    def from_terms(cls, degree: int, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "Form":
-        basis = monomial_basis(degree, nvars)
-        coeffs = [Fraction(0)] * len(basis)
-        for expo, c in terms.items():
-            coeffs[basis.index(expo)] += c
-        return cls(degree, nvars, tuple(coeffs))
-
-    @classmethod
-    def monomial(cls, nvars: int, exponent: Sequence[int]) -> "Form":
-        exponent = tuple(exponent)
-        return cls.from_terms(sum(exponent), nvars, {exponent: Fraction(1)})
-
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        basis = monomial_basis(self.degree, self.nvars)
-        return {e: c for e, c in zip(basis.exponents, self.coeffs) if c}
-
-    def __mul__(self, other: "Form") -> "Form":
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts disagree")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self.terms().items():
-            for eb, cb in other.terms().items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Form.from_terms(self.degree + other.degree, self.nvars, out)
-
-    def evaluate(self, point: ProjPoint) -> Fraction:
-        coords = point.coords
-        total = Fraction(0)
-        for expo, c in self.terms().items():
-            v = c
-            for x, e in zip(coords, expo):
-                v *= x**e
-            total += v
-        return total
-
-
-def linear_form_to_form(coeffs: Sequence[Fraction]) -> Form:
-    nvars = len(coeffs)
-    terms = {}
-    for j, c in enumerate(coeffs):
-        if c:
-            expo = tuple(int(k == j) for k in range(nvars))
-            terms[expo] = Fraction(c)
-    if not terms:
-        raise ValueError("zero linear form")
-    return Form.from_terms(1, nvars, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +249,6 @@ def condition_rows(z: FatPointScheme, t: int) -> list[list[int]]:
     for p, m in zip(z.points, z.mults):
         rows.extend(_point_condition_rows(p.integer_rep(), m, t))
     return rows
-
-
-def condition_matrix(z: FatPointScheme, t: int) -> Matrix:
-    """The degree-t derivative-vanishing matrix; its rank is H_Z(t)."""
-    return Matrix.from_rows(condition_rows(z, t))
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +413,6 @@ def regularity_index(z: FatPointScheme) -> int:
             return t
         t += 1
     raise RuntimeError("regularity search passed its cap; this indicates a bug")
-
-
-def ideal_basis(z: FatPointScheme, t: int) -> list[Form]:
-    """Basis of the degree-t forms vanishing to the scheme's orders."""
-    mat = condition_matrix(z, t)
-    return [Form(t, z.n + 1, vec) for vec in kernel_basis(mat)]
 
 
 def in_fat_ideal(f: Form, z: FatPointScheme) -> bool:

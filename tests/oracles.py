@@ -1,0 +1,147 @@
+"""Reference implementations that the tests check the package against.
+
+Each helper is a plain, slow route to a value that the package computes
+another way: span membership by elimination on the spanning set, matrix
+products in ``Fraction``s, forms as explicit coefficient vectors with
+products and evaluation, the full condition matrix and its kernel, a
+separating hyperplane read off a flat's normals.  None of them is called
+by the package itself.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from operator import mul
+from typing import Iterable, Sequence
+
+from fatpoints.geometry import Flat, LinearForm, ProjPoint, canonical_change, flat_contains
+from fatpoints.linalg import Matrix, SpanTester, kernel_basis, rank_rows
+from fatpoints.schemes import FatPointScheme, Form, condition_rows, monomial_basis
+
+Terms = dict[tuple[int, ...], Fraction]
+
+
+# ---------------------------------------------------------------------------
+# vectors and matrices
+# ---------------------------------------------------------------------------
+
+def in_span(v: Sequence[object], basis: Iterable[Sequence[object]]) -> bool:
+    """Whether v lies in the rational span of the given vectors."""
+    return SpanTester(list(basis), len(v)).contains(v)
+
+
+def mat_vec(m: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    if len(v) != m.cols:
+        raise ValueError("dimension mismatch")
+    return tuple(sum((m.at(i, j) * v[j] for j in range(m.cols)), Fraction(0)) for i in range(m.rows))
+
+
+def identity(k: int) -> Matrix:
+    return Matrix.from_rows([[int(i == j) for j in range(k)] for i in range(k)])
+
+
+def random_invertible_change(n: int, rng: random.Random) -> Matrix:
+    """A random invertible (n+1) x (n+1) matrix with small integer entries."""
+    while True:
+        rows = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n + 1)]
+        if rank_rows(rows, n + 1) == n + 1:
+            return Matrix.from_rows(rows)
+
+
+# ---------------------------------------------------------------------------
+# points, hyperplanes and coordinate changes
+# ---------------------------------------------------------------------------
+
+def evaluate_linear(h: LinearForm, p: ProjPoint) -> Fraction:
+    """The form's canonical coefficients dotted with the point's canonical coordinates."""
+    if len(h.coeffs) != len(p.coords):
+        raise ValueError("ambient dimensions disagree")
+    return sum((c * x for c, x in zip(h.coeffs, p.coords)), Fraction(0))
+
+
+def hyperplane_containing_avoiding(f: Flat, avoid: ProjPoint) -> LinearForm:
+    """A hyperplane through the flat that misses the given point."""
+    if avoid.ambient_n != f.ambient_n:
+        raise ValueError("ambient dimensions disagree")
+    if f.dim > f.ambient_n - 1:
+        raise ValueError("the whole space is contained in no hyperplane")
+    if flat_contains(f, avoid):
+        raise ValueError("the point lies on the flat; no hyperplane can separate them")
+    rep = avoid.integer_rep()
+    return LinearForm(next(v for v in f.normals if sum(map(mul, v, rep))))
+
+
+def coordinate_change_to_origin(p: ProjPoint) -> Matrix:
+    """Invertible change of coordinates sending p to (1, 0, ..., 0)."""
+    return canonical_change(p.ambient_n, [p.integer_rep()])[0]
+
+
+# ---------------------------------------------------------------------------
+# forms
+# ---------------------------------------------------------------------------
+
+def form_from_terms(degree: int, nvars: int, terms: Terms) -> Form:
+    basis = monomial_basis(degree, nvars)
+    coeffs = [Fraction(0)] * len(basis)
+    for expo, c in terms.items():
+        coeffs[basis.index(expo)] += c
+    return Form(degree, nvars, tuple(coeffs))
+
+
+def monomial_form(nvars: int, exponent: Sequence[int]) -> Form:
+    exponent = tuple(exponent)
+    return form_from_terms(sum(exponent), nvars, {exponent: Fraction(1)})
+
+
+def form_terms(f: Form) -> Terms:
+    basis = monomial_basis(f.degree, f.nvars)
+    return {e: c for e, c in zip(basis.exponents, f.coeffs) if c}
+
+
+def form_mul(f: Form, g: Form) -> Form:
+    """The product of two forms, expanded term by term."""
+    if f.nvars != g.nvars:
+        raise ValueError("variable counts disagree")
+    out: Terms = {}
+    for ea, ca in form_terms(f).items():
+        for eb, cb in form_terms(g).items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return form_from_terms(f.degree + g.degree, f.nvars, out)
+
+
+def evaluate_form(f: Form, point: ProjPoint) -> Fraction:
+    """The form at the point's canonical coordinates."""
+    total = Fraction(0)
+    for expo, c in form_terms(f).items():
+        v = c
+        for x, e in zip(point.coords, expo):
+            v *= x**e
+        total += v
+    return total
+
+
+def linear_form_to_form(coeffs: Sequence[Fraction]) -> Form:
+    nvars = len(coeffs)
+    terms = {}
+    for j, c in enumerate(coeffs):
+        if c:
+            terms[tuple(int(k == j) for k in range(nvars))] = Fraction(c)
+    if not terms:
+        raise ValueError("zero linear form")
+    return form_from_terms(1, nvars, terms)
+
+
+# ---------------------------------------------------------------------------
+# condition matrices and ideals
+# ---------------------------------------------------------------------------
+
+def condition_matrix(z: FatPointScheme, t: int) -> Matrix:
+    """The degree-t derivative-vanishing matrix; its rank is H_Z(t)."""
+    return Matrix.from_rows(condition_rows(z, t))
+
+
+def ideal_basis(z: FatPointScheme, t: int) -> list[Form]:
+    """Basis of the degree-t forms vanishing to the scheme's orders."""
+    return [Form(t, z.n + 1, vec) for vec in kernel_basis(condition_matrix(z, t))]

@@ -4,10 +4,9 @@ Every criterion prints a single PASS/FAIL line (visible with ``pytest -s``
 or in failure output).  All comparisons are exact integer comparisons;
 there are no numeric tolerances anywhere.
 
-The modular rank filter is enabled for the expensive criteria; it
-changes running time only, never values (a modular rank is reported only
-when it equals min(rows, cols), which proves it), and criterion 8
-exercises the filter itself against pure rational elimination.
+Criterion 8 checks the mod-p pass of ``rank_rows`` against pure rational
+elimination: a modular rank is reported only when it equals
+min(rows, cols), which proves it, so it changes running time, never values.
 """
 
 import json
@@ -17,8 +16,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, cycle
 from math import comb
-
-import pytest
 
 from fatpoints import linalg
 from fatpoints.constructions import (
@@ -30,27 +27,19 @@ from fatpoints.constructions import (
     verify_certificate,
 )
 from fatpoints.generators import PatternSpec, generate
-from fatpoints.geometry import ProjPoint, flat_contains, random_invertible_change, span
+from fatpoints.geometry import ProjPoint, flat_contains, span
 from fatpoints.harness import batch_check
-from fatpoints.linalg import Matrix, rank
+from fatpoints.linalg import rank_rows
 from fatpoints.schemes import (
     FatPointScheme,
     artinian_quotient_regularity,
     hilbert_function,
-    ideal_basis,
     monomial_bound_check,
     multiplicity,
     regularity_index,
 )
 from fatpoints.segre import segre_bound
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _modular_filter_on():
-    before = linalg.modular_filter_enabled()
-    linalg.set_modular_filter(True)
-    yield
-    linalg.set_modular_filter(before)
+from oracles import ideal_basis, random_invertible_change
 
 
 @contextmanager
@@ -335,7 +324,7 @@ def test_criterion_7_hilbert_oracles():
 
 def test_criterion_8_cross_arithmetic_consistency(caplog):
     with criterion(8, "modular filter agrees with rational ranks on 100 matrices"):
-        p1 = linalg.MODULAR_PRIMES[0]
+        p1 = linalg.MODULAR_PRIME
         rng = random.Random(8000)
         linalg.reset_modular_stats()
         planted = 0
@@ -347,15 +336,14 @@ def test_criterion_8_cross_arithmetic_consistency(caplog):
                     [Fraction(rng.randint(-50, 50)) for _ in range(nc)] for _ in range(nr)
                 ]
                 if idx % 10 == 0 and nc >= 2:
-                    # plant a guaranteed rank drop modulo the first published
-                    # prime that row scaling cannot remove
+                    # plant a guaranteed rank drop modulo the published prime
+                    # that row scaling cannot remove
                     top = [Fraction(1)] * nc
                     bottom = [Fraction(1)] * nc
                     bottom[0] += p1
                     rows = [top, bottom]
                     planted += 1
-                m = Matrix.from_rows(rows)
-                assert rank(m, modular=True) == rank(m, modular=False)
+                assert rank_rows(rows, nc, modular=True) == rank_rows(rows, nc, modular=False)
         stats = linalg.modular_stats()
         assert planted > 0
         assert stats["disagreements"] >= planted

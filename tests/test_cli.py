@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -197,30 +198,11 @@ def test_batch_without_workers_exit_one(tmp_path, capsys, workers):
     assert not out.exists()
 
 
-def test_modular_flag_accepted(double_point_scheme, capsys):
-    from fatpoints import linalg
-
-    before = linalg.modular_filter_enabled()
-    try:
-        assert cli_dispatch(["--modular", "reg", "--scheme", double_point_scheme]) == 0
-        assert linalg.modular_filter_enabled()
-    finally:
-        linalg.set_modular_filter(before)
-    assert capsys.readouterr().out.strip() == "1"
-
-
-def test_modular_filter_does_not_leak_between_dispatches(double_point_scheme, capsys):
-    from fatpoints import linalg
-
-    before = linalg.modular_filter_enabled()
-    try:
-        assert cli_dispatch(["--modular", "reg", "--scheme", double_point_scheme]) == 0
-        assert linalg.modular_filter_enabled()
-        assert cli_dispatch(["reg", "--scheme", double_point_scheme]) == 0
-        assert not linalg.modular_filter_enabled()
-    finally:
-        linalg.set_modular_filter(before)
-    assert capsys.readouterr().out.split() == ["1", "1"]
+def test_modular_flag_is_a_usage_error(double_point_scheme, capsys):
+    assert cli_dispatch(["--modular", "reg", "--scheme", double_point_scheme]) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --modular" in captured.err
+    assert captured.out == ""
 
 
 def test_usage_error_exit_one(capsys):
@@ -238,6 +220,15 @@ def test_malformed_scheme_exit_one(tmp_path, capsys):
     bad.write_text(json.dumps({"n": 2, "points": [["1", "0"]], "multiplicities": [1]}))
     assert cli_dispatch(["reg", "--scheme", str(bad)]) == 1
     assert "coordinates" in capsys.readouterr().err
+
+
+def test_huge_exponent_coordinate_exits_one_fast(tmp_path, capsys):
+    bad = tmp_path / "exp.json"
+    bad.write_text(json.dumps({"n": 1, "points": [["1", "1e100000000"]], "multiplicities": [1]}))
+    start = time.perf_counter()
+    assert cli_dispatch(["reg", "--scheme", str(bad)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "point 0, coordinate 1: exponent notation" in capsys.readouterr().err
 
 
 def test_duplicate_points_exit_one(tmp_path, capsys):

@@ -19,17 +19,14 @@ from fatpoints.geometry import (
     ProjPoint,
     extend_flat_avoiding,
     flat_contains,
-    hyperplane_containing_avoiding,
     span,
     transform_point,
 )
-from fatpoints.linalg import Matrix, mat_vec
+from fatpoints.linalg import Matrix
 from fatpoints.schemes import (
     FatPointScheme,
-    Form,
     artinian_quotient_regularity,
     in_fat_ideal,
-    linear_form_to_form,
     monomial_basis,
     regularity_index,
 )
@@ -45,6 +42,13 @@ from fatpoints.constructions import (
     segre_verdict,
     vanishing_orders,
     verify_certificate,
+)
+from oracles import (
+    form_mul,
+    hyperplane_containing_avoiding,
+    linear_form_to_form,
+    mat_vec,
+    monomial_form,
 )
 
 
@@ -377,9 +381,9 @@ def drop_one_factor(cert, k):
 
 def expand(n, monomial, hyperplanes):
     """X^monomial (in X_1..X_n) times the hyperplanes, as a form."""
-    product = Form.monomial(n + 1, (0,) + monomial)
+    product = monomial_form(n + 1, (0,) + monomial)
     for h in hyperplanes:
-        product = product * linear_form_to_form(h.coeffs)
+        product = form_mul(product, linear_form_to_form(h.coeffs))
     return product
 
 
@@ -673,7 +677,7 @@ def plain_distribute(points, avoid, mults, r, t, seed):
 
 def per_monomial_grouped(moved, origin, a, seed, change, positions, groups, strategy):
     """The plain grouped loop: per monomial, one plain_distribute per group,
-    each slot's join spanned afresh and lifted through the public
+    each slot's join spanned afresh and lifted through
     hyperplane_containing_avoiding."""
     entries = []
     delta = 0

@@ -77,6 +77,18 @@ def test_malformed_coordinate_diagnostic():
         scheme_from_obj(obj)
 
 
+@pytest.mark.parametrize("text", ["1e3", "2E-1", "1/1e2"])
+def test_exponent_notation_is_rejected(text):
+    obj = {"n": 1, "points": [["1", text]], "multiplicities": [1]}
+    with pytest.raises(ValueError, match="point 0, coordinate 1: exponent notation"):
+        scheme_from_obj(obj)
+
+
+def test_decimal_coordinates_stay_accepted():
+    z = scheme_from_obj({"n": 1, "points": [["1", "0.25"]], "multiplicities": [1]})
+    assert z.points[0] == ProjPoint((4, 1))
+
+
 def test_wrong_width_diagnostic():
     obj = {"n": 2, "points": [["1", "0"]], "multiplicities": [1]}
     with pytest.raises(ValueError, match="expected 3 coordinates"):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from fatpoints import geometry
 from fatpoints.geometry import Flat, LinearForm, ProjPoint, extend_flat_avoiding, span
-from fatpoints.linalg import Matrix, in_span, integer_kernel, primitive_row, rref
+from fatpoints.linalg import Matrix, integer_kernel, primitive_row, rref
+from oracles import in_span
 
 # ---------------------------------------------------------------------------
 # the Fraction route, as references

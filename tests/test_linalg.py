@@ -10,19 +10,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints.linalg import (
-    MODULAR_PRIMES,
+    MODULAR_PRIME,
     Matrix,
     _echelon,
-    in_span,
+    _rank_mod,
     kernel_basis,
-    mat_vec,
     modular_stats,
-    rank,
-    rank_mod_p,
+    primitive_row,
     rank_rows,
     reset_modular_stats,
     rref,
 )
+from oracles import identity, in_span, mat_vec
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +94,10 @@ small_matrix_st = st.integers(min_value=1, max_value=4).flatmap(
 # ---------------------------------------------------------------------------
 
 def test_rref_identity():
-    res = rref(Matrix.identity(2))
+    res = rref(identity(2))
     assert res.rank == 2
     assert res.pivot_cols == (0, 1)
-    assert res.rref == Matrix.identity(2)
+    assert res.rref == identity(2)
 
 
 def test_rref_proportional_rows():
@@ -139,7 +138,7 @@ def test_rref_idempotent(m):
 @settings(max_examples=60, deadline=None)
 @given(small_matrix_st)
 def test_rank_equals_transpose_rank(m):
-    assert rref(m).rank == rref(m.transpose()).rank
+    assert rref(m).rank == rref(Matrix.from_rows(list(zip(*m.to_rows())))).rank
 
 
 def test_rref_preserves_row_space():
@@ -170,7 +169,7 @@ def test_kernel_of_zero_matrix():
 
 
 def test_kernel_of_identity_is_empty():
-    assert kernel_basis(Matrix.identity(3)) == []
+    assert kernel_basis(identity(3)) == []
 
 
 def test_kernel_single_row():
@@ -226,26 +225,24 @@ def test_in_span_matches_rank_oracle():
 
 
 # ---------------------------------------------------------------------------
-# rank_mod_p
+# rank modulo a prime
 # ---------------------------------------------------------------------------
 
+def rank_mod(m: Matrix, p: int) -> int:
+    """The rank mod p of m's rows, denominators cleared as rank_rows clears them."""
+    return _rank_mod([primitive_row(row) for row in m.to_rows()], m.cols, p)
+
+
 def test_rank_mod_p_identity():
-    for p in MODULAR_PRIMES:
-        assert rank_mod_p(Matrix.identity(3), p) == 3
+    assert rank_mod(identity(3), MODULAR_PRIME) == 3
 
 
 def test_rank_mod_p_constructed_degeneration():
-    p = MODULAR_PRIMES[0]
+    # on the raw rows: rank_rows divides the content p out of the first row
+    p = MODULAR_PRIME
     m = Matrix.from_rows([[p, 0], [0, 1]])
-    assert rank_mod_p(m, p) == 1
+    assert _rank_mod(m.to_rows(), 2, p) == 1
     assert rref(m).rank == 2
-
-
-def test_rank_mod_p_denominator_error():
-    p = MODULAR_PRIMES[1]
-    m = Matrix.from_rows([[Fraction(1, p)]])
-    with pytest.raises(ValueError):
-        rank_mod_p(m, p)
 
 
 def random_62bit_primes(seed, count):
@@ -271,13 +268,13 @@ def test_rank_mod_p_agrees_with_rational_rank_on_random_corpus():
         )
         expected = rref(m).rank
         for p in rng.sample(primes, 3):
-            assert rank_mod_p(m, p) == expected
+            assert rank_mod(m, p) == expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_matrix_st)
 def test_rank_mod_p_never_exceeds_rational_rank(m):
-    assert rank_mod_p(m, MODULAR_PRIMES[0]) <= rref(m).rank
+    assert rank_mod(m, MODULAR_PRIME) <= rref(m).rank
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +290,16 @@ def test_rank_modular_filter_matches_pure_rank():
             rng.randint(1, 6),
             planted_rank=rng.choice([None, 1, 2, 3]),
         )
-        assert rank(m, modular=True) == rank(m, modular=False)
+        assert rank_rows(m.to_rows(), m.cols, modular=True) == rank_rows(m.to_rows(), m.cols)
 
 
 def test_rank_filter_falls_back_on_bad_prime(caplog):
     # rank drops mod the first published prime, and row scaling cannot hide it
-    p = MODULAR_PRIMES[0]
-    m = Matrix.from_rows([[1, 1], [1, 1 + p]])
+    p = MODULAR_PRIME
+    rows = [[1, 1], [1, 1 + p]]
     reset_modular_stats()
     with caplog.at_level(logging.WARNING, logger="fatpoints.linalg"):
-        assert rank(m, modular=True) == 2
+        assert rank_rows(rows, 2, modular=True) == 2
     stats = modular_stats()
     assert stats["fallbacks"] >= 1
     assert stats["disagreements"] >= 1
@@ -314,11 +311,11 @@ def test_rank_filter_certifies_rank_deficient_matrices():
     reset_modular_stats()
     for _ in range(10):
         m = random_matrix(rng, 5, 7, planted_rank=3)
-        assert rank(m, modular=True) == 3
+        assert rank_rows(m.to_rows(), m.cols, modular=True) == 3
     assert modular_stats()["disagreements"] == 0
 
 
-P0 = MODULAR_PRIMES[0]
+P0 = MODULAR_PRIME
 
 # small entries, plus entries of at least 62 bits that wrap modulo P0
 entry_st = st.one_of(
@@ -456,7 +453,7 @@ def test_degenerate_shapes():
     zero_row = Matrix.from_rows([[0, 0, 0]])
     assert rref(zero_row).rank == 0
     assert len(kernel_basis(zero_row)) == 3
-    assert rank(zero_row, modular=True) == 0
+    assert rank_rows(zero_row.to_rows(), 3, modular=True) == 0
 
 
 def test_mat_vec():

@@ -14,7 +14,6 @@ from fatpoints.geometry import (
     degeneracy_index,
     degeneracy_of,
     flat_contains,
-    random_invertible_change,
     span,
     span_dim,
     spanned_flats,
@@ -22,6 +21,7 @@ from fatpoints.geometry import (
 from fatpoints.linalg import rank_rows
 from fatpoints.schemes import FatPointScheme
 from fatpoints.segre import max_multiplicity_on_flats, segre_T, segre_bound
+from oracles import random_invertible_change
 
 
 def unit(n, i):
