@@ -23,6 +23,7 @@ from fatpoints.constructions import (
     verify_certificate,
 )
 from fatpoints.generators import PATTERNS, PatternSpec, generate
+from fatpoints.geometry import span
 from fatpoints.harness import batch_check, load_scheme, scheme_to_obj
 from fatpoints.schemes import (
     artinian_quotient_regularity,
@@ -156,23 +157,17 @@ def _flat_obj(flat) -> list[list[str]]:
 
 def _cmd_hilbert(args) -> int:
     z = load_scheme(args.scheme)
-    if args.degree is not None:
-        if args.degree < 0:
-            raise ValueError("--degree must be nonnegative")
-        print(hilbert_function(z, args.degree))
-        return 0
-    # The regularity index is the least t with H(t) = e, so one upward
-    # scan builds the table and finds it.
+    if args.degree is not None and args.degree < 0:
+        raise ValueError("--degree must be nonnegative")
+    # H is nondecreasing and first reaches e at the regularity index, so
+    # H(t) = e for every t >= reg: no degree past reg needs a matrix.
     e = multiplicity(z)
+    reg = regularity_index(z)
+    if args.degree is not None:
+        print(e if args.degree >= reg else hilbert_function(z, args.degree))
+        return 0
     frame = simplex_frame(z)
-    rows = []
-    for t in range(sum(z.mults)):  # the regularity index is at most sum(m_i) - 1
-        rows.append((t, hilbert_function(z, t, frame=frame)))
-        if rows[-1][1] == e:
-            break
-    else:
-        raise RuntimeError("Hilbert function passed its cap; this indicates a bug")
-    reg = rows[-1][0]
+    rows = [(t, hilbert_function(z, t, frame=frame)) for t in range(reg + 1)]
     if args.csv:
         print("t,h")
         for t, h in rows:
@@ -201,7 +196,7 @@ def _cmd_segre(args) -> int:
                 "T": e.value,
                 "total_multiplicity": e.total_mult,
                 "witness_indices": list(e.witness_indices),
-                "witness_flat": _flat_obj(e.witness_flat),
+                "witness_flat": _flat_obj(span([z.points[i] for i in e.witness_indices])),
             }
             for e in report.entries
         ],

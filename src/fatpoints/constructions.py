@@ -350,7 +350,7 @@ def _split_groups(moved: FatPointScheme, origin: ProjPoint) -> Optional[tuple[in
     if k is None:
         return None
     o = moved.size
-    through_origin = [w for dim, w, _ in flats if dim == k and o in w and len(w) >= k + 2]
+    through_origin = [w for dim, w in flats if dim == k and o in w and len(w) >= k + 2]
     if not through_origin:
         return None
     return k, [i for i in min(through_origin) if i != o]

@@ -290,5 +290,5 @@ def _crowded_flat(flats: Sequence[SpannedFlat], s: int) -> bool:
     """
     return any(
         (dim <= s - 1 and len(witness) >= s + 2) or (dim <= s - 2 and len(witness) >= s)
-        for dim, witness, _ in flats
+        for dim, witness in flats
     )

@@ -40,8 +40,9 @@ from fatpoints.linalg import (
 
 Coords = tuple[Fraction, ...]
 
-#: (dim, witness indices, spanning indices) of one flat spanned by points
-SpannedFlat = tuple[int, tuple[int, ...], tuple[int, ...]]
+#: (dim, witness indices) of one flat spanned by points: the witnesses are
+#: every point on the flat, so it is span(points at witness)
+SpannedFlat = tuple[int, tuple[int, ...]]
 
 
 def _rational_row(v: Iterable[object]) -> list:
@@ -244,12 +245,12 @@ def flat_contains(f: Flat, p: ProjPoint) -> bool:
 def spanned_flats(points: Sequence[ProjPoint]) -> tuple[SpannedFlat, ...]:
     """Every flat spanned by the points, each found once, smallest first.
 
-    Returns (dim, witness index tuple, spanning index tuple) triples; the
-    witness set is every point on the flat, and the last triple is the
-    span of all the points.  The points must be pairwise distinct, so
-    each 0-flat holds its own point only.  Larger subsets are walked by
-    size, and one whose indices all lie in a witness set already found is
-    skipped: it spans nothing new.  ``covered`` holds the subsets of every
+    Returns (dim, witness index tuple) pairs; the witness set is every
+    point on the flat, which is therefore the span of those points, and
+    the last pair is the span of all the points.  The points must be
+    pairwise distinct, so each 0-flat holds its own point only.  Larger
+    subsets are walked by size, and one whose indices all lie in a witness
+    set already found is skipped: it spans nothing new.  ``covered`` holds the subsets of every
     witness set, of each size still to come, so that test is one lookup.
     By induction on the size, a dependent subset is always skipped
     (dropping a dependent point keeps its span, which was found from the
@@ -273,7 +274,7 @@ def spanned_flats(points: Sequence[ProjPoint]) -> tuple[SpannedFlat, ...]:
         raise ValueError("points must be pairwise distinct")
     _cone_rows(points)  # span_dim's errors for no points or mixed ambient spaces
     size_all, width = len(reps), len(reps[0])
-    found: list[SpannedFlat] = [(0, (i,), (i,)) for i in range(size_all)]
+    found: list[SpannedFlat] = [(0, (i,)) for i in range(size_all)]
     # prefix -> (rows, pivot of the step that made them)
     states: dict[tuple[int, ...], tuple[list[list[int]], int]] = {
         (): ([list(col) for col in zip(*reps)], 1)
@@ -295,7 +296,7 @@ def spanned_flats(points: Sequence[ProjPoint]) -> tuple[SpannedFlat, ...]:
                 witness = tuple(i for i, col in enumerate(zip(*rows)) if not any(col))
             else:  # the subset spans the whole space
                 witness = tuple(range(size_all))
-            found.append((size - 1, witness, sub))
+            found.append((size - 1, witness))
             for k in range(size, min(len(witness), top) + 1):
                 covered.update(combinations(witness, k))
     return tuple(found)
@@ -311,7 +312,7 @@ def degeneracy_of(flats: Sequence[SpannedFlat]) -> Optional[int]:
     """
     top = flats[-1][0]
     return next(
-        (dim for dim, witness, _ in flats if dim < top and len(witness) >= dim + 2), None
+        (dim for dim, witness in flats if dim < top and len(witness) >= dim + 2), None
     )
 
 

@@ -8,7 +8,9 @@ points: ``FatPointScheme.flats`` (see
 :func:`fatpoints.geometry.spanned_flats`), found once per scheme and
 shared with the verdict and the generators.  Each candidate is scored by
 the total multiplicity of the scheme points it contains, in one pass for
-every j, and a :class:`Flat` is built only for each distinct winner.
+every j.  The table is numbers and index sets: a witness flat is the span
+of its witness points, built only by the callers that print it
+(:func:`max_multiplicity_on_flats` and the CLI's ``segre`` report).
 """
 
 from __future__ import annotations
@@ -16,19 +18,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from fatpoints.geometry import Flat, span
+from fatpoints.geometry import span
 from fatpoints.schemes import FatPointScheme
 
 
 @dataclass(frozen=True)
 class SegreEntry:
-    """Best flat of dimension at most j and the value it contributes."""
+    """Best flat of dimension at most j and the value it contributes.
+
+    The flat is the span of the points at ``witness_indices``, which are
+    every scheme point on it.
+    """
 
     j: int
     value: int
     total_mult: int
     witness_indices: tuple[int, ...]
-    witness_flat: Flat
 
 
 @dataclass(frozen=True)
@@ -38,30 +43,32 @@ class SegreReport:
     argmax_j: int
 
     def entry(self, j: int) -> SegreEntry:
+        if not 1 <= j <= len(self.entries):
+            raise ValueError("flat dimension out of range")
         return self.entries[j - 1]
 
 
-def _winners(z: FatPointScheme) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """For j = 1..n, the best flat of dimension <= j as (total, witness, spanning subset).
+def _winners(z: FatPointScheme) -> list[tuple[int, tuple[int, ...]]]:
+    """For j = 1..n, the best flat of dimension <= j as (total, witness).
 
     Ties are broken by the lexicographically smallest witness index set;
     distinct flats have distinct witness sets, so the best is unique.  The
     flats come smallest first, so one pass keeps a running best and
     records it for j just before the first flat of dimension above j.
     """
-    winners: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-    best: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
-    for dim, witness, sub in z.flats:
+    winners: list[tuple[int, tuple[int, ...]]] = []
+    best: Optional[tuple[int, tuple[int, ...]]] = None
+    for dim, witness in z.flats:
         while len(winners) < dim - 1:
             winners.append(best)
         total = sum(z.mults[i] for i in witness)
         if best is None or total > best[0] or (total == best[0] and witness < best[1]):
-            best = (total, witness, sub)
+            best = (total, witness)
     winners.extend([best] * (z.n - len(winners)))
     return winners
 
 
-def _winner(z: FatPointScheme, j: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def _winner(z: FatPointScheme, j: int) -> tuple[int, tuple[int, ...]]:
     if not 1 <= j <= z.n:
         raise ValueError("flat dimension out of range")
     return _winners(z)[j - 1]
@@ -73,8 +80,8 @@ def max_multiplicity_on_flats(z: FatPointScheme, j: int):
     Returns (total, witness flat, witness indices); ties are broken by
     the lexicographically smallest witness index set.
     """
-    total, witness, sub = _winner(z, j)
-    return total, span([z.points[i] for i in sub]), witness
+    total, witness = _winner(z, j)
+    return total, span([z.points[i] for i in witness]), witness
 
 
 def segre_T(z: FatPointScheme, j: int) -> int:
@@ -84,24 +91,11 @@ def segre_T(z: FatPointScheme, j: int) -> int:
 
 
 def segre_bound(z: FatPointScheme) -> SegreReport:
-    """Full table of T_1..T_n with witnesses; the bound is the maximum.
-
-    A flat that wins at several j is spanned once and shared.
-    """
-    entries = []
-    flats: dict[tuple[int, ...], Flat] = {}
-    for j, (q, witness, sub) in enumerate(_winners(z), start=1):
-        if witness not in flats:
-            flats[witness] = span([z.points[i] for i in sub])
-        entries.append(
-            SegreEntry(
-                j=j,
-                value=(q + j - 2) // j,
-                total_mult=q,
-                witness_indices=witness,
-                witness_flat=flats[witness],
-            )
-        )
+    """Full table of T_1..T_n with witness index sets; the bound is the maximum."""
+    entries = tuple(
+        SegreEntry(j=j, value=(q + j - 2) // j, total_mult=q, witness_indices=witness)
+        for j, (q, witness) in enumerate(_winners(z), start=1)
+    )
     bound = max(e.value for e in entries)
     argmax_j = next(e.j for e in entries if e.value == bound)
-    return SegreReport(tuple(entries), bound, argmax_j)
+    return SegreReport(entries, bound, argmax_j)

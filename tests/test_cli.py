@@ -48,6 +48,19 @@ def test_hilbert_single_degree(double_point_scheme, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_hilbert_degree_past_reg_prints_e_fast(tmp_path, capsys):
+    """A degree at or past the regularity index builds no condition matrix."""
+    path = tmp_path / "three.json"
+    obj = {"n": 2, "points": [["1", "0", "0"], ["0", "1", "0"], ["1", "1", "1"]],
+           "multiplicities": [2, 1, 1]}
+    path.write_text(json.dumps(obj))
+    for degree, want in (("1", "3"), ("2", "5"), ("1000000", "5")):
+        start = time.perf_counter()
+        assert cli_dispatch(["hilbert", "--scheme", str(path), "--degree", degree]) == 0
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().out.strip() == want
+
+
 def test_hilbert_table_csv(double_point_scheme, capsys):
     assert cli_dispatch(["hilbert", "--scheme", double_point_scheme, "--csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -102,9 +115,11 @@ def test_reg_equals_last_hilbert_row_on_degenerate_schemes(tmp_path, capsys, poi
     assert cli_dispatch(["reg", "--scheme", str(path)]) == 0
     reg = capsys.readouterr().out.strip()
     assert cli_dispatch(["hilbert", "--scheme", str(path), "--csv"]) == 0
-    last_t, last_h = capsys.readouterr().out.strip().splitlines()[-1].split(",")
-    assert last_t == reg
-    assert int(last_h) == multiplicity(load_scheme(str(path)))
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    e = multiplicity(load_scheme(str(path)))
+    assert rows[-1] == [reg, str(e)]
+    if len(rows) > 1:  # the P^n table reaches e no earlier than the P^d scan
+        assert int(rows[-2][1]) < e
 
 
 def test_segre_two_doubles(two_doubles_p3, capsys):

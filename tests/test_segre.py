@@ -189,6 +189,18 @@ def test_out_of_range_j():
         max_multiplicity_on_flats(z, 3)
 
 
+def test_report_entry_out_of_range_j():
+    """``entry(0)`` is not the T_n entry, and ``entry(n+1)`` is no IndexError."""
+    z = FatPointScheme(2, (unit(2, 0), unit(2, 1)), (2, 1))
+    report = segre_bound(z)
+    assert [report.entry(j).j for j in (1, 2)] == [1, 2]
+    for j in (-1, 0, 3):
+        with pytest.raises(ValueError, match="flat dimension out of range"):
+            report.entry(j)
+        with pytest.raises(ValueError, match="flat dimension out of range"):
+            segre_T(z, j)
+
+
 # ---------------------------------------------------------------------------
 # the whole table against a brute-force flat lattice
 # ---------------------------------------------------------------------------
@@ -244,7 +256,10 @@ def brute_force_table(z):
 )
 def test_segre_table_matches_brute_force_lattice(z):
     report = segre_bound(z)
-    got = [(e.value, e.total_mult, e.witness_indices, e.witness_flat) for e in report.entries]
+    got = [
+        (e.value, e.total_mult, e.witness_indices, span([z.points[i] for i in e.witness_indices]))
+        for e in report.entries
+    ]
     assert got == brute_force_table(z)
     assert [e.j for e in report.entries] == list(range(1, z.n + 1))
     verdict = segre_verdict(z)
@@ -272,7 +287,7 @@ def rank_candidate_flats(z):
                 for i in range(z.size)
                 if i in sub or rank_rows(rows + [ints[i]], width, modular=False) == size
             )
-            found.append((size - 1, witness, sub))
+            found.append((size - 1, witness))
             covered.append(frozenset(witness))
     return tuple(found)
 
@@ -313,6 +328,27 @@ def planted_schemes(draw):
 )
 def test_candidate_flats_match_rank_enumeration(z):
     assert spanned_flats(z.points) == rank_candidate_flats(z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(planted_schemes(), small_schemes()))
+@example(FatPointScheme(2, tuple(ProjPoint((1, k, 0)) for k in range(4)), (1, 2, 3, 1)))
+@example(FatPointScheme(1, (unit(1, 0),), (2,)))
+@example(  # a plane of four points and a line through two of them in P^3
+    FatPointScheme(
+        3,
+        (unit(3, 0), unit(3, 1), unit(3, 2), ProjPoint((1, 1, 1, 0)), ProjPoint((1, 1, 0, 1)),
+         ProjPoint((2, 2, 0, 1))),
+        (1,) * 6,
+    )
+)
+def test_spanned_flat_is_its_dimension_and_witnesses(z):
+    """Each (dim, witness) pair is a flat: the witness points span a flat of
+    that dimension, and the points on that flat are exactly the witnesses."""
+    for dim, witness in spanned_flats(z.points):
+        f = span([z.points[i] for i in witness])
+        assert f.dim == dim
+        assert tuple(i for i, p in enumerate(z.points) if flat_contains(f, p)) == witness
 
 
 # ---------------------------------------------------------------------------
