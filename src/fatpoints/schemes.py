@@ -44,6 +44,19 @@ Frames are applied in integers, by the rows D E of
 :func:`fatpoints.geometry.frame_change`: E the canonical change and
 D = diag(v_k), all v_k > 0.  D fixes every coordinate point, so it
 changes no vertex block, rank, artinian regularity or criterion answer.
+
+Three functions memoize, each in a bounded ``lru_cache`` of 64 entries:
+:func:`regularity_index` per scheme, :func:`artinian_quotient_regularity`
+per (scheme, point, order) and the origin frame of an artinian reduction
+per (scheme, point), which :func:`monomial_bound_check` shares.  The keys
+are equal schemes and points, not the same objects: the removal
+recursion and its caller each build their own ``z.without_point(i0)``,
+so a cache kept on one scheme object would miss the repeat.  The calls
+that reuse an entry run back to back, over the removals of one scheme,
+so 64 entries hold them; a larger cache only keeps schemes alive.  A
+miss checks the arguments before any work, an exception is never cached,
+and a hit returns only what an equal call with arguments of the same
+types returned.
 """
 
 from __future__ import annotations
@@ -190,6 +203,9 @@ class FatPointScheme:
         return FatPointScheme(self.n, transform_points(change, self.points), self.mults)
 
     def permuted(self, order: Sequence[int]) -> "FatPointScheme":
+        """The same scheme with its points listed in ``order``, a permutation of 0..size-1."""
+        if sorted(order) != list(range(self.size)):
+            raise ValueError(f"{list(order)} is not a permutation of 0..{self.size - 1}")
         return FatPointScheme(
             self.n,
             tuple(self.points[i] for i in order),
@@ -358,7 +374,8 @@ def hilbert_function(z: FatPointScheme, t: int, *, frame: SimplexFrame | None = 
 
 
 # reg(Z) is reused only across the removals of one scheme, which run back to
-# back; a larger cache only keeps schemes alive.
+# back; a larger cache only keeps schemes alive.  The artinian caches below
+# are bounded at 64 for the same reason (see the module docstring).
 @lru_cache(maxsize=64)
 def regularity_index(z: FatPointScheme) -> int:
     """Least degree at which the Hilbert function reaches the multiplicity.
@@ -437,14 +454,20 @@ def in_fat_ideal(f: Form, z: FatPointScheme) -> bool:
 # artinian reductions at a distinguished point
 # ---------------------------------------------------------------------------
 
-def _origin_frame(j: FatPointScheme, p: ProjPoint, a: int) -> SimplexFrame:
-    """The simplex frame of j with p sent to e_0 first."""
+def _check_artinian_args(j: FatPointScheme, p: ProjPoint, a: int) -> None:
     if a < 1:
         raise ValueError("the vanishing order must be positive")
     if p.ambient_n != j.n:
         raise ValueError("ambient dimensions disagree")
     if p in j.points:
         raise ValueError("the distinguished point coincides with a point of the scheme")
+
+
+# Shared by artinian_quotient_regularity and monomial_bound_check, which
+# check their arguments before asking for it.
+@lru_cache(maxsize=64)
+def _origin_frame(j: FatPointScheme, p: ProjPoint) -> SimplexFrame:
+    """The simplex frame of j with p sent to e_0 first."""
     return _frame(j, [p.integer_rep()])
 
 
@@ -469,6 +492,8 @@ def _artinian_ranks(frame: SimplexFrame, t: int, low: int) -> tuple[int, int]:
     )
 
 
+# typed: a call with a = 2.0 is its own miss, so it raises as it did uncached
+@lru_cache(maxsize=64, typed=True)
 def artinian_quotient_regularity(j: FatPointScheme, p: ProjPoint, a: int) -> int:
     """Regularity index of the quotient by the scheme plus p's a-th power.
 
@@ -487,7 +512,8 @@ def artinian_quotient_regularity(j: FatPointScheme, p: ProjPoint, a: int) -> int
     the first zero, since an artinian standard graded quotient cannot
     revive.
     """
-    frame = _origin_frame(j, p, a)
+    _check_artinian_args(j, p, a)
+    frame = _origin_frame(j, p)
     low = comb(a - 1 + j.n, j.n)
     for t in range(a + max(j.mults) - 1, sum(j.mults) + a + 1):
         full, high = _artinian_ranks(frame, t, low)
@@ -536,11 +562,14 @@ def monomial_bound_check(j: FatPointScheme, p: ProjPoint, a: int, b: int) -> boo
     where M' is M under an invertible linear substitution of the last n
     variables, so the family tested at each i spans the same space.  The
     test is kernel and span based, with no rank count, so it stays an
-    independent check of the artinian regularity.
+    independent check of the artinian regularity: it shares only the
+    cached change of coordinates with :func:`artinian_quotient_regularity`,
+    and itself is not cached.
     """
     if b < a - 1:
         raise ValueError("the degree must be at least a - 1")
-    frame = _origin_frame(j, p, a)
+    _check_artinian_args(j, p, a)
+    frame = _origin_frame(j, p)
     piece = _ideal_piece(frame, b, comb(a - 1 + j.n, j.n))
     for i in range(a):
         width = comb(i + j.n, j.n)

@@ -387,6 +387,20 @@ def test_regularity_invariance_under_projectivities_and_permutations():
         assert regularity_index(shuffled) == base
 
 
+@pytest.mark.parametrize("order", [[0], [2, 1, 7], [-1, 0, 1], [0, 0, 1], [0, 1, 2, 0], []])
+def test_permuted_rejects_orders_that_are_not_permutations(order):
+    z = FatPointScheme(2, (unit(2, 0), unit(2, 1), unit(2, 2)), (1, 2, 3))
+    with pytest.raises(ValueError, match="not a permutation"):
+        z.permuted(order)
+
+
+def test_permuted_reorders_points_with_their_multiplicities():
+    z = FatPointScheme(2, (unit(2, 0), unit(2, 1), unit(2, 2)), (1, 2, 3))
+    moved = z.permuted([2, 0, 1])
+    assert moved.points == (unit(2, 2), unit(2, 0), unit(2, 1))
+    assert moved.mults == (3, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # ideal basis and membership
 # ---------------------------------------------------------------------------
@@ -678,7 +692,7 @@ def test_artinian_frame_matches_plain_condition_matrices(instance):
     the artinian regularity.
     """
     j, p, a = instance
-    frame = _origin_frame(j, p, a)
+    frame = _origin_frame(j, p)
     moved = j.transform(coordinate_change_to_origin(p))
     low = comb(a - 1 + j.n, j.n)
     areg = artinian_quotient_regularity(j, p, a)
