@@ -56,7 +56,6 @@ from fatpoints.schemes import (
     monomial_bound_check,
     multiplicity,
     regularity_index,
-    simplex_frame,
 )
 from fatpoints.segre import segre_bound
 
@@ -154,8 +153,8 @@ def span_regularity_battery(name, trials, base_seed):
         pts = [ProjPoint(tuple(sum(a * x for a, x in zip(row, rep)) for row in embedding)) for rep in reps]
         z = FatPointScheme(n, tuple(pts), tuple(rng.randint(1, 3) for _ in pts))
         # the least t from max(m_i) - 1 on with H(t) = e in P^n
-        e, frame, t = multiplicity(z), simplex_frame(z), max(z.mults) - 1
-        while hilbert_function(z, t, frame=frame) != e:
+        e, t = multiplicity(z), max(z.mults) - 1
+        while hilbert_function(z, t) != e:
             t += 1
         if regularity_index(z) != t:
             failures += 1

@@ -39,7 +39,7 @@ from fatpoints.schemes import (
     multiplicity,
     regularity_index,
 )
-from fatpoints.segre import SegreReport, max_multiplicity_on_flats, segre_T, segre_bound
+from fatpoints.segre import SegreReport, segre_bound
 from fatpoints.constructions import (
     Certificate,
     Distribution,
@@ -81,8 +81,6 @@ __all__ = [
     "multiplicity",
     "regularity_index",
     "SegreReport",
-    "max_multiplicity_on_flats",
-    "segre_T",
     "segre_bound",
     "Certificate",
     "Distribution",

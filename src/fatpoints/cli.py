@@ -31,7 +31,6 @@ from fatpoints.schemes import (
     monomial_bound_check,
     multiplicity,
     regularity_index,
-    simplex_frame,
 )
 from fatpoints.segre import segre_bound
 
@@ -166,8 +165,7 @@ def _cmd_hilbert(args) -> int:
     if args.degree is not None:
         print(e if args.degree >= reg else hilbert_function(z, args.degree))
         return 0
-    frame = simplex_frame(z)
-    rows = [(t, hilbert_function(z, t, frame=frame)) for t in range(reg + 1)]
+    rows = [(t, hilbert_function(z, t)) for t in range(reg + 1)]
     if args.csv:
         print("t,h")
         for t, h in rows:

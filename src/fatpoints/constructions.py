@@ -46,6 +46,7 @@ from fatpoints.geometry import (
 from fatpoints.linalg import Matrix, integer_kernel, rank_rows
 from fatpoints.schemes import (
     FatPointScheme,
+    _check_artinian_args,
     artinian_quotient_regularity,
     monomial_basis,
     regularity_index,
@@ -211,7 +212,7 @@ def _origin(n: int) -> ProjPoint:
 
 def _monomial_order_at(mono: tuple[int, ...], q: ProjPoint) -> int:
     """Vanishing order of a monomial in X_1..X_n at a point."""
-    return sum(c for c, x in zip(mono, q.coords[1:]) if x == 0)
+    return sum(c for c, x in zip(mono, q.rep[1:]) if not x)
 
 
 def vanishing_orders(
@@ -400,12 +401,7 @@ def build_certificate(j: FatPointScheme, p: ProjPoint, a: int, seed: int) -> Cer
     workable flat dimension.  The result always verifies; the
     independently trusted check is :func:`verify_certificate`.
     """
-    if a < 1:
-        raise ValueError("the vanishing order must be positive")
-    if p.ambient_n != j.n:
-        raise ValueError("ambient dimensions disagree")
-    if p in j.points:
-        raise ValueError("the distinguished point coincides with a point of the scheme")
+    _check_artinian_args(j, p, a)
     change, positions = _normalizing_change(j, p)
     moved = j.transform(change)
     origin = _origin(j.n)

@@ -1,13 +1,16 @@
 """Points, flats and hyperplanes of projective n-space over the rationals.
 
-Each object is built once from primitive integer rows, which it keeps
-off the dataclass fields: a point its representative, a hyperplane its
-coefficients (both with a positive lead), a flat the integer echelon rows
-of its cone and the normals read off them.  The canonical ``Fraction``
-fields are views of those rows: coordinates with lead 1, the reduced row
-echelon basis of a flat's cone.  So structural equality is geometric
-equality, incidence is an integer dot product, and changes of
-coordinates move points in integers.
+Points and flats are their primitive integer rows: a point's field is its
+representative with a positive first nonzero entry, a flat's the reduced
+echelon rows of its cone, each primitive with a positive pivot.  Each
+constructor takes any input that ``Fraction()`` accepts and brings it to
+that canonical form, so structural equality is geometric equality,
+incidence is an integer dot product, and changes of coordinates move
+points in integers.  The ``Fraction`` values (a point's coordinates with
+lead 1, a flat's reduced row echelon basis) are views built when first
+read.  A hyperplane keeps its canonical ``Fraction`` coefficients as its
+field, because certificates print it, and its integer coefficients
+beside them.
 
 The flats spanned by a point set are enumerated once, by
 :func:`spanned_flats`: one fraction-free elimination step per subset, on
@@ -24,7 +27,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import getitem, mul
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from fatpoints.linalg import (
@@ -45,25 +48,25 @@ Coords = tuple[Fraction, ...]
 SpannedFlat = tuple[int, tuple[int, ...]]
 
 
-def _rational_row(v: Iterable[object]) -> list:
-    """Entries that ``Fraction()`` takes, as ints or ``Fraction``s."""
-    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+def _primitive(v: Iterable[object]) -> list:
+    """The primitive integer row proportional to v, whose entries ``Fraction()`` takes."""
+    return primitive_row([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v])
 
 
-def _normalize(obj: object, field: str, kind: str) -> None:
-    """Make the field rep / lead, rep primitive with a positive lead, and keep rep as ``_rep``.
-
-    ``_rep`` lives in the instance ``__dict__``: repr, ==, hash and asdict never see it.
-    """
-    rep = primitive_row(_rational_row(getattr(obj, field)))
+def _primitive_rep(v: Iterable[object], kind: str) -> tuple[int, ...]:
+    """The primitive integer row proportional to v, with a positive lead, in Python ints."""
+    rep = _primitive(v)
     lead = next((x for x in rep if x), None)
     if lead is None:
         raise ValueError(f"{kind} must have a nonzero coordinate vector")
     if lead < 0:
-        lead, rep = -lead, [-x for x in rep]
-    rep = tuple(map(int, rep))
-    object.__setattr__(obj, field, _fraction_rows([rep], [lead])[0])
-    object.__setattr__(obj, "_rep", rep)
+        rep = [-x for x in rep]
+    return tuple(map(int, rep))
+
+
+def _lead_one(rows: Sequence[Sequence[int]]) -> list[Coords]:
+    """Each integer row divided by its first nonzero entry, in ``Fraction``."""
+    return _fraction_rows(rows, (next(x for x in row if x) for row in rows))
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -76,29 +79,32 @@ def incident(normals: Sequence[Sequence[int]], p: "ProjPoint") -> bool:
     The normals are those of :func:`fatpoints.linalg.integer_kernel`: p is on
     the flat exactly when its integer representative dots each of them to 0.
     """
-    rep = p.integer_rep()
-    return not any(_dot(v, rep) for v in normals)
+    return not any(_dot(v, p.rep) for v in normals)
 
 
+# cached_property values live in the instance __dict__, off the dataclass
+# fields, so repr, ==, hash and asdict never see them
 @dataclass(frozen=True)
 class ProjPoint:
-    """A point of P^n in canonical homogeneous coordinates."""
+    """A point of P^n, as its primitive integer representative with a positive lead."""
 
-    coords: Coords
+    rep: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _normalize(self, "coords", "point")
+        object.__setattr__(self, "rep", _primitive_rep(self.rep, "point"))
 
     @property
     def ambient_n(self) -> int:
-        return len(self.coords) - 1
+        return len(self.rep) - 1
+
+    @cached_property
+    def coords(self) -> Coords:
+        """Canonical homogeneous coordinates: the representative divided by its lead."""
+        return _lead_one([self.rep])[0]
 
     def integer_rep(self) -> tuple[int, ...]:
-        """A primitive integer representative of the same point, in Python ints.
-
-        Its first nonzero entry is positive; computed once per point.
-        """
-        return self._rep
+        """The primitive integer representative, in Python ints, with a positive lead."""
+        return self.rep
 
     @classmethod
     def unit(cls, n: int, i: int) -> "ProjPoint":
@@ -107,12 +113,19 @@ class ProjPoint:
 
 @dataclass(frozen=True)
 class LinearForm:
-    """A hyperplane of P^n, identified with its defining linear form."""
+    """A hyperplane of P^n, identified with its defining linear form.
+
+    ``coeffs`` are canonical: the primitive integer coefficients divided by
+    their lead.
+    """
 
     coeffs: Coords
 
     def __post_init__(self) -> None:
-        _normalize(self, "coeffs", "linear form")
+        rep = _primitive_rep(self.coeffs, "linear form")
+        object.__setattr__(self, "coeffs", _lead_one([rep])[0])
+        # in the instance __dict__: repr, ==, hash and asdict never see it
+        object.__setattr__(self, "_rep", rep)
 
     @property
     def ambient_n(self) -> int:
@@ -124,50 +137,44 @@ class LinearForm:
 
     def vanishes_at(self, p: ProjPoint) -> bool:
         """Whether the hyperplane passes through p: one integer dot product."""
-        if len(self.coeffs) != len(p.coords):
+        if self.ambient_n != p.ambient_n:
             raise ValueError("ambient dimensions disagree")
-        return not _dot(self.integer_rep(), p.integer_rep())
+        return not _dot(self._rep, p.rep)
 
 
 @dataclass(frozen=True)
 class Flat:
-    """A linear subvariety of P^n, as the rref basis of its cone.
+    """A linear subvariety of P^n, as the integer echelon rows of its cone.
 
-    A d-dimensional flat is represented by d+1 independent vectors in
-    reduced row echelon form, which is the unique canonical basis of the
-    cone; two flats are equal exactly when the dataclasses are equal.
+    A d-dimensional flat keeps d+1 rows: its cone's reduced row echelon
+    basis, each row scaled to a primitive integer row with a positive
+    pivot.  The constructor takes any vectors, with entries that
+    ``Fraction()`` accepts, that span the cone and brings them to that
+    form with one integer echelon pass, so two flats are equal exactly
+    when the dataclasses are equal.
     """
 
     ambient_n: int
-    cone_basis: tuple[Coords, ...]
+    integer_rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.cone_basis:
-            raise ValueError("a flat needs at least one cone vector")
         width = self.ambient_n + 1
-        prev_pivot = -1
-        for i, row in enumerate(self.cone_basis):
-            if len(row) != width:
-                raise ValueError("cone vector length does not match ambient dimension")
-            pivot = next((j for j, x in enumerate(row) if x != 0), None)
-            if pivot is None or row[pivot] != 1 or pivot <= prev_pivot:
-                raise ValueError("cone basis is not in canonical echelon form")
-            if any(self.cone_basis[k][pivot] != 0 for k in range(len(self.cone_basis)) if k != i):
-                raise ValueError("cone basis is not fully reduced")
-            prev_pivot = pivot
+        rows = [_primitive(v) for v in self.integer_rows]
+        if any(len(row) != width for row in rows):
+            raise ValueError("cone vector length does not match ambient dimension")
+        rows = _echelon(rows, width)[0]
+        if not rows:
+            raise ValueError("a flat needs at least one cone vector")
+        object.__setattr__(self, "integer_rows", tuple(tuple(map(int, row)) for row in rows))
 
     @property
     def dim(self) -> int:
-        return len(self.cone_basis) - 1
+        return len(self.integer_rows) - 1
 
-    # cached_property values live in the instance __dict__, as a point's rep
     @cached_property
-    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Primitive integer rows, positive multiples of the cone basis rows.
-
-        A flat built by :meth:`from_vectors` keeps the echelon rows it came from.
-        """
-        return tuple(tuple(map(int, primitive_row(row))) for row in self.cone_basis)
+    def cone_basis(self) -> tuple[Coords, ...]:
+        """The reduced row echelon basis of the cone: each row divided by its pivot."""
+        return tuple(_lead_one(self.integer_rows))
 
     @cached_property
     def normals(self) -> tuple[list[int], ...]:
@@ -180,35 +187,6 @@ class Flat:
         pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
         return tuple(w for _, w in _kernel_rows(rows, pivots, self.ambient_n + 1))
 
-    @classmethod
-    def from_vectors(cls, ambient_n: int, vectors: Iterable[Sequence[object]]) -> "Flat":
-        """The flat whose cone the vectors (entries as ``Fraction()`` takes) span."""
-        rows = [_rational_row(v) for v in vectors]
-        width = len(rows[0]) if rows else 0
-        if any(len(row) != width for row in rows):
-            raise ValueError("ragged rows")
-        rows, pivots = _echelon([primitive_row(row) for row in rows], width)
-        if not rows:
-            raise ValueError("a flat needs at least one cone vector")
-        if width != ambient_n + 1:
-            raise ValueError("cone vector length does not match ambient dimension")
-        return cls._of_echelon(ambient_n, rows, pivots)
-
-    @classmethod
-    def _of_echelon(cls, ambient_n: int, rows: list[list], pivots: list[int]) -> "Flat":
-        """The flat of nonempty ``_echelon`` rows of width ambient_n + 1, kept as its integer rows.
-
-        Those rows are canonical by construction, so ``__post_init__``'s
-        check, which stays for flats given from outside, is skipped.
-        """
-        flat = object.__new__(cls)
-        vars(flat).update(
-            ambient_n=ambient_n,
-            cone_basis=tuple(_fraction_rows(rows, map(getitem, rows, pivots))),
-            integer_rows=tuple(tuple(map(int, row)) for row in rows),
-        )
-        return flat
-
 
 def _cone_rows(points: Sequence[ProjPoint]) -> list[tuple[int, ...]]:
     if not points:
@@ -216,17 +194,13 @@ def _cone_rows(points: Sequence[ProjPoint]) -> list[tuple[int, ...]]:
     n = points[0].ambient_n
     if any(p.ambient_n != n for p in points):
         raise ValueError("ambient dimensions disagree")
-    return [p.integer_rep() for p in points]
+    return [p.rep for p in points]
 
 
 def span(points: Sequence[ProjPoint]) -> Flat:
-    """Smallest flat containing the given points: the flat of their integer reps.
-
-    The reps are already primitive, so they go to the echelon as they are.
-    """
+    """Smallest flat containing the given points: the flat of their integer reps."""
     rows = _cone_rows(points)
-    width = len(rows[0])
-    return Flat._of_echelon(width - 1, *_echelon([list(row) for row in rows], width))
+    return Flat(len(rows[0]) - 1, rows)
 
 
 def span_dim(points: Sequence[ProjPoint]) -> int:
@@ -269,7 +243,7 @@ def spanned_flats(points: Sequence[ProjPoint]) -> tuple[SpannedFlat, ...]:
     when its column is then zero.  Each prefix's matrix is kept for the
     call, so every subset costs one step.
     """
-    reps = [p.integer_rep() for p in points]
+    reps = [p.rep for p in points]
     if len(set(reps)) != len(reps):  # primitive reps are canonical
         raise ValueError("points must be pairwise distinct")
     _cone_rows(points)  # span_dim's errors for no points or mixed ambient spaces
@@ -357,12 +331,12 @@ def extend_flat_avoiding(f: Flat, target_dim: int, avoid: ProjPoint, seed: int) 
             if not any(v):
                 continue
             cand, pivots = _echelon([list(row) for row in rows] + [v], n + 1)
-            if len(cand) > len(rows) and any(_reduce(avoid.integer_rep(), cand, pivots)):
+            if len(cand) > len(rows) and any(_reduce(avoid.rep, cand, pivots)):
                 rows = cand
                 break
         else:
             raise RuntimeError("exhausted retries while extending a flat")
-    return f if len(rows) == len(f.integer_rows) else Flat.from_vectors(n, rows)
+    return f if len(rows) == len(f.integer_rows) else Flat(n, rows)
 
 
 def frame_change(
@@ -422,10 +396,9 @@ def transform_points(change: Matrix, points: Sequence[ProjPoint]) -> tuple[ProjP
     ]
     moved = []
     for p in points:
-        if len(p.coords) != change.cols:
+        if p.ambient_n + 1 != change.cols:
             raise ValueError("dimension mismatch")
-        rep = p.integer_rep()
-        moved.append(ProjPoint(tuple(_dot(row, rep) for row in rows)))
+        moved.append(ProjPoint(tuple(_dot(row, p.rep) for row in rows)))
     return tuple(moved)
 
 

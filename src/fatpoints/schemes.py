@@ -88,7 +88,9 @@ from fatpoints.linalg import (
 # monomials and forms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# typed: monomial_basis(3.0, n) is its own miss, so a float degree raises
+# whether or not monomial_basis(3, n) ran before
+@lru_cache(maxsize=None, typed=True)
 def monomial_basis(degree: int, nvars: int) -> "MonomialBasis":
     return MonomialBasis(degree, nvars)
 
@@ -189,6 +191,14 @@ class FatPointScheme:
         The last flat is the span of all the points.
         """
         return spanned_flats(self.points)
+
+    @cached_property
+    def frame(self) -> "SimplexFrame":
+        """:func:`simplex_frame` of the scheme, found once per scheme.
+
+        :func:`hilbert_function` and :func:`regularity_index` read it.
+        """
+        return simplex_frame(self)
 
     def without_point(self, i: int) -> "FatPointScheme":
         if not 0 <= i < self.size:
@@ -292,7 +302,6 @@ class SimplexFrame:
     points in :func:`regularity_index`.
     """
 
-    scheme: FatPointScheme
     vertices: tuple[tuple[int, int], ...]
     others: tuple[tuple[tuple[int, ...], int], ...]
     n: int
@@ -314,7 +323,7 @@ def _frame(z: FatPointScheme, leading: list[tuple[int, ...]]) -> SimplexFrame:
     )
     first = len(leading)
     vertices = tuple((first + k, z.mults[i]) for k, i in enumerate(on_vertex))
-    return SimplexFrame(z, vertices, others, z.n)
+    return SimplexFrame(vertices, others, z.n)
 
 
 def simplex_frame(z: FatPointScheme) -> SimplexFrame:
@@ -354,23 +363,16 @@ def _frame_hilbert(frame: SimplexFrame, t: int) -> int:
     return covered + rank_rows(_other_rows(frame, t, free), len(free), modular=True)
 
 
-def hilbert_function(z: FatPointScheme, t: int, *, frame: SimplexFrame | None = None) -> int:
+def hilbert_function(z: FatPointScheme, t: int) -> int:
     """Dimension of the degree-t piece of the homogeneous coordinate ring.
 
     Computed in the simplex frame of the scheme (see the module
-    docstring), in P^n.  The count is exact at every t >= 0, with no lower
-    degree threshold.  Callers that evaluate many degrees pass
-    ``frame=simplex_frame(z)`` to find the frame once.
+    docstring), in P^n, which the scheme finds once (``z.frame``).  The
+    count is exact at every t >= 0, with no lower degree threshold.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    if frame is None:
-        frame = simplex_frame(z)
-    elif frame.scheme != z:
-        raise ValueError("the frame belongs to another scheme")
-    elif frame.n != z.n:
-        raise ValueError(f"the frame lives in P^{frame.n}, not in the scheme's P^{z.n}")
-    return _frame_hilbert(frame, t)
+    return _frame_hilbert(z.frame, t)
 
 
 # reg(Z) is reused only across the removals of one scheme, which run back to
@@ -416,9 +418,9 @@ def regularity_index(z: FatPointScheme) -> int:
     span P^n are d = n, where the cut keeps every coordinate.  A hard cap
     at sum(m_i) - 1 guards against bugs; it is mathematically unreachable.
     """
-    frame = simplex_frame(z)
+    frame = z.frame
     d = len(frame.vertices) - 1
-    frame = SimplexFrame(z, frame.vertices, tuple((c[: d + 1], m) for c, m in frame.others), d)
+    frame = SimplexFrame(frame.vertices, tuple((c[: d + 1], m) for c, m in frame.others), d)
     e = sum(comb(m + d - 1, d) for m in z.mults)
     cap = sum(z.mults) - 1
     heaviest = sorted(z.mults, reverse=True)[:2]

@@ -9,8 +9,8 @@ points: ``FatPointScheme.flats`` (see
 shared with the verdict and the generators.  Each candidate is scored by
 the total multiplicity of the scheme points it contains, in one pass for
 every j.  The table is numbers and index sets: a witness flat is the span
-of its witness points, built only by the callers that print it
-(:func:`max_multiplicity_on_flats` and the CLI's ``segre`` report).
+of its witness points, built only by the CLI's ``segre`` report, which
+prints it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from fatpoints.geometry import span
 from fatpoints.schemes import FatPointScheme
 
 
@@ -66,28 +65,6 @@ def _winners(z: FatPointScheme) -> list[tuple[int, tuple[int, ...]]]:
             best = (total, witness)
     winners.extend([best] * (z.n - len(winners)))
     return winners
-
-
-def _winner(z: FatPointScheme, j: int) -> tuple[int, tuple[int, ...]]:
-    if not 1 <= j <= z.n:
-        raise ValueError("flat dimension out of range")
-    return _winners(z)[j - 1]
-
-
-def max_multiplicity_on_flats(z: FatPointScheme, j: int):
-    """Largest total multiplicity carried by a flat of dimension <= j.
-
-    Returns (total, witness flat, witness indices); ties are broken by
-    the lexicographically smallest witness index set.
-    """
-    total, witness = _winner(z, j)
-    return total, span([z.points[i] for i in witness]), witness
-
-
-def segre_T(z: FatPointScheme, j: int) -> int:
-    """floor((q_j + j - 2) / j) for the maximal on-flat multiplicity q_j."""
-    q = _winner(z, j)[0]
-    return (q + j - 2) // j
 
 
 def segre_bound(z: FatPointScheme) -> SegreReport:

@@ -705,7 +705,7 @@ def per_monomial_grouped(moved, origin, a, seed, change, positions, groups, stra
         ]
         hyperplanes = []
         for slot in range(t):
-            f = Flat.from_vectors(moved.n, [v for d in dists for v in d.flats[slot].cone_basis])
+            f = Flat(moved.n, [v for d in dists for v in d.flats[slot].integer_rows])
             if flat_contains(f, origin) or f.dim > moved.n - 1:
                 raise ConstructionError("no hyperplane through the flat avoids the origin")
             hyperplanes.append(hyperplane_containing_avoiding(f, origin))

@@ -80,9 +80,11 @@ def test_linear_form_normalization_and_evaluation():
     assert form.vanishes_at(unit(2, 0))
 
 
-def test_flat_rejects_non_canonical_basis():
-    with pytest.raises(ValueError):
-        Flat(2, ((Fraction(2), Fraction(0), Fraction(0)),))
+def test_flat_canonicalizes_a_scaled_basis():
+    f = Flat(2, ((Fraction(2), Fraction(0), Fraction(0)),))
+    assert f == span([unit(2, 0)])
+    assert f.integer_rows == ((1, 0, 0),)
+    assert f.cone_basis == ((1, 0, 0),)
 
 
 @pytest.mark.parametrize(
@@ -95,9 +97,14 @@ def test_flat_rejects_non_canonical_basis():
     ],
 )
 def test_flat_given_from_outside_is_still_checked(basis):
-    """``span`` and ``from_vectors`` skip the canonical-form check; a hand-built flat does not."""
-    with pytest.raises(ValueError):
-        Flat(2, tuple(tuple(Fraction(x) for x in row) for row in basis))
+    """A hand-built flat is brought to its canonical rows; empty or wrong-width input raises."""
+    rows = tuple(tuple(Fraction(x) for x in row) for row in basis)
+    if rows and all(len(row) == 3 for row in rows):
+        assert Flat(2, rows) == span([unit(2, 0), unit(2, 1)])
+        assert Flat(2, rows).integer_rows == ((1, 0, 0), (0, 1, 0))
+    else:
+        with pytest.raises(ValueError):
+            Flat(2, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The references below are the ``Fraction`` constructions the integer route
 replaced: coordinates divided by their lead in ``Fraction``, a flat's cone
-basis as ``rref(Matrix.from_rows(...))``, its normals by ``integer_kernel``
-of the basis rows, and ``extend_flat_avoiding`` building a ``Flat`` for
-every direction it tries.  Each comparison covers the errors too.
+basis as the nonzero rows of ``rref(Matrix.from_rows(...))``, its normals
+by ``integer_kernel`` of the basis rows, and ``extend_flat_avoiding``
+building a ``Flat`` for every direction it tries.  Each comparison covers
+the errors too.
 """
 
 import random
@@ -35,9 +36,17 @@ def ref_normalize(coords, kind):
     return vals, tuple(map(int, primitive_row(vals)))
 
 
-def ref_from_vectors(ambient_n, vectors):
+def ref_cone_basis(ambient_n, vectors):
+    if any(len(v) != ambient_n + 1 for v in vectors):
+        raise ValueError("cone vector length does not match ambient dimension")
     res = rref(Matrix.from_rows([list(v) for v in vectors]))
-    return Flat(ambient_n, tuple(res.rref.row(i) for i in range(res.rank)))
+    if not res.rank:
+        raise ValueError("a flat needs at least one cone vector")
+    return tuple(res.rref.row(i) for i in range(res.rank))
+
+
+def ref_from_vectors(ambient_n, vectors):
+    return Flat(ambient_n, ref_cone_basis(ambient_n, vectors))
 
 
 def ref_span(points):
@@ -228,14 +237,19 @@ def test_points_and_forms_match_the_fraction_route(coords):
 @example((1, [[]]))
 @example((2, [["1/3", 0.5, -2], [0, 0, 1]]))
 @example((3, [[0, -2, 4, 0], [0, 1, -2, 0], [0, 0, 0, -5]]))  # negative leads, dependent
-def test_from_vectors_matches_rref(case):
+def test_flat_matches_rref(case):
+    """Any spanning vectors give the flat whose cone basis is their reduced row echelon form."""
     n, vectors = case
-    want = outcome(lambda: ref_from_vectors(n, vectors))
-    got = outcome(lambda: Flat.from_vectors(n, vectors))
-    assert got[:2] == want[:2]
-    if got[0] == "ok":
-        assert got[2] == want[2]
-        assert_rows_kept(got[2])
+    want = outcome(lambda: ref_cone_basis(n, vectors))
+    got = outcome(lambda: Flat(n, vectors))
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got == want
+        return
+    f = got[2]
+    assert f.ambient_n == n and f.cone_basis == want[2]
+    assert all(type(x) is Fraction for row in f.cone_basis for x in row)
+    assert_rows_kept(f)
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,12 +269,12 @@ def test_span_matches_rref(pts):
 @given(vector_lists())
 @example((3, [[0, 0, 1, 5], [0, 1, 0, 0]]))
 def test_normals_of_a_flat_given_from_outside(case):
-    """A flat built from its canonical basis reads its rows off that basis."""
+    """A flat given its canonical ``Fraction`` basis keeps that basis, as integer rows."""
     n, vectors = case
-    built = outcome(lambda: ref_from_vectors(n, vectors))
+    built = outcome(lambda: ref_cone_basis(n, vectors))
     if built[0] == "ok":
-        f = Flat(n, built[2].cone_basis)
-        assert "integer_rows" not in vars(f)
+        f = Flat(n, built[2])
+        assert f.cone_basis == built[2]
         assert_rows_kept(f)
 
 

@@ -14,7 +14,6 @@ from fatpoints.schemes import (
     hilbert_function,
     multiplicity,
     regularity_index,
-    simplex_frame,
 )
 
 P0 = MODULAR_PRIME
@@ -27,8 +26,8 @@ def _scheme(points, m=2):
 
 def _hilbert_scan(z):
     """The least t with H(t) = e, through ``hilbert_function`` from degree 0."""
-    e, frame, t = multiplicity(z), simplex_frame(z), 0
-    while hilbert_function(z, t, frame=frame) != e:
+    e, t = multiplicity(z), 0
+    while hilbert_function(z, t) != e:
         t += 1
     return t
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fatpoints import schemes
 from fatpoints.geometry import ProjPoint, span
 from fatpoints.linalg import Matrix, kernel_basis, rank_rows
 from fatpoints.schemes import (
@@ -62,6 +63,20 @@ def simple_scheme(points):
 # ---------------------------------------------------------------------------
 # monomial order
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_float_degree_raises_whatever_the_cache_holds(warm):
+    """``monomial_basis`` caches by type: 3.0 never hits the entry of 3."""
+    j = FatPointScheme(2, (unit(2, 1), unit(2, 2)), (2, 2))
+    monomial_basis.cache_clear()
+    if warm:
+        monomial_basis(3, 3), monomial_basis(2, 3)
+    with pytest.raises(TypeError):
+        monomial_bound_check(j, unit(2, 0), 2, 3.0)
+    with pytest.raises(TypeError):
+        hilbert_function(j, 2.0)
+    assert monomial_bound_check(j, unit(2, 0), 2, 3)
+
 
 def test_monomial_basis_size_and_order():
     basis = monomial_basis(2, 3)
@@ -234,12 +249,10 @@ def test_reduced_hilbert_matches_full_condition_matrix(z):
     included.
     """
     n, e = z.n, multiplicity(z)
-    frame = simplex_frame(z)
     t, reg = 0, None
     while reg is None or t <= reg + 1:
         full = rank_rows(condition_rows(z, t), comb(t + n, n))
         assert hilbert_function(z, t) == full
-        assert hilbert_function(z, t, frame=frame) == full
         if reg is None and full == e:
             reg = t
         t += 1
@@ -269,11 +282,16 @@ def test_regularity_scan_start_is_a_lower_bound(z):
     assert regularity_index(z) == _regularity_from_max_multiplicity(z)
 
 
-def test_hilbert_rejects_frame_of_another_scheme():
-    z = simple_scheme([unit(2, 0), unit(2, 1)])
-    other = simple_scheme([unit(2, 0), unit(2, 2)])
-    with pytest.raises(ValueError):
-        hilbert_function(z, 1, frame=simplex_frame(other))
+def test_the_scheme_finds_its_frame_once(monkeypatch):
+    """``hilbert_function`` and ``regularity_index`` read the scheme's one cached frame."""
+    z = simple_scheme([unit(2, 0), unit(2, 1), ProjPoint((1, 1, 1)), ProjPoint((1, 2, 3))])
+    calls = []
+    found = schemes.simplex_frame
+    monkeypatch.setattr(schemes, "simplex_frame", lambda z: calls.append(z) or found(z))
+    regularity_index.cache_clear()
+    values = [hilbert_function(z, t) for t in range(4)], regularity_index(z)
+    assert calls == [z] and z.frame == found(z)
+    assert values == ([1, 3, 4, 4], 2)
 
 
 def test_simplex_frame_puts_heaviest_independent_points_on_vertices():

@@ -20,7 +20,7 @@ from fatpoints.geometry import (
 )
 from fatpoints.linalg import rank_rows
 from fatpoints.schemes import FatPointScheme
-from fatpoints.segre import max_multiplicity_on_flats, segre_T, segre_bound
+from fatpoints.segre import segre_bound
 from oracles import random_invertible_change
 
 
@@ -58,17 +58,17 @@ def test_whole_space_carries_everything():
     rng = random.Random(14)
     pts = random_points(rng, 3, 5)
     z = FatPointScheme(3, tuple(pts), (1, 2, 3, 1, 2))
-    q, flat, witness = max_multiplicity_on_flats(z, 3)
-    assert q == 9
-    assert witness == tuple(range(5))
+    e = segre_bound(z).entry(3)
+    assert e.total_mult == 9
+    assert e.witness_indices == tuple(range(5))
 
 
 def test_two_double_points_on_their_line():
     z = FatPointScheme(3, (unit(3, 0), unit(3, 1)), (2, 2))
-    q, flat, witness = max_multiplicity_on_flats(z, 1)
-    assert q == 4
-    assert flat == span([unit(3, 0), unit(3, 1)])
-    assert witness == (0, 1)
+    e = segre_bound(z).entry(1)
+    assert e.total_mult == 4
+    assert span([z.points[i] for i in e.witness_indices]) == span([unit(3, 0), unit(3, 1)])
+    assert e.witness_indices == (0, 1)
 
 
 def test_planted_collinear_quadruple_among_seven():
@@ -82,11 +82,11 @@ def test_planted_collinear_quadruple_among_seven():
             rest.append(p)
     pts = planted + rest
     z = FatPointScheme(3, tuple(pts), tuple([1] * 7))
-    q, flat, witness = max_multiplicity_on_flats(z, 1)
-    assert q == brute_force_q(z, 1)
-    assert q >= 4
-    if q == 4:
-        assert witness == (0, 1, 2, 3)
+    e = segre_bound(z).entry(1)
+    assert e.total_mult == brute_force_q(z, 1)
+    assert e.total_mult >= 4
+    if e.total_mult == 4:
+        assert e.witness_indices == (0, 1, 2, 3)
 
 
 def test_enumeration_matches_brute_force():
@@ -97,15 +97,14 @@ def test_enumeration_matches_brute_force():
         pts = random_points(rng, n, s, height=4)
         z = FatPointScheme(n, tuple(pts), tuple(rng.randint(1, 3) for _ in range(s)))
         for j in range(1, n + 1):
-            q, _, _ = max_multiplicity_on_flats(z, j)
-            assert q == brute_force_q(z, j)
+            assert segre_bound(z).entry(j).total_mult == brute_force_q(z, j)
 
 
 def test_q_nondecreasing_and_caps_at_total():
     rng = random.Random(3)
     pts = random_points(rng, 3, 6)
     z = FatPointScheme(3, tuple(pts), (2, 1, 1, 3, 1, 2))
-    qs = [max_multiplicity_on_flats(z, j)[0] for j in range(1, 4)]
+    qs = [e.total_mult for e in segre_bound(z).entries]
     assert qs == sorted(qs)
     assert qs[-1] == sum(z.mults)
 
@@ -116,14 +115,14 @@ def test_q_nondecreasing_and_caps_at_total():
 
 def test_pair_formula():
     z = FatPointScheme(2, (unit(2, 0), unit(2, 1)), (2, 2))
-    assert segre_T(z, 1) == 3
+    assert segre_bound(z).entry(1).value == 3
 
 
 def test_single_point_formula():
     for m in (1, 2, 5):
         z = FatPointScheme(3, (ProjPoint((1, 1, 1, 1)),), (m,))
         for j in range(1, 4):
-            assert segre_T(z, j) == (m + j - 2) // j
+            assert segre_bound(z).entry(j).value == (m + j - 2) // j
 
 
 def test_five_general_double_points_bound():
@@ -160,7 +159,7 @@ def test_pair_lower_bound_invariant():
         best_pair = max(
             mults[i] + mults[k] - 1 for i in range(s) for k in range(i + 1, s)
         )
-        assert segre_T(z, 1) >= best_pair
+        assert segre_bound(z).entry(1).value >= best_pair
 
 
 def test_bound_invariance_under_change_and_permutation():
@@ -183,10 +182,11 @@ def test_bound_invariance_under_change_and_permutation():
 
 def test_out_of_range_j():
     z = FatPointScheme(2, (unit(2, 0),), (1,))
+    report = segre_bound(z)
     with pytest.raises(ValueError):
-        max_multiplicity_on_flats(z, 0)
+        report.entry(0)
     with pytest.raises(ValueError):
-        max_multiplicity_on_flats(z, 3)
+        report.entry(3)
 
 
 def test_report_entry_out_of_range_j():
@@ -197,8 +197,6 @@ def test_report_entry_out_of_range_j():
     for j in (-1, 0, 3):
         with pytest.raises(ValueError, match="flat dimension out of range"):
             report.entry(j)
-        with pytest.raises(ValueError, match="flat dimension out of range"):
-            segre_T(z, j)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ the simplex frame has to find the span; none of them lies on coordinate
 subspaces by construction.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -30,13 +29,12 @@ from fatpoints.schemes import (
 def full_scan_regularity_index(z):
     """The P^n scan: from max(m_1 + m_2 - 1, least t with C(t+n, n) >= e) up."""
     e = multiplicity(z)
-    frame = simplex_frame(z)
     cap = sum(z.mults) - 1
     t = sum(sorted(z.mults, reverse=True)[:2]) - 1
     while comb(t + z.n, z.n) < e:
         t += 1
     while t <= cap:
-        if hilbert_function(z, t, frame=frame) == e:
+        if hilbert_function(z, t) == e:
             return t
         t += 1
     raise RuntimeError("regularity search passed its cap")
@@ -127,16 +125,6 @@ def test_splitting_formula(case):
             if k <= t
         )
         assert split == hilbert_function(z, t)
-
-
-def test_hilbert_rejects_frame_of_another_dimension():
-    pts = (ProjPoint((1, 0, 0, 0)), ProjPoint((0, 1, 0, 0)), ProjPoint((1, 1, 0, 0)))
-    z = FatPointScheme(3, pts, (2, 1, 1))
-    frame = simplex_frame(z)
-    assert hilbert_function(z, 2, frame=frame) == hilbert_function(z, 2)
-    cut = replace(frame, n=1, others=tuple((c[:2], m) for c, m in frame.others))
-    with pytest.raises(ValueError, match="P\\^1"):
-        hilbert_function(z, 2, frame=cut)
 
 
 def test_frame_of_a_line_in_space_keeps_its_points_off_the_last_coordinates():
