@@ -95,7 +95,7 @@ def planted_points(rng, n, count):
         if len(pts) >= 2 and rng.random() < 0.5:
             base = rng.sample(pts, min(len(pts), rng.randint(2, 3)))
             weights = [rng.randint(-3, 3) for _ in base]
-            coords = [sum(w * b.integer_rep()[i] for w, b in zip(weights, base)) for i in range(n + 1)]
+            coords = [sum(w * b.rep[i] for w, b in zip(weights, base)) for i in range(n + 1)]
         else:
             coords = [rng.randint(-9, 9) for _ in range(n + 1)]
         if any(coords):
@@ -145,7 +145,7 @@ def span_regularity_battery(name, trials, base_seed):
         rng = random.Random(base_seed + trial)
         d = rng.randint(0, 3)
         n = rng.randint(max(d, 1), 4)
-        reps = [p.integer_rep() for p in planted_points(rng, d, 1 if d == 0 else rng.randint(1, 6))]
+        reps = [p.rep for p in planted_points(rng, d, 1 if d == 0 else rng.randint(1, 6))]
         while True:  # an injective map Q^(d+1) -> Q^(n+1)
             embedding = [[rng.randint(-5, 5) for _ in range(d + 1)] for _ in range(n + 1)]
             if linalg.rank_rows(embedding, d + 1) == d + 1:

@@ -31,7 +31,6 @@ from fatpoints.geometry import (
 from fatpoints.schemes import (
     FatPointScheme,
     Form,
-    MonomialBasis,
     artinian_quotient_regularity,
     hilbert_function,
     in_fat_ideal,
@@ -73,7 +72,6 @@ __all__ = [
     "spanned_flats",
     "FatPointScheme",
     "Form",
-    "MonomialBasis",
     "artinian_quotient_regularity",
     "hilbert_function",
     "in_fat_ideal",

@@ -46,6 +46,7 @@ from fatpoints.geometry import (
 from fatpoints.linalg import Matrix, integer_kernel, rank_rows
 from fatpoints.schemes import (
     FatPointScheme,
+    _as_int,
     _check_artinian_args,
     artinian_quotient_regularity,
     monomial_basis,
@@ -132,7 +133,7 @@ def distribute_flats(
     per seed.
     """
     points = list(points)
-    mults = [int(m) for m in mults]
+    mults = [_as_int(m, "multiplicity") for m in mults]
     _check_cover_args(points, mults, r, t)
     spans: dict = {}
     _scan_avoiding(points, avoid, r, spans)
@@ -164,9 +165,10 @@ def _cover(points, avoid, mults, r, t, seed, spans) -> Distribution:
         for i in heavy:
             remaining[i] -= 1
 
-    on = {id(f): [flat_contains(f, p) for p in points] for f in flats}
+    on = {f: [flat_contains(f, p) for p in points] for f in set(flats)}
+    hits = [on[f] for f in flats]
     coverage = tuple(
-        tuple(k for k, f in enumerate(flats) if on[id(f)][i]) for i in range(len(points))
+        tuple(k for k, row in enumerate(hits) if row[i]) for i in range(len(points))
     )
     for i, m in enumerate(mults):
         if len(coverage[i]) < m:
@@ -239,7 +241,7 @@ def vanishing_orders(
 
 def _normalizing_change(j: FatPointScheme, p: ProjPoint):
     """Coordinates with p at (1, 0, ...) and independent scheme points on the axes."""
-    change, taken = canonical_change(j.n, [p.integer_rep()], [q.integer_rep() for q in j.points])
+    change, taken = canonical_change(j.n, [p.rep], [q.rep for q in j.points])
     positions: list[Optional[int]] = [None] * j.size
     for axis, idx in enumerate(taken, start=1):
         positions[idx] = axis
@@ -249,7 +251,7 @@ def _normalizing_change(j: FatPointScheme, p: ProjPoint):
 def _all_entry_monomials(a: int, n: int) -> list[tuple[int, ...]]:
     out = []
     for i in range(a):
-        out.extend(monomial_basis(i, n).exponents)
+        out.extend(monomial_basis(i, n))
     return out
 
 
@@ -268,7 +270,7 @@ def _lift_to_hyperplane(vectors: Sequence[Sequence[int]]) -> LinearForm:
 
 def _covering_certificate(moved, origin, a, change, positions) -> Optional[Certificate]:
     try:
-        h = _lift_to_hyperplane([q.integer_rep() for q in moved.points])
+        h = _lift_to_hyperplane([q.rep for q in moved.points])
     except ConstructionError:
         return None
     power = max(moved.mults)
@@ -302,7 +304,7 @@ def _grouped_certificate(
     each distinct slot join is lifted once.
     """
     spans: dict = {}
-    lifts: dict = {}  # ids of a slot's flats -> (the flats, kept alive; the hyperplane)
+    lifts: dict = {}  # a slot's flats -> the hyperplane
     for members, r in groups:
         _scan_avoiding([moved.points[i] for i in members], origin, r, spans)
     entries = []
@@ -325,10 +327,9 @@ def _grouped_certificate(
         hyperplanes = []
         for slot in range(t):
             flats = tuple(d.flats[slot] for d in dists)
-            key = tuple(map(id, flats))
-            if key not in lifts:
-                lifts[key] = flats, _lift_to_hyperplane([v for f in flats for v in f.integer_rows])
-            hyperplanes.append(lifts[key][1])
+            if flats not in lifts:
+                lifts[flats] = _lift_to_hyperplane([v for f in flats for v in f.integer_rows])
+            hyperplanes.append(lifts[flats])
         entries.append(CertificateEntry(mono, tuple(hyperplanes)))
         delta = max(delta, t + sum(mono))
     return Certificate(a, change, tuple(entries), positions, strategy, delta)

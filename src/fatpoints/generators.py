@@ -48,7 +48,7 @@ from fatpoints.geometry import (
     span,
     span_dim,
 )
-from fatpoints.schemes import FatPointScheme
+from fatpoints.schemes import FatPointScheme, _as_int
 
 PATTERNS = ("general", "on_flat", "lemma24", "theorem34", "prop43", "lem42")
 
@@ -83,10 +83,11 @@ def _resolve_mults(spec: PatternSpec, count: int) -> tuple[int, ...]:
             raise GeneratorError(
                 f"pattern {spec.pattern!r} needs {count} multiplicities, got {len(spec.mults)}"
             )
-        if any(m < 1 for m in spec.mults):
+        mults = tuple(_as_int(m, "multiplicity", GeneratorError) for m in spec.mults)
+        if any(m < 1 for m in mults):
             raise GeneratorError("multiplicities must be positive")
-        return tuple(int(m) for m in spec.mults)
-    m = 1 if spec.m is None else int(spec.m)
+        return mults
+    m = 1 if spec.m is None else _as_int(spec.m, "multiplicity", GeneratorError)
     if m < 1:
         raise GeneratorError("multiplicities must be positive")
     return (m,) * count
@@ -162,7 +163,7 @@ def _gen_general(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSche
 def _gen_on_flat(spec: PatternSpec, rng: random.Random) -> Optional[FatPointScheme]:
     if spec.s < 1:
         raise GeneratorError("on_flat pattern needs s >= 1")
-    d = 1 if spec.flat_dim is None else int(spec.flat_dim)
+    d = 1 if spec.flat_dim is None else _as_int(spec.flat_dim, "flat_dim", GeneratorError)
     if not 1 <= d <= spec.n:
         raise GeneratorError("flat dimension out of range")
     if spec.s < d + 1:
@@ -215,7 +216,7 @@ def _gen_prop43(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSchem
     mults = _resolve_mults(spec, count)
     if len(set(mults)) != 1:
         raise GeneratorError("prop43 pattern is equimultiple")
-    k = rng.randint(1, spec.s - 1) if spec.k is None else int(spec.k)
+    k = rng.randint(1, spec.s - 1) if spec.k is None else _as_int(spec.k, "k", GeneratorError)
     if not 1 <= k <= spec.s - 1:
         raise GeneratorError("planted degeneracy must satisfy 1 <= k <= s-1")
 

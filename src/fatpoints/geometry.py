@@ -1,16 +1,15 @@
 """Points, flats and hyperplanes of projective n-space over the rationals.
 
-Points and flats are their primitive integer rows: a point's field is its
-representative with a positive first nonzero entry, a flat's the reduced
-echelon rows of its cone, each primitive with a positive pivot.  Each
-constructor takes any input that ``Fraction()`` accepts and brings it to
-that canonical form, so structural equality is geometric equality,
-incidence is an integer dot product, and changes of coordinates move
-points in integers.  The ``Fraction`` values (a point's coordinates with
-lead 1, a flat's reduced row echelon basis) are views built when first
-read.  A hyperplane keeps its canonical ``Fraction`` coefficients as its
-field, because certificates print it, and its integer coefficients
-beside them.
+Points, hyperplanes and flats are their primitive integer rows: a
+point's field is its representative with a positive first nonzero entry,
+a hyperplane's its coefficients with a positive lead, a flat's the
+reduced echelon rows of its cone, each primitive with a positive pivot.
+Each constructor takes any input that ``Fraction()`` accepts and brings
+it to that canonical form, so structural equality is geometric equality,
+equal objects hash by ints, incidence is an integer dot product, and
+changes of coordinates move points in integers.  The ``Fraction`` values
+(a point's coordinates and a hyperplane's coefficients with lead 1, a
+flat's reduced row echelon basis) are views built when first read.
 
 The flats spanned by a point set are enumerated once, by
 :func:`spanned_flats`: one fraction-free elimination step per subset, on
@@ -102,10 +101,6 @@ class ProjPoint:
         """Canonical homogeneous coordinates: the representative divided by its lead."""
         return _lead_one([self.rep])[0]
 
-    def integer_rep(self) -> tuple[int, ...]:
-        """The primitive integer representative, in Python ints, with a positive lead."""
-        return self.rep
-
     @classmethod
     def unit(cls, n: int, i: int) -> "ProjPoint":
         return cls(tuple(int(j == i) for j in range(n + 1)))
@@ -113,33 +108,27 @@ class ProjPoint:
 
 @dataclass(frozen=True)
 class LinearForm:
-    """A hyperplane of P^n, identified with its defining linear form.
+    """A hyperplane of P^n: its form's primitive integer coefficients, with a positive lead."""
 
-    ``coeffs`` are canonical: the primitive integer coefficients divided by
-    their lead.
-    """
-
-    coeffs: Coords
+    rep: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        rep = _primitive_rep(self.coeffs, "linear form")
-        object.__setattr__(self, "coeffs", _lead_one([rep])[0])
-        # in the instance __dict__: repr, ==, hash and asdict never see it
-        object.__setattr__(self, "_rep", rep)
+        object.__setattr__(self, "rep", _primitive_rep(self.rep, "linear form"))
 
     @property
     def ambient_n(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rep) - 1
 
-    def integer_rep(self) -> tuple[int, ...]:
-        """The primitive integer coefficients of the same form, computed once."""
-        return self._rep
+    @cached_property
+    def coeffs(self) -> Coords:
+        """Canonical coefficients: the integer coefficients divided by their lead."""
+        return _lead_one([self.rep])[0]
 
     def vanishes_at(self, p: ProjPoint) -> bool:
         """Whether the hyperplane passes through p: one integer dot product."""
         if self.ambient_n != p.ambient_n:
             raise ValueError("ambient dimensions disagree")
-        return not _dot(self._rep, p.rep)
+        return not _dot(self.rep, p.rep)
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, perm
+from operator import index
 from typing import Sequence
 
 from fatpoints.geometry import (
@@ -88,15 +89,19 @@ from fatpoints.linalg import (
 # monomials and forms
 # ---------------------------------------------------------------------------
 
+def _as_int(value: object, what: str, error: type[ValueError] = ValueError) -> int:
+    """An integer-valued argument as a Python int; anything else, 2.5 or "3", raises error."""
+    try:
+        return int(index(value))
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 # typed: monomial_basis(3.0, n) is its own miss, so a float degree raises
 # whether or not monomial_basis(3, n) ran before
 @lru_cache(maxsize=None, typed=True)
-def monomial_basis(degree: int, nvars: int) -> "MonomialBasis":
-    return MonomialBasis(degree, nvars)
-
-
-class MonomialBasis:
-    """Monomials of one degree, ordered degree-lexicographically.
+def monomial_basis(degree: int, nvars: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors of the monomials of one degree, degree-lexicographically.
 
     The first variable is greatest, so the basis starts at X0^t and ends
     at Xlast^t.  Holds comb(degree + nvars - 1, nvars - 1) exponent
@@ -104,23 +109,9 @@ class MonomialBasis:
     along the basis, so the comb(i + nvars - 1, nvars - 1) monomials of
     order <= i come first.
     """
-
-    def __init__(self, degree: int, nvars: int):
-        if degree < 0 or nvars < 1:
-            raise ValueError("degree must be >= 0 and nvars >= 1")
-        self.degree = degree
-        self.nvars = nvars
-        self.exponents: tuple[tuple[int, ...], ...] = tuple(_descending_exponents(degree, nvars))
-        self._index = {e: i for i, e in enumerate(self.exponents)}
-
-    def index(self, exponent: Sequence[int]) -> int:
-        return self._index[tuple(exponent)]
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def __iter__(self):
-        return iter(self.exponents)
+    if degree < 0 or nvars < 1:
+        raise ValueError("degree must be >= 0 and nvars >= 1")
+    return tuple(_descending_exponents(degree, nvars))
 
 
 def _descending_exponents(total: int, nvars: int):
@@ -164,7 +155,7 @@ class FatPointScheme:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        object.__setattr__(self, "mults", tuple(_as_int(m, "multiplicity") for m in self.mults))
         if self.n < 1:
             raise ValueError("ambient dimension must be at least 1")
         if not self.points:
@@ -243,11 +234,11 @@ def _point_condition_rows(
         for k in range(1, t + 1):
             col[k] = col[k - 1] * c
 
-    exponents = monomial_basis(t, nvars).exponents
+    exponents = monomial_basis(t, nvars)
     if columns is not None:
         exponents = [exponents[k] for k in columns]
     rows = []
-    for alpha in monomial_basis(order, nvars).exponents:
+    for alpha in monomial_basis(order, nvars):
         lut = []
         for j, aj in enumerate(alpha):
             col = [0] * (t + 1)
@@ -273,7 +264,7 @@ def condition_rows(z: FatPointScheme, t: int) -> list[list[int]]:
         raise ValueError("degree must be nonnegative")
     rows: list[list[int]] = []
     for p, m in zip(z.points, z.mults):
-        rows.extend(_point_condition_rows(p.integer_rep(), m, t))
+        rows.extend(_point_condition_rows(p.rep, m, t))
     return rows
 
 
@@ -313,7 +304,7 @@ def _frame(z: FatPointScheme, leading: list[tuple[int, ...]]) -> SimplexFrame:
     The points go heaviest first, ties by index.
     """
     order = sorted(range(z.size), key=lambda i: (-z.mults[i], i))
-    reps = [p.integer_rep() for p in z.points]
+    reps = [p.rep for p in z.points]
     rows, _, taken = frame_change(z.n, leading, [reps[i] for i in order])
     on_vertex = [order[i] for i in taken]
     others = tuple(
@@ -339,7 +330,7 @@ def _free_columns(frame: SimplexFrame, t: int) -> list[int]:
     matrix is |U & C| plus the rank of the other points' rows on the free
     columns in C.
     """
-    exponents = monomial_basis(t, frame.n + 1).exponents
+    exponents = monomial_basis(t, frame.n + 1)
     return [c for c, b in enumerate(exponents) if all(b[k] <= t - m for k, m in frame.vertices)]
 
 
@@ -442,7 +433,7 @@ def in_fat_ideal(f: Form, z: FatPointScheme) -> bool:
         return True
     coeffs = f.coeffs
     for p, m in zip(z.points, z.mults):
-        for row in _point_condition_rows(p.integer_rep(), m, f.degree):
+        for row in _point_condition_rows(p.rep, m, f.degree):
             total = Fraction(0)
             for rv, c in zip(row, coeffs):
                 if rv and c:
@@ -470,7 +461,7 @@ def _check_artinian_args(j: FatPointScheme, p: ProjPoint, a: int) -> None:
 @lru_cache(maxsize=64)
 def _origin_frame(j: FatPointScheme, p: ProjPoint) -> SimplexFrame:
     """The simplex frame of j with p sent to e_0 first."""
-    return _frame(j, [p.integer_rep()])
+    return _frame(j, [p.rep])
 
 
 def _artinian_ranks(frame: SimplexFrame, t: int, low: int) -> tuple[int, int]:

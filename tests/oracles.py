@@ -68,13 +68,13 @@ def hyperplane_containing_avoiding(f: Flat, avoid: ProjPoint) -> LinearForm:
         raise ValueError("the whole space is contained in no hyperplane")
     if flat_contains(f, avoid):
         raise ValueError("the point lies on the flat; no hyperplane can separate them")
-    rep = avoid.integer_rep()
+    rep = avoid.rep
     return LinearForm(next(v for v in f.normals if sum(map(mul, v, rep))))
 
 
 def coordinate_change_to_origin(p: ProjPoint) -> Matrix:
     """Invertible change of coordinates sending p to (1, 0, ..., 0)."""
-    return canonical_change(p.ambient_n, [p.integer_rep()])[0]
+    return canonical_change(p.ambient_n, [p.rep])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def monomial_form(nvars: int, exponent: Sequence[int]) -> Form:
 
 def form_terms(f: Form) -> Terms:
     basis = monomial_basis(f.degree, f.nvars)
-    return {e: c for e, c in zip(basis.exponents, f.coeffs) if c}
+    return {e: c for e, c in zip(basis, f.coeffs) if c}
 
 
 def form_mul(f: Form, g: Form) -> Form:

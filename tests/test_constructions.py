@@ -437,7 +437,7 @@ def hyperplane_products(draw):
             forms.append(LinearForm(tuple(draw(coords))))
             continue
         # q_k X_l - q_l X_k vanishes at q
-        q = through.integer_rep()
+        q = through.rep
         k = draw(st.sampled_from([i for i, x in enumerate(q) if x]))
         l = draw(st.sampled_from([i for i in range(n + 1) if i != k]))
         c = [0] * (n + 1)
@@ -588,7 +588,7 @@ def test_certificates_match_pinned_digest():
         strategies[cert.strategy] += 1
         digest.update(f"{cert!r}\n".encode())
     assert strategies == {"covering_hyperplane": 24, "split": 36, "single_group": 30}
-    assert digest.hexdigest() == "b1150833fc4ded807cdb098b88917a8284cdb7b61fef0c48b4ba247fa81ea6e9"
+    assert digest.hexdigest() == "df1db6518667999423e72e5bed2a1afbb03048d41eac467acf9d146561d48fcd"
 
 
 def expanding_verify(cert, j, p, a):
@@ -599,7 +599,7 @@ def expanding_verify(cert, j, p, a):
     delta = max((len(e.hyperplanes) + sum(e.monomial) for e in cert.entries), default=0)
     if cert.order != a or transform_point(cert.change, p) != origin:
         return False, delta
-    needed = {mono for i in range(a) for mono in monomial_basis(i, n).exponents}
+    needed = {mono for i in range(a) for mono in monomial_basis(i, n)}
     if needed - {e.monomial for e in cert.entries}:
         return False, delta
     moved = j.transform(cert.change)
@@ -759,8 +759,8 @@ def grouped_instances(draw):
     for _ in range(size):
         c = draw(st.sampled_from([0, 1, -1, 2])) if pts else 0
         if c:
-            q = pts[draw(st.integers(0, len(pts) - 1))].integer_rep()
-            cand = [x + c * y for x, y in zip(p.integer_rep(), q)]
+            q = pts[draw(st.integers(0, len(pts) - 1))].rep
+            cand = [x + c * y for x, y in zip(p.rep, q)]
         else:
             cand = draw(coords)
         if any(cand) and ProjPoint(tuple(cand)) not in pts + [p]:

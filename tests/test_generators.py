@@ -1,9 +1,11 @@
+import re
 from itertools import combinations
 
 import pytest
 
+from fatpoints.constructions import distribute_flats
 from fatpoints.generators import GeneratorError, PatternSpec, generate
-from fatpoints.geometry import degeneracy_index, span
+from fatpoints.geometry import ProjPoint, degeneracy_index, span
 from fatpoints.schemes import FatPointScheme
 
 
@@ -84,6 +86,27 @@ def test_pattern_bounds_validation():
         generate(PatternSpec("general", n=2, s=3, mults=(1, 1), seed=1))
 
 
+_E = [ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0)), ProjPoint((0, 0, 1))]
+
+
+@pytest.mark.parametrize(
+    "build, bad, error",
+    [
+        (lambda: FatPointScheme(2, tuple(_E[:2]), (2.5, 1)), 2.5, ValueError),
+        (lambda: FatPointScheme(2, tuple(_E[:1]), ("3",)), "3", ValueError),
+        (lambda: generate(PatternSpec("theorem34", n=3, s=2, m=2.7)), 2.7, GeneratorError),
+        (lambda: generate(PatternSpec("lemma24", n=3, s=1, mults=(1, 2.0, 1))), 2.0, GeneratorError),
+        (lambda: generate(PatternSpec("on_flat", n=3, s=4, flat_dim=1.5)), 1.5, GeneratorError),
+        (lambda: generate(PatternSpec("prop43", n=3, s=3, k=1.0)), 1.0, GeneratorError),
+        (lambda: distribute_flats(_E[1:], _E[0], (1, 1.5), 1, 2, 0), 1.5, ValueError),
+    ],
+    ids=["scheme-float", "scheme-str", "spec-m", "spec-mults", "flat_dim", "k", "distribute"],
+)
+def test_a_non_integer_count_raises_instead_of_truncating(build, bad, error):
+    with pytest.raises(error, match=re.escape(f"must be an integer, got {bad!r}")):
+        build()
+
+
 def test_generation_deterministic_per_seed():
     for pattern, kwargs in [
         ("general", dict(n=3, s=5)),
@@ -101,5 +124,5 @@ def test_generation_deterministic_per_seed():
 def test_height_bound_respected():
     z = generate(PatternSpec("general", n=2, s=4, height=5, seed=3))
     for p in z.points:
-        ints = p.integer_rep()
+        ints = p.rep
         assert all(abs(c) <= 5 for c in ints)

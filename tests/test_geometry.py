@@ -65,7 +65,7 @@ def test_point_normalization():
     p = ProjPoint((Fraction(0), Fraction(3), Fraction(6)))
     assert p.coords == (0, 1, 2)
     assert p == ProjPoint((Fraction(0), Fraction(1), Fraction(2)))
-    assert p.integer_rep() == (0, 1, 2)
+    assert p.rep == (0, 1, 2)
 
 
 def test_zero_point_rejected():
@@ -131,7 +131,7 @@ def test_span_of_points_on_a_random_plane():
         while len(pts) < 7:
             coeffs = [rng.randint(-4, 4) for _ in range(3)]
             vec = [
-                sum(c * b.integer_rep()[j] for c, b in zip(coeffs, base))
+                sum(c * b.rep[j] for c, b in zip(coeffs, base))
                 for j in range(4)
             ]
             if any(vec):
@@ -226,7 +226,7 @@ def test_degeneracy_planted_planar_quadruple():
             break
     extra = ProjPoint(
         tuple(
-            Fraction(sum(b.integer_rep()[j] for b in base)) for j in range(4)
+            Fraction(sum(b.rep[j] for b in base)) for j in range(4)
         )
     )
     pts = base + [extra, unit(3, 3)]
@@ -260,7 +260,7 @@ def _general_position_by_subsets(points, r):
     """On some r-flat, and no j+2 of the points on a j-flat for j < r."""
 
     def rank(sub):
-        return rref(Matrix.from_rows([p.integer_rep() for p in sub])).rank
+        return rref(Matrix.from_rows([p.rep for p in sub])).rank
 
     if rank(points) > r + 1:
         return False
@@ -307,11 +307,11 @@ def flat_and_probe(draw):
     n, pts = draw(distinct_points())
     if draw(st.booleans()):
         weights = draw(st.lists(st.integers(-2, 2), min_size=len(pts), max_size=len(pts)))
-        vec = [sum(w * p.integer_rep()[j] for w, p in zip(weights, pts)) for j in range(n + 1)]
+        vec = [sum(w * p.rep[j] for w, p in zip(weights, pts)) for j in range(n + 1)]
     else:
         vec = draw(st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1))
     if not any(vec):
-        vec = pts[0].integer_rep()
+        vec = pts[0].rep
     return pts, ProjPoint(tuple(Fraction(c) for c in vec))
 
 
@@ -320,8 +320,8 @@ def flat_and_probe(draw):
 def test_flat_contains_matches_rank_oracle(case):
     pts, probe = case
     f = span(pts)
-    rows = [p.integer_rep() for p in pts]
-    on_flat = rank_rows(rows + [probe.integer_rep()], len(rows[0]), modular=False) == f.dim + 1
+    rows = [p.rep for p in pts]
+    on_flat = rank_rows(rows + [probe.rep], len(rows[0]), modular=False) == f.dim + 1
     assert flat_contains(f, probe) == on_flat
 
 
@@ -331,7 +331,7 @@ coordinate = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-7, max_valu
 @settings(max_examples=200, deadline=None)
 @given(st.lists(coordinate, min_size=1, max_size=6).filter(any))
 def test_integer_rep_is_primitive_and_proportional(coords):
-    rep = ProjPoint(tuple(coords)).integer_rep()
+    rep = ProjPoint(tuple(coords)).rep
     assert len(rep) == len(coords)
     assert all(type(v) is int for v in rep)
     assert gcd(*rep) == 1
@@ -489,7 +489,7 @@ def test_frame_change_matches_probing_reference():
         n = rng.randint(1, 4)
         draws = ([rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(n + 1)] for _ in range(rng.randint(0, 7)))
         candidates = [c for c in draws if any(c)]
-        leading = [random_point(rng, n).integer_rep()] if rng.random() < 0.5 else []
+        leading = [random_point(rng, n).rep] if rng.random() < 0.5 else []
         rows, pivots, taken = _assert_frame_matches_probing_reference(n, leading, candidates)
         change = Matrix.from_rows([[Fraction(int(x), int(v)) for x in row] for row, v in zip(rows, pivots)])
         for axis, idx in enumerate(taken, start=len(leading)):
@@ -587,9 +587,9 @@ def rational_flat_and_probe(draw):
 def test_annihilator_incidence_matches_rank_reference(case):
     pts, probe = case
     f = span(pts)
-    rows = [p.integer_rep() for p in pts]
+    rows = [p.rep for p in pts]
     width = len(rows[0])
-    on_flat = rank_rows(rows + [probe.integer_rep()], width, modular=False) == f.dim + 1
+    on_flat = rank_rows(rows + [probe.rep], width, modular=False) == f.dim + 1
     normals = f.normals
     assert len(normals) == f.ambient_n - f.dim
     for v in normals:
@@ -677,8 +677,8 @@ def _identity(x):
 def test_cached_values_leave_the_dataclasses_unchanged(case):
     pts, probe = case
     makers = [
-        (lambda: ProjPoint(probe.coords), lambda x: x.integer_rep()),
-        (lambda: LinearForm(probe.coords), lambda x: x.integer_rep()),
+        (lambda: ProjPoint(probe.coords), lambda x: x.coords),
+        (lambda: LinearForm(probe.coords), lambda x: x.coeffs),
         (lambda: span(pts), lambda x: (x.normals, flat_contains(x, probe))),
     ]
     for make, use in makers:

@@ -181,7 +181,7 @@ def scripts(draw, f, avoid):
     out = []
     for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(["in_flat", "in_join", "free", "zero"]))
-        gens = list(f.integer_rows) + ([avoid.integer_rep()] if kind == "in_join" else [])
+        gens = list(f.integer_rows) + ([avoid.rep] if kind == "in_join" else [])
         if kind in ("in_flat", "in_join"):
             weights = draw(st.lists(small, min_size=len(gens), max_size=len(gens)))
             v = [sum(w * g[j] for w, g in zip(weights, gens)) for j in range(n + 1)]
@@ -218,8 +218,13 @@ def test_points_and_forms_match_the_fraction_route(coords):
         obj, (canonical, rep) = got[2], want[2]
         assert getattr(obj, field) == canonical
         assert all(type(x) is Fraction for x in getattr(obj, field))
-        assert obj.integer_rep() == rep and all(type(x) is int for x in rep)
+        assert obj.rep == rep and all(type(x) is int for x in rep)
         assert repr(obj) == repr(cls(canonical))
+        # a scaled copy is the same key: vanishing_orders' and the lifts' dicts rely on it
+        keyed = {obj: kind}
+        for scale in (-2, Fraction(-7, 3)):
+            other = cls(tuple(scale * Fraction(x) for x in coords))
+            assert other == obj and hash(other) == hash(obj) and keyed[other] == kind
 
 
 # ---------------------------------------------------------------------------

@@ -81,15 +81,15 @@ def test_a_float_degree_raises_whatever_the_cache_holds(warm):
 def test_monomial_basis_size_and_order():
     basis = monomial_basis(2, 3)
     assert len(basis) == comb(2 + 2, 2)
-    assert basis.exponents[0] == (2, 0, 0)
-    assert basis.exponents[-1] == (0, 0, 2)
+    assert basis[0] == (2, 0, 0)
+    assert basis[-1] == (0, 0, 2)
     # degree-lexicographic with the first variable greatest
-    assert list(basis.exponents) == sorted(basis.exponents, reverse=True)
+    assert list(basis) == sorted(basis, reverse=True)
 
 
 def test_monomial_index_round_trip():
     basis = monomial_basis(3, 4)
-    for i, e in enumerate(basis.exponents):
+    for i, e in enumerate(basis):
         assert basis.index(e) == i
 
 
@@ -98,7 +98,7 @@ def test_order_at_first_vertex_is_a_basis_prefix():
     # the basis at comb(i + nvars - 1, nvars - 1), the count of order <= i
     for nvars in range(1, 6):
         for t in range(7):
-            orders = [t - e[0] for e in monomial_basis(t, nvars).exponents]
+            orders = [t - e[0] for e in monomial_basis(t, nvars)]
             assert orders == sorted(orders)
             for i in range(t + 1):
                 assert sum(o <= i for o in orders) == comb(i + nvars - 1, nvars - 1)
@@ -185,9 +185,9 @@ def evaluation_nullspace_oracle(points, t):
     basis = monomial_basis(t, n + 1)
     rows = []
     for p in points:
-        coords = p.integer_rep()
+        coords = p.rep
         row = []
-        for expo in basis.exponents:
+        for expo in basis:
             v = 1
             for c, e in zip(coords, expo):
                 v *= c**e
@@ -455,10 +455,10 @@ def test_ideal_of_five_double_points_is_square_of_conic():
     basis2 = monomial_basis(2, 3)
     rows = []
     for p in z.points:
-        coords = p.integer_rep()
+        coords = p.rep
         rows.append([
             coords[0] ** e[0] * coords[1] ** e[1] * coords[2] ** e[2]
-            for e in basis2.exponents
+            for e in basis2
         ])
     conic_vecs = kernel_basis(Matrix.from_rows(rows))
     assert len(conic_vecs) == 1
@@ -579,7 +579,7 @@ def _reference_artinian_regularity(j, p, a):
     for t in range(sum(j.mults) + a + 1):
         rows = condition_rows(moved, t)
         basis = monomial_basis(t, j.n + 1)
-        high = [k for k, e in enumerate(basis.exponents) if t - e[0] >= a]
+        high = [k for k, e in enumerate(basis) if t - e[0] >= a]
         sub = rank_rows([[row[k] for k in high] for row in rows], len(high)) if high else 0
         if rank_rows(rows, len(basis)) == sub:
             return t
@@ -596,7 +596,7 @@ def _reference_monomial_bound(j, p, a, b):
         return [int(c == k) for c in range(len(basis))]
 
     for i in range(a):
-        orders = [b - e[0] for e in basis.exponents]
+        orders = [b - e[0] for e in basis]
         stacked = ideal + [unit_vector(k) for k, o in enumerate(orders) if o >= i + 1]
         for k, o in enumerate(orders):
             if o == i and not in_span(unit_vector(k), stacked):

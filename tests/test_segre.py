@@ -271,7 +271,7 @@ def test_segre_table_matches_brute_force_lattice(z):
 
 def rank_candidate_flats(z):
     """The flat enumeration with one ``rank_rows`` incidence test per point."""
-    ints = [p.integer_rep() for p in z.points]
+    ints = [p.rep for p in z.points]
     width = z.n + 1
     found = []
     covered = []
@@ -447,7 +447,7 @@ def test_annihilator_steps_are_bordered_minors(z, rnd):
     """After steps at columns q_1..q_k with pivot rows r_1..r_k, the entry of
     row i at column j is the minor of the starting matrix on rows
     r_1..r_k, i and columns q_1..q_k, j: every division was exact."""
-    reps = [p.integer_rep() for p in z.points]
+    reps = [p.rep for p in z.points]
     start = [list(col) for col in zip(*reps)]
     order = list(range(z.size))
     rnd.shuffle(order)
@@ -492,7 +492,7 @@ def points_around_the_origin(draw):
     vecs = [draw(vec)]
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.booleans()):
-            base = [list(origin.integer_rep())] + draw(
+            base = [list(origin.rep)] + draw(
                 st.lists(st.sampled_from(vecs), min_size=1, max_size=2)
             )
             weights = draw(st.lists(coordinate, min_size=len(base), max_size=len(base)))

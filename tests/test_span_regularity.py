@@ -61,7 +61,7 @@ def embedded_schemes(draw):
     n = draw(st.integers(max(d, 1), 4))
     coords = st.tuples(*[st.integers(-2, 2)] * (d + 1)).filter(any)
     drawn = draw(st.lists(coords, min_size=1, max_size=1 if d == 0 else 6))
-    reps = list(dict.fromkeys(ProjPoint(c).integer_rep() for c in drawn))
+    reps = list(dict.fromkeys(ProjPoint(c).rep for c in drawn))
     mults = draw(st.lists(st.integers(1, 3), min_size=len(reps), max_size=len(reps)))
     entry = st.integers(-3, 3)
     row = st.lists(entry, min_size=d + 1, max_size=d + 1)
