@@ -48,7 +48,6 @@ from fatpoints.constructions import (
 from fatpoints.generators import PatternSpec
 from fatpoints.geometry import ProjPoint, degeneracy_index, span_dim
 from fatpoints.harness import batch_check
-from fatpoints.linalg import Matrix
 from fatpoints.schemes import (
     FatPointScheme,
     artinian_quotient_regularity,
@@ -221,8 +220,7 @@ def certificate_battery(name, trials, base_seed):
             print(f"    certificate failed: seed={base_seed + trial}")
         # rows 1..n zeroed: p still goes to the origin, the change is singular;
         # the rejection's expected warning is kept off stderr
-        rows = cert.change.to_rows()
-        singular = Matrix.from_rows([rows[0]] + [[0] * (n + 1)] * n)
+        singular = (cert.change[0],) + ((0,) * (n + 1),) * n
         log.disabled = True
         try:
             tampered_ok, _ = verify_certificate(replace(cert, change=singular), j, p, m)

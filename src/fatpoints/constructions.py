@@ -29,21 +29,22 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence
 
 from fatpoints.geometry import (
     Flat,
     LinearForm,
     ProjPoint,
-    canonical_change,
     degeneracy_of,
     extend_flat_avoiding,
     flat_contains,
+    frame_change,
     span,
     spanned_flats,
     transform_point,
 )
-from fatpoints.linalg import Matrix, integer_kernel, rank_rows
+from fatpoints.linalg import integer_kernel, rank_rows
 from fatpoints.schemes import (
     FatPointScheme,
     _as_int,
@@ -196,12 +197,15 @@ class Certificate:
 
     All hyperplanes and monomials live in the coordinates obtained by
     applying ``change`` to the scheme, which sends the distinguished
-    point to (1, 0, ..., 0).  ``positions`` records, for audit, which
-    scheme point (if any) was normalized to which coordinate point.
+    point to (1, 0, ..., 0).  The change is a tuple of n+1 integer rows,
+    row i giving coordinate i of a moved point (see
+    :func:`fatpoints.geometry.transform_points`).  ``positions`` records,
+    for audit, which scheme point (if any) was normalized to which
+    coordinate point.
     """
 
     order: int
-    change: Matrix
+    change: tuple[tuple[int, ...], ...]
     entries: tuple[CertificateEntry, ...]
     positions: tuple[Optional[int], ...]
     strategy: str
@@ -240,8 +244,14 @@ def vanishing_orders(
 
 
 def _normalizing_change(j: FatPointScheme, p: ProjPoint):
-    """Coordinates with p at (1, 0, ...) and independent scheme points on the axes."""
-    change, taken = canonical_change(j.n, [p.rep], [q.rep for q in j.points])
+    """Coordinates with p at (1, 0, ...) and independent scheme points on the axes.
+
+    The change is L E: row k of :func:`frame_change`'s D E times L / v_k,
+    L the lcm of the pivot values v_k, so every point moves as under E.
+    """
+    rows, pivots, taken = frame_change(j.n, [p.rep], [q.rep for q in j.points])
+    scale = lcm(*map(int, pivots))
+    change = tuple(tuple(int(x) * (scale // int(v)) for x in row) for row, v in zip(rows, pivots))
     positions: list[Optional[int]] = [None] * j.size
     for axis, idx in enumerate(taken, start=1):
         positions[idx] = axis
@@ -433,9 +443,10 @@ def verify_certificate(
     (1, 0, ..., 0), every monomial of degree < a appears, every listed
     hyperplane misses p, and each hyperplane product times its monomial
     vanishes to the scheme's orders.  A singular change, such as one that
-    sends a point to zero or merges two, makes the certificate invalid and
-    raises nothing.  The last check expands nothing.  In the local ring at
-    a moved point q the order of vanishing is a valuation, so
+    sends a point to zero or merges two, or one that is not n+1 rows of
+    n+1 integers, makes the certificate invalid and raises nothing.  The
+    last check expands nothing.  In the local ring at a moved point q the
+    order of vanishing is a valuation, so
     ord_q(fg) = ord_q f + ord_q g, and a linear form (X_k among them) has
     order 1 at q if it vanishes there and 0 otherwise.  The product's order
     at q is therefore the number of its factors through q, repeats counted
@@ -473,8 +484,8 @@ def verify_certificate(
     except ValueError as exc:
         _LOG.warning("coordinate change cannot move the point: %s", exc)
         return False, delta
-    # square now: p has n+1 coordinates and its image as many
-    if rank_rows([cert.change.row(i) for i in range(n + 1)], n + 1) < n + 1:
+    # square now: each row is as long as p's n+1 coordinates, and its image as many
+    if rank_rows(cert.change, n + 1) < n + 1:
         _LOG.warning("coordinate change is singular")
         return False, delta
     moved = j.transform(cert.change)

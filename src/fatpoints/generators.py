@@ -127,6 +127,8 @@ def generate(spec: PatternSpec) -> FatPointScheme:
     """Produce a scheme satisfying the pattern, verified before return."""
     if spec.pattern not in PATTERNS:
         raise GeneratorError(f"unknown pattern {spec.pattern!r}")
+    n, s, height = (_as_int(getattr(spec, f), f, GeneratorError) for f in ("n", "s", "height"))
+    spec = replace(spec, n=n, s=s, height=height)
     if spec.n < 1:
         raise GeneratorError("ambient dimension must be positive")
     if spec.height < 1:

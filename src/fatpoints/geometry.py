@@ -25,12 +25,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from fatpoints.linalg import (
-    Matrix,
     _annihilator_step,
     _echelon,
     _fraction_rows,
@@ -360,36 +358,24 @@ def frame_change(
     return [row[width:] for row in rows], [row[c] for row, c in zip(rows, pivot_cols)], taken
 
 
-def canonical_change(
-    n: int, leading: Sequence[Sequence[int]], candidates: Sequence[Sequence[int]] = ()
-) -> tuple[Matrix, tuple[int, ...]]:
-    """:func:`frame_change` with each row divided by its pivot value: E, and ``taken``."""
-    rows, pivots, taken = frame_change(n, leading, candidates)
-    entries = tuple(x for row in _fraction_rows(rows, pivots) for x in row)
-    return Matrix(n + 1, n + 1, entries), taken
+def transform_points(
+    change: Sequence[Sequence[int]], points: Sequence[ProjPoint]
+) -> tuple[ProjPoint, ...]:
+    """The images of the points under a change of coordinates given as integer rows.
 
-
-def transform_points(change: Matrix, points: Sequence[ProjPoint]) -> tuple[ProjPoint, ...]:
-    """The images of the points under the change, moved in integers.
-
-    The change's entries are brought to one common denominator and its
-    numerators dotted with each point's integer representative: a positive
-    multiple of the image, hence the same projective point.  A point the
-    change sends to zero raises ``ValueError``, as ``ProjPoint`` does.
+    Coordinate i of a point's image is row i of the change dotted with the
+    point's integer representative, so the image is exact and needs no
+    common denominator.  A row of another length than the representative
+    raises ``ValueError``, and so does a point the change sends to zero,
+    as ``ProjPoint`` does.
     """
-    lcm = 1
-    for x in change.entries:
-        lcm = lcm // gcd(lcm, x.denominator) * x.denominator
-    rows = [
-        [x.numerator * (lcm // x.denominator) for x in change.row(i)] for i in range(change.rows)
-    ]
     moved = []
     for p in points:
-        if p.ambient_n + 1 != change.cols:
+        if any(len(row) != len(p.rep) for row in change):
             raise ValueError("dimension mismatch")
-        moved.append(ProjPoint(tuple(_dot(row, p.rep) for row in rows)))
+        moved.append(ProjPoint(tuple(_dot(row, p.rep) for row in change)))
     return tuple(moved)
 
 
-def transform_point(change: Matrix, p: ProjPoint) -> ProjPoint:
+def transform_point(change: Sequence[Sequence[int]], p: ProjPoint) -> ProjPoint:
     return transform_points(change, [p])[0]

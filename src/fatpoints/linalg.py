@@ -333,7 +333,7 @@ def set_modular_filter(enabled: bool) -> None:
     """Does nothing: the caller's question picks the rank path (see :func:`rank_rows`).
 
     Kept only because the benchmark worker, ``perfbench/worker.py``, still
-    calls it; it goes when the benchmark stops calling it (ROADMAP item 5).
+    calls it; it goes when the benchmark stops calling it (ROADMAP item 1).
     """
 
 

@@ -40,10 +40,12 @@ regularity index does not depend on the ambient space (see
 :func:`regularity_index`), so the scan counts the degree-t monomials in
 d+1 variables, not n+1.
 
-Frames are applied in integers, by the rows D E of
-:func:`fatpoints.geometry.frame_change`: E the canonical change and
+Frames are applied in integers: :func:`fatpoints.geometry.transform_points`
+moves the non-vertex points by the rows D E of
+:func:`fatpoints.geometry.frame_change`, E the canonical change and
 D = diag(v_k), all v_k > 0.  D fixes every coordinate point, so it
-changes no vertex block, rank, artinian regularity or criterion answer.
+changes no vertex block, rank, artinian regularity or criterion answer,
+and scaling D E to a multiple of E would only grow its entries.
 
 Three functions memoize, each in a bounded ``lru_cache`` of 64 entries:
 :func:`regularity_index` per scheme, :func:`artinian_quotient_regularity`
@@ -76,13 +78,7 @@ from fatpoints.geometry import (
     spanned_flats,
     transform_points,
 )
-from fatpoints.linalg import (
-    Matrix,
-    SpanTester,
-    integer_kernel,
-    primitive_row,
-    rank_rows,
-)
+from fatpoints.linalg import SpanTester, integer_kernel, rank_rows
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +150,7 @@ class FatPointScheme:
     mults: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _as_int(self.n, "ambient dimension"))
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "mults", tuple(_as_int(m, "multiplicity") for m in self.mults))
         if self.n < 1:
@@ -200,7 +197,7 @@ class FatPointScheme:
         ms = self.mults[:i] + self.mults[i + 1 :]
         return FatPointScheme(self.n, pts, ms)
 
-    def transform(self, change: Matrix) -> "FatPointScheme":
+    def transform(self, change: Sequence[Sequence[int]]) -> "FatPointScheme":
         return FatPointScheme(self.n, transform_points(change, self.points), self.mults)
 
     def permuted(self, order: Sequence[int]) -> "FatPointScheme":
@@ -304,14 +301,11 @@ def _frame(z: FatPointScheme, leading: list[tuple[int, ...]]) -> SimplexFrame:
     The points go heaviest first, ties by index.
     """
     order = sorted(range(z.size), key=lambda i: (-z.mults[i], i))
-    reps = [p.rep for p in z.points]
-    rows, _, taken = frame_change(z.n, leading, [reps[i] for i in order])
+    rows, _, taken = frame_change(z.n, leading, [z.points[i].rep for i in order])
     on_vertex = [order[i] for i in taken]
-    others = tuple(
-        (tuple(primitive_row([sum(r * x for r, x in zip(row, rep)) for row in rows])), m)
-        for i, (rep, m) in enumerate(zip(reps, z.mults))
-        if i not in on_vertex
-    )
+    rest = [i for i in range(z.size) if i not in on_vertex]
+    moved = transform_points(rows, [z.points[i] for i in rest])
+    others = tuple((q.rep, z.mults[i]) for q, i in zip(moved, rest))
     first = len(leading)
     vertices = tuple((first + k, z.mults[i]) for k, i in enumerate(on_vertex))
     return SimplexFrame(vertices, others, z.n)

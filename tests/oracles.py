@@ -4,18 +4,20 @@ Each helper is a plain, slow route to a value that the package computes
 another way: span membership by elimination on the spanning set, matrix
 products in ``Fraction``s, forms as explicit coefficient vectors with
 products and evaluation, the full condition matrix and its kernel, a
-separating hyperplane read off a flat's normals.  None of them is called
-by the package itself.
+separating hyperplane read off a flat's normals, the canonical change of
+coordinates in ``Fraction``s.  None of them is called by the package
+itself.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from fatpoints.geometry import Flat, LinearForm, ProjPoint, canonical_change, flat_contains
+from fatpoints.geometry import Flat, LinearForm, ProjPoint, flat_contains, frame_change
 from fatpoints.linalg import Matrix, SpanTester, kernel_basis, rank_rows
 from fatpoints.schemes import FatPointScheme, Form, condition_rows, monomial_basis
 
@@ -37,16 +39,34 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(sum((m.at(i, j) * v[j] for j in range(m.cols)), Fraction(0)) for i in range(m.rows))
 
 
+def canonical_change(
+    n: int, leading: Sequence[Sequence[int]], candidates: Sequence[Sequence[int]] = ()
+) -> tuple[Matrix, tuple[int, ...]]:
+    """The canonical change E of :func:`frame_change`, in ``Fraction``s, and ``taken``.
+
+    Each of frame_change's rows D E divided by its pivot value.
+    """
+    rows, pivots, taken = frame_change(n, leading, candidates)
+    change = [[Fraction(int(x), int(v)) for x in row] for row, v in zip(rows, pivots)]
+    return Matrix.from_rows(change), taken
+
+
 def identity(k: int) -> Matrix:
     return Matrix.from_rows([[int(i == j) for j in range(k)] for i in range(k)])
 
 
-def random_invertible_change(n: int, rng: random.Random) -> Matrix:
-    """A random invertible (n+1) x (n+1) matrix with small integer entries."""
+def integer_change(m: Matrix) -> tuple[tuple[int, ...], ...]:
+    """The rows of m times the lcm of its denominators: the same change of coordinates."""
+    scale = lcm(*(x.denominator for x in m.entries))
+    return tuple(tuple(int(x * scale) for x in row) for row in m.to_rows())
+
+
+def random_invertible_change(n: int, rng: random.Random) -> tuple[tuple[int, ...], ...]:
+    """A random invertible change of P^n: n+1 integer rows of small entries."""
     while True:
-        rows = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n + 1)]
+        rows = tuple(tuple(rng.randint(-9, 9) for _ in range(n + 1)) for _ in range(n + 1))
         if rank_rows(rows, n + 1) == n + 1:
-            return Matrix.from_rows(rows)
+            return rows
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +92,9 @@ def hyperplane_containing_avoiding(f: Flat, avoid: ProjPoint) -> LinearForm:
     return LinearForm(next(v for v in f.normals if sum(map(mul, v, rep))))
 
 
-def coordinate_change_to_origin(p: ProjPoint) -> Matrix:
-    """Invertible change of coordinates sending p to (1, 0, ..., 0)."""
-    return canonical_change(p.ambient_n, [p.rep])[0]
+def coordinate_change_to_origin(p: ProjPoint) -> tuple[tuple[int, ...], ...]:
+    """Invertible change of coordinates sending p to (1, 0, ..., 0), as integer rows."""
+    return integer_change(canonical_change(p.ambient_n, [p.rep])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from fatpoints.geometry import (
     span,
     transform_point,
 )
-from fatpoints.linalg import Matrix
 from fatpoints.schemes import (
     FatPointScheme,
     artinian_quotient_regularity,
@@ -46,8 +45,8 @@ from fatpoints.constructions import (
 from oracles import (
     form_mul,
     hyperplane_containing_avoiding,
+    canonical_change,
     linear_form_to_form,
-    mat_vec,
     monomial_form,
 )
 
@@ -314,8 +313,7 @@ def test_verify_rejects_singular_change_that_keeps_the_point(caplog):
     rng = random.Random(14)
     j, p = case1_configuration(rng, m=2)
     cert = build_certificate(j, p, 2, seed=1)
-    rows = cert.change.to_rows()
-    singular = Matrix.from_rows([rows[0]] + [[0] * (j.n + 1)] * j.n)
+    singular = (cert.change[0],) + ((0,) * (j.n + 1),) * j.n
     assert transform_point(singular, p) == unit(j.n, 0)
     tampered = dataclasses.replace(cert, change=singular)
     with caplog.at_level(logging.WARNING, logger="fatpoints.constructions"):
@@ -324,21 +322,20 @@ def test_verify_rejects_singular_change_that_keeps_the_point(caplog):
 
 
 def test_verify_rejects_change_that_merges_two_points(caplog):
-    # P = I - d e_k^T / d_k fixes e_0 and kills d = E q_0 - E q_1, so the
-    # change P E still sends p to the origin and sends q_0 and q_1 to one point
+    # P = d_k I - d e_k^T fixes e_0 up to the factor d_k and kills
+    # d = C q_0 - C q_1, C the change, so P C still sends p to the origin and
+    # sends q_0 and q_1 to one point
     rng = random.Random(15)
     j, p = case1_configuration(rng, m=1)
     cert = build_certificate(j, p, 1, seed=1)
     size = j.n + 1
-    u, v = (mat_vec(cert.change, q.coords) for q in j.points[:2])
+    u, v = ([sum(x * y for x, y in zip(row, q.rep)) for row in cert.change] for q in j.points[:2])
     d = [x - y for x, y in zip(u, v)]
     k = next(i for i in range(1, size) if d[i])
-    proj = Matrix.from_rows(
-        [[int(r == c) - (d[r] / d[k] if c == k else 0) for c in range(size)] for r in range(size)]
-    )
-    merging = Matrix.from_rows(
-        [[sum(proj.at(r, i) * cert.change.at(i, c) for i in range(size)) for c in range(size)]
-         for r in range(size)]
+    proj = [[d[k] * (r == c) - (d[r] if c == k else 0) for c in range(size)] for r in range(size)]
+    merging = tuple(
+        tuple(sum(proj[r][i] * cert.change[i][c] for i in range(size)) for c in range(size))
+        for r in range(size)
     )
     assert transform_point(merging, p) == unit(j.n, 0)
     assert transform_point(merging, j.points[0]) == transform_point(merging, j.points[1])
@@ -346,6 +343,22 @@ def test_verify_rejects_change_that_merges_two_points(caplog):
     with caplog.at_level(logging.WARNING, logger="fatpoints.constructions"):
         assert verify_certificate(tampered, j, p, 1) == (False, cert.delta)
     assert "coordinate change is singular" in caplog.text
+
+
+def test_verify_rejects_a_malformed_change_without_raising():
+    # a change that is not n+1 rows of n+1 ints: invalid, no raise
+    rng = random.Random(16)
+    j, p = case1_configuration(rng, m=2)
+    cert = build_certificate(j, p, 2, seed=1)
+    rows = cert.change
+    malformed = {
+        "ragged": rows[:1] + (rows[1][:-1],) + rows[2:],
+        "too few rows": rows[:-1],
+        "too many rows": rows + (rows[-1],),
+    }
+    for name, change in malformed.items():
+        tampered = dataclasses.replace(cert, change=change)
+        assert verify_certificate(tampered, j, p, 2) == (False, cert.delta), name
 
 
 def test_build_certificate_rejects_point_of_another_ambient_space():
@@ -588,7 +601,21 @@ def test_certificates_match_pinned_digest():
         strategies[cert.strategy] += 1
         digest.update(f"{cert!r}\n".encode())
     assert strategies == {"covering_hyperplane": 24, "split": 36, "single_group": 30}
-    assert digest.hexdigest() == "df1db6518667999423e72e5bed2a1afbb03048d41eac467acf9d146561d48fcd"
+    assert digest.hexdigest() == "5450d040196cf8ed44317a1d2c15fd68144d7eeb176cb0a17d4cfa114cde4d17"
+
+
+def test_certificate_change_is_the_canonical_change_in_integer_rows():
+    # L E for the reference E of frame_change, L = dot(change[0], p.rep) > 0:
+    # E sends p to e_0 exactly, so row 0 of L E dots p.rep to L
+    for j, p, a, seed in certificate_corpus():
+        change = build_certificate(j, p, a, seed=seed).change
+        size = j.n + 1
+        assert len(change) == size
+        assert all(len(row) == size and all(type(x) is int for x in row) for row in change)
+        scale = sum(x * y for x, y in zip(change[0], p.rep))
+        assert scale > 0
+        reference, _ = canonical_change(j.n, [p.rep], [q.rep for q in j.points])
+        assert [list(row) for row in change] == [[x * scale for x in r] for r in reference.to_rows()]
 
 
 def expanding_verify(cert, j, p, a):

@@ -99,8 +99,15 @@ _E = [ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0)), ProjPoint((0, 0, 1))]
         (lambda: generate(PatternSpec("on_flat", n=3, s=4, flat_dim=1.5)), 1.5, GeneratorError),
         (lambda: generate(PatternSpec("prop43", n=3, s=3, k=1.0)), 1.0, GeneratorError),
         (lambda: distribute_flats(_E[1:], _E[0], (1, 1.5), 1, 2, 0), 1.5, ValueError),
+        (lambda: generate(PatternSpec("general", n=2, s=2.5)), 2.5, GeneratorError),
+        (lambda: generate(PatternSpec("general", n=2, s="2")), "2", GeneratorError),
+        (lambda: generate(PatternSpec("general", n=3.0, s=2)), 3.0, GeneratorError),
+        (lambda: generate(PatternSpec("general", n=2, s=2, height=2.5)), 2.5, GeneratorError),
     ],
-    ids=["scheme-float", "scheme-str", "spec-m", "spec-mults", "flat_dim", "k", "distribute"],
+    ids=[
+        "scheme-float", "scheme-str", "spec-m", "spec-mults", "flat_dim", "k", "distribute",
+        "spec-s", "spec-s-str", "spec-n", "spec-height",
+    ],
 )
 def test_a_non_integer_count_raises_instead_of_truncating(build, bad, error):
     with pytest.raises(error, match=re.escape(f"must be an integer, got {bad!r}")):

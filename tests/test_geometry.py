@@ -23,6 +23,7 @@ from fatpoints.geometry import (
     span_dim,
     spanned_flats,
     transform_point,
+    transform_points,
 )
 from fatpoints.linalg import Matrix, integer_kernel, rank_rows, rref
 from fatpoints.schemes import FatPointScheme
@@ -30,8 +31,8 @@ from oracles import (
     coordinate_change_to_origin,
     evaluate_linear,
     hyperplane_containing_avoiding,
-    identity,
     in_span,
+    integer_change,
     mat_vec,
     random_invertible_change,
 )
@@ -429,13 +430,13 @@ def test_extend_rejects_target_of_full_space():
 # ---------------------------------------------------------------------------
 
 def test_change_for_origin_is_identity():
-    assert coordinate_change_to_origin(unit(2, 0)) == identity(3)
+    assert coordinate_change_to_origin(unit(2, 0)) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_change_for_unit_point_is_permutation():
     change = coordinate_change_to_origin(unit(2, 1))
     assert transform_point(change, unit(2, 1)) == unit(2, 0)
-    entries = sorted(abs(x) for x in change.entries)
+    entries = sorted(abs(x) for row in change for x in row)
     assert entries == [0, 0, 0, 0, 0, 0, 1, 1, 1]
 
 
@@ -445,7 +446,7 @@ def test_change_random_points():
         p = random_point(rng, 3)
         change = coordinate_change_to_origin(p)
         assert transform_point(change, p) == unit(3, 0)
-        assert rref(change).rank == 4
+        assert rank_rows(change, 4) == 4
 
 
 def _probing_frame(n, leading, candidates):
@@ -491,9 +492,8 @@ def test_frame_change_matches_probing_reference():
         candidates = [c for c in draws if any(c)]
         leading = [random_point(rng, n).rep] if rng.random() < 0.5 else []
         rows, pivots, taken = _assert_frame_matches_probing_reference(n, leading, candidates)
-        change = Matrix.from_rows([[Fraction(int(x), int(v)) for x in row] for row, v in zip(rows, pivots)])
         for axis, idx in enumerate(taken, start=len(leading)):
-            assert transform_point(change, ProjPoint(tuple(map(Fraction, candidates[idx])))) == unit(n, axis)
+            assert transform_point(rows, ProjPoint(tuple(map(Fraction, candidates[idx])))) == unit(n, axis)
 
 
 @st.composite
@@ -651,14 +651,16 @@ def _outcome(fn):
 @example((Matrix.from_rows([[1, 1], [0, 0]]), [unit(1, 0), unit(1, 1)]))  # two points merged
 @example((Matrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]), [ProjPoint((1, 1))]))
 def test_integer_moves_match_mat_vec(case):
-    change, pts = case
+    # the rational matrix times the lcm of its denominators is the same change
+    matrix, pts = case
+    change = integer_change(matrix)
     for p in pts:
-        want = _outcome(lambda: ProjPoint(mat_vec(change, p.coords)))
+        want = _outcome(lambda: ProjPoint(mat_vec(matrix, p.coords)))
         assert _outcome(lambda: transform_point(change, p)) == want
-    z = FatPointScheme(change.cols - 1, tuple(pts), (1,) * len(pts))
+    z = FatPointScheme(matrix.cols - 1, tuple(pts), (1,) * len(pts))
     want = _outcome(
         lambda: FatPointScheme(
-            z.n, tuple(ProjPoint(mat_vec(change, q.coords)) for q in z.points), z.mults
+            z.n, tuple(ProjPoint(mat_vec(matrix, q.coords)) for q in z.points), z.mults
         )
     )
     assert _outcome(lambda: z.transform(change)) == want
@@ -666,6 +668,15 @@ def test_integer_moves_match_mat_vec(case):
         "ValueError",
         "dimension mismatch",
     )
+
+
+def test_a_ragged_change_raises():
+    p = ProjPoint((1, 2, 3))
+    for ragged in [((1, 0, 0), (0, 1), (0, 0, 1)), ((1, 0, 0), (0, 1, 0, 0), (0, 0, 1))]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            transform_points(ragged, [unit(2, 0), p])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            FatPointScheme(2, (p,), (1,)).transform(ragged)
 
 
 def _identity(x):

@@ -144,6 +144,17 @@ def test_scheme_rejects_bad_multiplicity():
         FatPointScheme(2, (unit(2, 0),), (0,))
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_float_ambient_dimension_raises_whatever_the_cache_holds(warm):
+    """A scheme with n = 2.0 would be equal to, and hash like, its n = 2 twin."""
+    pts, mults = (unit(2, 0), unit(2, 1)), (2, 2)
+    regularity_index.cache_clear()
+    if warm:
+        assert regularity_index(FatPointScheme(2, pts, mults)) == 3
+    with pytest.raises(ValueError, match=r"ambient dimension must be an integer, got 2\.0"):
+        regularity_index(FatPointScheme(2.0, pts, mults))
+
+
 # ---------------------------------------------------------------------------
 # multiplicity
 # ---------------------------------------------------------------------------
