@@ -9,7 +9,7 @@ Runs, at configurable scale:
   including the two degenerate incidence patterns: the bound must hold;
 * the Segre flats: on random point sets with planted collinear and
   coplanar points, the T_j table of ``segre_bound`` and the degeneracy
-  index against a scan of every subset by ``span_dim``;
+  index against a scan of every subset by the rank of its points' reps;
 * the regularity index in the span: random schemes of P^d embedded in
   P^n by random injective integer maps, ``regularity_index`` (which scans
   P^d) against a scan of P^n through ``hilbert_function``;
@@ -46,7 +46,7 @@ from fatpoints.constructions import (
     verify_certificate,
 )
 from fatpoints.generators import PatternSpec
-from fatpoints.geometry import ProjPoint, degeneracy_index, span_dim
+from fatpoints.geometry import ProjPoint, degeneracy_index
 from fatpoints.harness import batch_check
 from fatpoints.schemes import (
     FatPointScheme,
@@ -115,7 +115,7 @@ def segre_flats_battery(name, trials, base_seed):
         z = FatPointScheme(n, tuple(pts), tuple(rng.randint(1, 3) for _ in range(s)))
         # every nonempty subset, spanned by rank
         dims = {
-            sub: span_dim([pts[i] for i in sub])
+            sub: linalg.rank_rows([pts[i].rep for i in sub], n + 1) - 1
             for size in range(1, s + 1)
             for sub in combinations(range(s), size)
         }

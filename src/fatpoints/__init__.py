@@ -25,7 +25,6 @@ from fatpoints.geometry import (
     flat_contains,
     general_position_on,
     span,
-    span_dim,
     spanned_flats,
 )
 from fatpoints.schemes import (
@@ -68,7 +67,6 @@ __all__ = [
     "flat_contains",
     "general_position_on",
     "span",
-    "span_dim",
     "spanned_flats",
     "FatPointScheme",
     "Form",

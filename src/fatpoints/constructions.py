@@ -27,8 +27,9 @@ Three layers:
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from typing import Optional, Sequence
 
@@ -476,6 +477,12 @@ def verify_certificate(
 
     if cert.order != a:
         _LOG.warning("certificate order %d does not match requested %d", cert.order, a)
+        return False, delta
+    try:
+        for x in chain.from_iterable(cert.change):
+            operator.index(x)
+    except TypeError as exc:
+        _LOG.warning("coordinate change is not integer rows: %s", exc)
         return False, delta
     try:
         if transform_point(cert.change, p) != origin:

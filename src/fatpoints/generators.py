@@ -8,9 +8,10 @@ is a deterministic function of the spec (including its seed).
 
 The checks that ask which subsets lie on which flats (degeneracy, general
 position, lem42's crowded flats) read the scheme's own flat enumeration
-(``FatPointScheme.flats``): the candidate scheme is built first, and the
-verdict later reuses the flats its generator paid for.  A check on the
-span dimension alone is one ``span_dim``.
+(``FatPointScheme.flats``), and so does the span dimension of all the
+points, the last flat listed: the candidate scheme is built first, and
+the verdict later reuses the flats its generator paid for.  Anchor
+points are checked by the dimension of the flat they span.
 
 Patterns:
 
@@ -46,7 +47,6 @@ from fatpoints.geometry import (
     degeneracy_of,
     flat_contains,
     span,
-    span_dim,
 )
 from fatpoints.schemes import FatPointScheme, _as_int
 
@@ -173,9 +173,8 @@ def _gen_on_flat(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSche
     mults = _resolve_mults(spec, spec.s)
     sampler = lambda: _random_point_in_sflat(rng, spec.n, spec.n, spec.height)
     anchors = _distinct_points(sampler, d + 1)
-    if anchors is None or span_dim(anchors) != d:
+    if anchors is None or (flat := span(anchors)).dim != d:
         return None
-    flat = span(anchors)
     pts = _distinct_points(lambda: _random_point_on(rng, flat, spec.height), spec.s)
     if pts is None:
         return None
@@ -193,9 +192,10 @@ def _gen_lemma24(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSche
     count = spec.s + 2
     mults = _resolve_mults(spec, count)
     pts = _distinct_points(lambda: _random_point_in_sflat(rng, spec.n, spec.n, spec.height), count)
-    if pts is None or span_dim(pts) < spec.s:
+    if pts is None:
         return None
-    return FatPointScheme(spec.n, tuple(pts), mults)
+    z = FatPointScheme(spec.n, tuple(pts), mults)
+    return z if z.flats[-1][0] >= spec.s else None
 
 
 def _gen_theorem34(spec: PatternSpec, rng: random.Random) -> Optional[FatPointScheme]:
@@ -206,9 +206,10 @@ def _gen_theorem34(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSc
     if len(set(mults)) != 1:
         raise GeneratorError("theorem34 pattern is equimultiple")
     pts = _distinct_points(lambda: _random_point_in_sflat(rng, spec.n, spec.n, spec.height), count)
-    if pts is None or span_dim(pts) < spec.s:
+    if pts is None:
         return None
-    return FatPointScheme(spec.n, tuple(pts), mults)
+    z = FatPointScheme(spec.n, tuple(pts), mults)
+    return z if z.flats[-1][0] >= spec.s else None
 
 
 def _gen_prop43(spec: PatternSpec, rng: random.Random) -> Optional[FatPointScheme]:
@@ -224,9 +225,8 @@ def _gen_prop43(spec: PatternSpec, rng: random.Random) -> Optional[FatPointSchem
 
     sampler = lambda: _random_point_in_sflat(rng, spec.n, spec.s, spec.height)
     anchors = _distinct_points(sampler, k + 1)
-    if anchors is None or span_dim(anchors) != k:
+    if anchors is None or (alpha := span(anchors)).dim != k:
         return None
-    alpha = span(anchors)
     extra = _random_point_on(rng, alpha, spec.height)
     if extra in anchors:
         return None
@@ -275,10 +275,11 @@ def _gen_lem42(spec: PatternSpec, rng: random.Random) -> Optional[FatPointScheme
     z = FatPointScheme(spec.n, tuple(pts), mults)
     if z.flats[-1][0] != s:
         return None
-    if span_dim(pts[: s + 1]) != s - 1:  # alpha holds P_1..P_{s+1}
-        return None
-    if span_dim(pts[2:]) != s - 1:  # beta holds P_3..P_{s+3}
-        return None
+    # alpha holds P_1..P_{s+1} and beta P_3..P_{s+3}: each lies on a listed
+    # (s-1)-flat; on a lower one, s of them lie on an (s-2)-flat, rejected below
+    for held in (range(s + 1), range(2, s + 3)):
+        if not any(dim == s - 1 and set(held).issubset(witness) for dim, witness in z.flats):
+            return None
     if _crowded_flat(z.flats, s):
         return None
     return z

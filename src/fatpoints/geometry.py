@@ -35,7 +35,6 @@ from fatpoints.linalg import (
     _kernel_rows,
     _reduce,
     primitive_row,
-    rank_rows,
 )
 
 Coords = tuple[Fraction, ...]
@@ -190,12 +189,6 @@ def span(points: Sequence[ProjPoint]) -> Flat:
     return Flat(len(rows[0]) - 1, rows)
 
 
-def span_dim(points: Sequence[ProjPoint]) -> int:
-    """Dimension of span(points), read off the rank of their integer rows."""
-    rows = _cone_rows(points)
-    return rank_rows(rows, len(rows[0])) - 1
-
-
 def flat_contains(f: Flat, p: ProjPoint) -> bool:
     """Whether the point lies on the flat."""
     if p.ambient_n != f.ambient_n:
@@ -233,7 +226,7 @@ def spanned_flats(points: Sequence[ProjPoint]) -> tuple[SpannedFlat, ...]:
     reps = [p.rep for p in points]
     if len(set(reps)) != len(reps):  # primitive reps are canonical
         raise ValueError("points must be pairwise distinct")
-    _cone_rows(points)  # span_dim's errors for no points or mixed ambient spaces
+    _cone_rows(points)  # span's errors for no points or mixed ambient spaces
     size_all, width = len(reps), len(reps[0])
     found: list[SpannedFlat] = [(0, (i,)) for i in range(size_all)]
     # prefix -> (rows, pivot of the step that made them)

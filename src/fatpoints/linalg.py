@@ -282,21 +282,6 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
     return [w for _, w in _kernel_rows(echelon, pivot_cols, ncols)]
 
 
-class SpanTester:
-    """Repeated membership tests of rational vectors against a fixed spanning set."""
-
-    def __init__(self, basis: Sequence[Sequence], length: int):
-        self.length = length
-        if any(len(b) != length for b in basis):
-            raise ValueError("dimension mismatch")
-        self._rows, self._pivots = _echelon([primitive_row(b) for b in basis], length)
-
-    def contains(self, v: Sequence) -> bool:
-        if len(v) != self.length:
-            raise ValueError("dimension mismatch")
-        return not any(_reduce(primitive_row(v), self._rows, self._pivots))
-
-
 def _rank_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> int:
     """Rank of integer rows modulo the prime p, by Gaussian elimination."""
     m = [[int(x) % p for x in row] for row in rows]

@@ -78,7 +78,7 @@ from fatpoints.geometry import (
     spanned_flats,
     transform_points,
 )
-from fatpoints.linalg import SpanTester, integer_kernel, rank_rows
+from fatpoints.linalg import _echelon, integer_kernel, rank_rows
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +538,22 @@ def monomial_bound_check(j: FatPointScheme, p: ProjPoint, a: int, b: int) -> boo
     With p at (1, 0, ..., 0), checks for every i < a and every degree-i
     monomial M in the last n variables that X0^(b-i) * M lies in the span
     of the degree-b ideal piece together with the monomials of order
-    >= i+1 at p.  These are the basis from index C(i+n, n) on, so the
-    test cuts the ideal piece to its first C(i+n, n) columns.  Equivalent
+    >= i+1 at p.  These are the basis from index w = C(i+n, n) on, so the
+    test asks whether the unit vector of X0^(b-i) * M, index k < w, lies
+    in the span of the ideal piece cut to its first w columns.  Equivalent
     to artinian_quotient_regularity(j, p, a) <= b.
+
+    One integer reduced echelon form of the piece, cut to its first
+    C(a-1+n, n) columns, answers every i.  A row whose pivot is at w or
+    beyond is zero on the first w columns.  The rows whose pivot lies
+    below w, cut to w columns, keep their pivots and the zeros above and
+    below them, so they are a reduced echelon basis of the cut piece.  A
+    vector in their span is determined by its entries at their pivots, so
+    the unit vector at k lies in it exactly when k is a pivot and that
+    row is zero on every other column below w (it is zero left of its
+    pivot already).  Taken over every i, the answer is yes exactly when
+    every column is a pivot, for then the rows are unit vectors; the zero
+    test keeps each monomial's own answer exact.
 
     The ideal piece is taken in the frame of
     :func:`artinian_quotient_regularity`.  The answer does not depend on
@@ -548,7 +561,7 @@ def monomial_bound_check(j: FatPointScheme, p: ProjPoint, a: int, b: int) -> boo
     and modulo them it sends X0^(b-i) * M to a multiple of X0^(b-i) * M',
     where M' is M under an invertible linear substitution of the last n
     variables, so the family tested at each i spans the same space.  The
-    test is kernel and span based, with no rank count, so it stays an
+    test reads pivots and zeros, with no rank count, so it stays an
     independent check of the artinian regularity: it shares only the
     cached change of coordinates with :func:`artinian_quotient_regularity`,
     and itself is not cached.
@@ -556,12 +569,13 @@ def monomial_bound_check(j: FatPointScheme, p: ProjPoint, a: int, b: int) -> boo
     if b < a - 1:
         raise ValueError("the degree must be at least a - 1")
     _check_artinian_args(j, p, a)
-    frame = _origin_frame(j, p)
-    piece = _ideal_piece(frame, b, comb(a - 1 + j.n, j.n))
+    low = comb(a - 1 + j.n, j.n)
+    rows, pivots = _echelon(_ideal_piece(_origin_frame(j, p), b, low), low)
+    row_at = dict(zip(pivots, rows))
     for i in range(a):
         width = comb(i + j.n, j.n)
-        tester = SpanTester([vec[:width] for vec in piece], width)
         for k in range(comb(i - 1 + j.n, j.n), width):
-            if not tester.contains([int(c == k) for c in range(width)]):
+            row = row_at.get(k)
+            if row is None or any(row[k + 1 : width]):
                 return False
     return True

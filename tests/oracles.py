@@ -1,7 +1,7 @@
 """Reference implementations that the tests check the package against.
 
 Each helper is a plain, slow route to a value that the package computes
-another way: span membership by elimination on the spanning set, matrix
+another way: span membership and span dimension by rank, matrix
 products in ``Fraction``s, forms as explicit coefficient vectors with
 products and evaluation, the full condition matrix and its kernel, a
 separating hyperplane read off a flat's normals, the canonical change of
@@ -18,7 +18,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from fatpoints.geometry import Flat, LinearForm, ProjPoint, flat_contains, frame_change
-from fatpoints.linalg import Matrix, SpanTester, kernel_basis, rank_rows
+from fatpoints.linalg import Matrix, kernel_basis, rank_rows
 from fatpoints.schemes import FatPointScheme, Form, condition_rows, monomial_basis
 
 Terms = dict[tuple[int, ...], Fraction]
@@ -29,8 +29,11 @@ Terms = dict[tuple[int, ...], Fraction]
 # ---------------------------------------------------------------------------
 
 def in_span(v: Sequence[object], basis: Iterable[Sequence[object]]) -> bool:
-    """Whether v lies in the rational span of the given vectors."""
-    return SpanTester(list(basis), len(v)).contains(v)
+    """Whether v lies in the rational span of the given vectors: adding it keeps the rank."""
+    basis = [list(b) for b in basis]
+    if any(len(b) != len(v) for b in basis):
+        raise ValueError("dimension mismatch")
+    return rank_rows(basis + [list(v)], len(v)) == rank_rows(basis, len(v))
 
 
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -72,6 +75,20 @@ def random_invertible_change(n: int, rng: random.Random) -> tuple[tuple[int, ...
 # ---------------------------------------------------------------------------
 # points, hyperplanes and coordinate changes
 # ---------------------------------------------------------------------------
+
+def span_dim(points: Sequence[ProjPoint]) -> int:
+    """Dimension of the span of the points, read off the rank of their integer reps.
+
+    Raises what :func:`fatpoints.geometry.span` raises for no points or
+    points of different ambient spaces.
+    """
+    if not points:
+        raise ValueError("span of an empty point set is undefined")
+    n = points[0].ambient_n
+    if any(p.ambient_n != n for p in points):
+        raise ValueError("ambient dimensions disagree")
+    return rank_rows([p.rep for p in points], n + 1) - 1
+
 
 def evaluate_linear(h: LinearForm, p: ProjPoint) -> Fraction:
     """The form's canonical coefficients dotted with the point's canonical coordinates."""

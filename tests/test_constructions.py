@@ -361,6 +361,27 @@ def test_verify_rejects_a_malformed_change_without_raising():
         assert verify_certificate(tampered, j, p, 2) == (False, cert.delta), name
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda rows: ((rows[0][0] * 1.0,) + rows[0][1:],) + rows[1:],
+        lambda rows: tuple(tuple(Fraction(x, 2) for x in row) for row in rows),
+        lambda rows: ((str(rows[0][0]),) + rows[0][1:],) + rows[1:],
+    ],
+    ids=["float", "fraction", "str"],
+)
+def test_verify_rejects_a_change_that_is_not_integer_rows(tamper, caplog):
+    # the Fraction rows are the same change of coordinates, so only the entry
+    # check tells them apart
+    rng = random.Random(16)
+    j, p = case1_configuration(rng, m=2)
+    cert = build_certificate(j, p, 2, seed=1)
+    tampered = dataclasses.replace(cert, change=tamper(cert.change))
+    with caplog.at_level(logging.WARNING, logger="fatpoints.constructions"):
+        assert verify_certificate(tampered, j, p, 2) == (False, cert.delta)
+    assert "coordinate change is not integer rows" in caplog.text
+
+
 def test_build_certificate_rejects_point_of_another_ambient_space():
     j = FatPointScheme(2, (unit(2, 0), unit(2, 1)), (1, 1))
     for p in (ProjPoint((1, 1, 1, 5)), ProjPoint((1, 1))):

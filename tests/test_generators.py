@@ -1,11 +1,15 @@
+import hashlib
+import json
 import re
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from fatpoints.constructions import distribute_flats
-from fatpoints.generators import GeneratorError, PatternSpec, generate
+from fatpoints.generators import PATTERNS, GeneratorError, PatternSpec, generate
 from fatpoints.geometry import ProjPoint, degeneracy_index, span
+from fatpoints.harness import scheme_to_obj
 from fatpoints.schemes import FatPointScheme
 
 
@@ -133,3 +137,36 @@ def test_height_bound_respected():
     for p in z.points:
         ints = p.rep
         assert all(abs(c) <= 5 for c in ints)
+
+
+def _pinned_spec(pattern: str, n: int, s: int, seed: int) -> PatternSpec:
+    extra = {}
+    if pattern == "on_flat":
+        extra["flat_dim"] = 1 + seed % n
+    if pattern == "prop43" and s >= 2:
+        extra["k"] = 1 + seed % (s - 1)
+    return PatternSpec(pattern, n=n, s=s, m=1 + seed % 3, seed=seed, height=9, **extra)
+
+
+#: sha256 of every pinned spec's output, one line each: the scheme's JSON
+#: object, or "error: " and the GeneratorError's message
+GENERATOR_DIGEST = "2f855a5a5e56b90e9cceca8bca8d3742444c199fc98fa66c0f2bd1bb93e9e1a8"
+
+
+def test_generated_schemes_match_pinned_digest():
+    """Every pattern x n 1..4 x s 1..5 x seed 0..5 gives the pinned points and errors."""
+    h = hashlib.sha256()
+    outcomes = Counter()
+    for pattern in PATTERNS:
+        for n in range(1, 5):
+            for s in range(1, 6):
+                for seed in range(6):
+                    try:
+                        line = json.dumps(scheme_to_obj(generate(_pinned_spec(pattern, n, s, seed))))
+                        outcomes["scheme"] += 1
+                    except GeneratorError as exc:
+                        line = "error: " + str(exc)
+                        outcomes["error"] += 1
+                    h.update((line + "\n").encode())
+    assert outcomes == {"scheme": 374, "error": 346}
+    assert h.hexdigest() == GENERATOR_DIGEST

@@ -7,7 +7,7 @@ to ``rank_rows``; every other rank is rational.
 
 import logging
 
-from fatpoints.geometry import ProjPoint, span_dim
+from fatpoints.geometry import ProjPoint, span
 from fatpoints.linalg import MODULAR_PRIME, modular_stats, rank_rows, reset_modular_stats
 from fatpoints.schemes import (
     FatPointScheme,
@@ -49,7 +49,7 @@ def test_regularity_scan_falls_back_when_the_prime_is_bad(caplog):
 def test_ranks_are_rational_unless_the_caller_asks():
     reset_modular_stats()
     assert rank_rows([[1, 1], [1, 1 + P0]], 2) == 2
-    assert span_dim([ProjPoint((1, 1, 0)), ProjPoint((1, 1 + P0, 0))]) == 1
+    assert span([ProjPoint((1, 1, 0)), ProjPoint((1, 1 + P0, 0))]).dim == 1
     assert modular_stats() == dict.fromkeys(modular_stats(), 0)
 
     z = _scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)])

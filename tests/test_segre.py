@@ -15,13 +15,12 @@ from fatpoints.geometry import (
     degeneracy_of,
     flat_contains,
     span,
-    span_dim,
     spanned_flats,
 )
 from fatpoints.linalg import rank_rows
 from fatpoints.schemes import FatPointScheme
 from fatpoints.segre import segre_bound
-from oracles import random_invertible_change
+from oracles import random_invertible_change, span_dim
 
 
 def unit(n, i):
@@ -419,8 +418,8 @@ def test_enumeration_errors_match_subset_scan(points):
     assert want[0] == "ValueError"
     assert _outcome(lambda: degeneracy_index(points)) == want
     assert _outcome(lambda: spanned_flats(points)) == want
-    if len(set(points)) == len(points):  # the same messages as span_dim
-        assert _outcome(lambda: span_dim(points)) == want
+    if len(set(points)) == len(points):  # the same messages as span
+        assert _outcome(lambda: span(points)) == want
 
 
 def _det(rows):
