@@ -11,10 +11,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from fatpoints.constructions import (
     ConstructionError,
+    Verdict,
     build_certificate,
     cover_threshold,
     distribute_flats,
@@ -206,18 +208,7 @@ def _cmd_segre(args) -> int:
 def _cmd_check(args) -> int:
     z = load_scheme(args.scheme)
     v = segre_verdict(z)
-    obj = {
-        "point_count": v.point_count,
-        "span_dim": v.span_dim,
-        "equimultiple": v.equimultiple,
-        "general_position": v.general_position,
-        "degeneracy": v.degeneracy,
-        "hypothesis_class": v.hypothesis_class,
-        "reg": v.reg,
-        "bound": v.bound,
-        "holds": v.holds,
-        "tight": v.tight,
-    }
+    obj = {f.name: getattr(v, f.name) for f in fields(Verdict) if f.name != "report"}
     failed = not v.holds
     if args.lemma21 and z.size >= 2:
         ok = all(removal_recursion_check(z, i0) for i0 in range(z.size))

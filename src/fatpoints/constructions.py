@@ -1,6 +1,5 @@
-"""Constructive machinery behind the regularity bound.
-
-Three layers:
+"""Constructive machinery behind the regularity bound: the hyperplane-product
+coverings of the method of Catalisano, Trung and Valla.
 
 * ``distribute_flats`` realizes the inductive covering argument: given
   points with multiplicities and a point to avoid, it produces t flats of
@@ -10,10 +9,11 @@ Three layers:
 * certificates: a :class:`Certificate` witnesses an upper bound for the
   regularity of an artinian reduction by listing, per monomial, a product
   of hyperplanes avoiding the distinguished point whose product with the
-  monomial vanishes to the scheme's orders.  ``build_certificate`` tries
-  one hyperplane through every point, then one grouped covering
-  construction with two groups (split) or one (single group), its scans,
-  spans and lifts computed once per build, not per monomial; the trusted
+  monomial vanishes to the scheme's orders.  ``build_certificate`` builds
+  every certificate: one hyperplane through every point, else the grouped
+  covering construction with two groups (split) or one (single group),
+  both chosen from one ``spanned_flats`` of the points and the origin,
+  with scans, spans and lifts computed once per build.  The trusted
   component is ``verify_certificate``, which re-checks everything from
   scratch.  It never expands a product: the order of vanishing at a point
   is a valuation, so a product of linear factors vanishes there to the
@@ -37,6 +37,7 @@ from fatpoints.geometry import (
     Flat,
     LinearForm,
     ProjPoint,
+    SpannedFlat,
     degeneracy_of,
     extend_flat_avoiding,
     flat_contains,
@@ -78,10 +79,12 @@ class Distribution:
 def cover_threshold(mults: Sequence[int], r: int) -> int:
     """Least admissible flat count: max of the multiplicities and
     floor((sum + r - 1) / r)."""
+    r = _as_int(r, "r")
     if r < 1:
         raise ValueError("r must be positive")
     if not mults:
         raise ValueError("at least one multiplicity is required")
+    mults = [_as_int(m, "multiplicity") for m in mults]
     return max(max(mults), (sum(mults) + r - 1) // r)
 
 
@@ -100,21 +103,6 @@ def _scan_avoiding(points: Sequence[ProjPoint], avoid: ProjPoint, r: int, spans:
                 f"avoided point lies on the span of points {list(sub)}; "
                 "the covering construction cannot proceed"
             )
-
-
-def _check_cover_args(points: Sequence[ProjPoint], mults: Sequence[int], r: int, t: int) -> None:
-    """The argument checks of :func:`distribute_flats`, run on every cover."""
-    if not points or len(points) != len(mults):
-        raise ValueError("points and multiplicities must be nonempty and aligned")
-    if any(m < 1 for m in mults):
-        raise ValueError("multiplicities must be positive")
-    if not 1 <= r <= points[0].ambient_n:
-        raise ValueError("r must be between 1 and the ambient dimension")
-    if len(set(points)) != len(points):
-        raise ValueError("points must be pairwise distinct")
-    threshold = cover_threshold(mults, r)
-    if t < threshold:
-        raise ValueError(f"t={t} is below the admissible threshold {threshold}")
 
 
 def distribute_flats(
@@ -136,7 +124,18 @@ def distribute_flats(
     """
     points = list(points)
     mults = [_as_int(m, "multiplicity") for m in mults]
-    _check_cover_args(points, mults, r, t)
+    r, t = _as_int(r, "r"), _as_int(t, "t")
+    if not points or len(points) != len(mults):
+        raise ValueError("points and multiplicities must be nonempty and aligned")
+    if any(m < 1 for m in mults):
+        raise ValueError("multiplicities must be positive")
+    if not 1 <= r <= points[0].ambient_n:
+        raise ValueError("r must be between 1 and the ambient dimension")
+    if len(set(points)) != len(points):
+        raise ValueError("points must be pairwise distinct")
+    threshold = cover_threshold(mults, r)
+    if t < threshold:
+        raise ValueError(f"t={t} is below the admissible threshold {threshold}")
     spans: dict = {}
     _scan_avoiding(points, avoid, r, spans)
     return _cover(points, avoid, mults, r, t, seed, spans)
@@ -213,10 +212,6 @@ class Certificate:
     delta: int
 
 
-def _origin(n: int) -> ProjPoint:
-    return ProjPoint.unit(n, 0)
-
-
 def _monomial_order_at(mono: tuple[int, ...], q: ProjPoint) -> int:
     """Vanishing order of a monomial in X_1..X_n at a point."""
     return sum(c for c, x in zip(mono, q.rep[1:]) if not x)
@@ -279,40 +274,34 @@ def _lift_to_hyperplane(vectors: Sequence[Sequence[int]]) -> LinearForm:
     raise ConstructionError("no hyperplane through the flat avoids the origin")
 
 
-def _covering_certificate(moved, origin, a, change, positions) -> Optional[Certificate]:
+def _covering_hyperplane(moved: FatPointScheme) -> Optional[LinearForm]:
+    """The hyperplane through every point that misses the origin, or None."""
     try:
-        h = _lift_to_hyperplane([q.rep for q in moved.points])
+        return _lift_to_hyperplane([q.rep for q in moved.points])
     except ConstructionError:
         return None
-    power = max(moved.mults)
-    entries = tuple(
-        CertificateEntry(mono, (h,) * power) for mono in _all_entry_monomials(a, moved.n)
-    )
-    delta = power + a - 1
-    return Certificate(a, change, entries, positions, "covering_hyperplane", delta)
 
 
 def _entry_seed(seed: int, index: int, group: int) -> int:
     return seed * 1000003 + index * 2 + group
 
 
-def _grouped_certificate(
-    moved, origin, a, seed, change, positions, groups, strategy
-) -> Certificate:
+def _grouped_entries(moved, origin, monomials, seed, groups):
     """The covering construction: per monomial, cover each group, join slot by slot, lift.
 
     ``groups`` lists (point indices, r) pairs.  Each point's multiplicity
     drops by the monomial's vanishing order there; every group with points
     left is covered by t (r-1)-flats avoiding the origin, t the largest of
     their thresholds, and the t joins of one flat per group are lifted to
-    hyperplanes avoiding the origin.
+    hyperplanes avoiding the origin.  Returns the entries and their delta.
 
     Geometry is computed once per build.  Each group is scanned up front:
     the first monomial, (0, ..., 0), leaves every member, and a subset of a
     set that passes the scan passes too (a span of at most r of its points
     lies in a span of r of the set's, or in the whole set's if it has fewer),
     so errors come in the same order.  Spans are shared by all covers, and
-    each distinct slot join is lifted once.
+    each distinct slot join is lifted once.  Every cover passes
+    :func:`distribute_flats`' checks by construction, so none are run.
     """
     spans: dict = {}
     lifts: dict = {}  # a slot's flats -> the hyperplane
@@ -320,7 +309,7 @@ def _grouped_certificate(
         _scan_avoiding([moved.points[i] for i in members], origin, r, spans)
     entries = []
     delta = 0
-    for index, mono in enumerate(_all_entry_monomials(a, moved.n)):
+    for index, mono in enumerate(monomials):
         adjusted = [
             max(0, m - _monomial_order_at(mono, q))
             for q, m in zip(moved.points, moved.mults)
@@ -331,10 +320,10 @@ def _grouped_certificate(
             if left:
                 covers.append((g, [moved.points[i] for i in left], [adjusted[i] for i in left], r))
         t = max((cover_threshold(mults, r) for _, _, mults, r in covers), default=0)
-        dists = []
-        for g, points, mults, r in covers:
-            _check_cover_args(points, mults, r, t)
-            dists.append(_cover(points, origin, mults, r, t, _entry_seed(seed, index, g), spans))
+        dists = [
+            _cover(points, origin, mults, r, t, _entry_seed(seed, index, g), spans)
+            for g, points, mults, r in covers
+        ]
         hyperplanes = []
         for slot in range(t):
             flats = tuple(d.flats[slot] for d in dists)
@@ -343,96 +332,99 @@ def _grouped_certificate(
             hyperplanes.append(lifts[flats])
         entries.append(CertificateEntry(mono, tuple(hyperplanes)))
         delta = max(delta, t + sum(mono))
-    return Certificate(a, change, tuple(entries), positions, strategy, delta)
+    return tuple(entries), delta
 
 
-def _split_groups(moved: FatPointScheme, origin: ProjPoint) -> Optional[tuple[int, list[int]]]:
-    """The minimal degeneracy k of the points and the origin, and the points on alpha.
+def _split_groups(flats: Sequence[SpannedFlat], n: int) -> Optional[list[tuple[list[int], int]]]:
+    """The split construction's [(group a, k), (group b, b - 1)], or None.
 
-    alpha is the span of the first (k+2)-subset of points+origin, in
-    ``combinations`` order, whose span has dimension <= k and passes
-    through the origin; None when there is no such subset.  Both are read
-    off one :func:`spanned_flats`.  k is minimal, so such a subset spans a
-    k-flat, and any k+2 points on a k-flat span it: the subset is the
-    least W[:k+2] over the k-flats whose witness set W holds the origin.
-    Distinct k-flats share no k+2 of the points, so that is the least W.
+    ``flats`` is :func:`spanned_flats` of the points, then the origin.  k
+    is their minimal degeneracy and group a the points on alpha, the span
+    of the first (k+2)-subset, in ``combinations`` order, whose span has
+    dimension <= k and holds the origin.  Such a subset spans a k-flat (k
+    is minimal), as do any k+2 points on it, so it is the least W[:k+2]
+    over the k-flats whose witness set W holds the origin; distinct
+    k-flats share no k+2 points, so that is the least W.  None when there
+    is no alpha, or the b points of group b give b < 2 or k + b - 1 > n.
     """
-    everyone = list(moved.points) + [origin]
-    flats = spanned_flats(everyone)
     k = degeneracy_of(flats)
     if k is None:
         return None
-    o = moved.size
+    o = len(flats[-1][1]) - 1  # the origin's index
     through_origin = [w for dim, w in flats if dim == k and o in w and len(w) >= k + 2]
     if not through_origin:
         return None
-    return k, [i for i in min(through_origin) if i != o]
-
-
-def _split_certificate(moved, origin, a, seed, change, positions) -> Optional[Certificate]:
-    """Two-group construction for a degenerate flat through the origin.
-
-    Needs a witness flat of the minimal degeneracy of points+origin that
-    passes through the origin (:func:`_split_groups`); the on-flat points
-    and the remaining points are covered separately by low-dimensional
-    flats, matched up pairwise, and each joined pair is lifted to a
-    hyperplane avoiding the origin.
-    """
-    split = _split_groups(moved, origin)
-    if split is None:
+    group_a = [i for i in min(through_origin) if i != o]
+    group_b = [i for i in range(o) if i not in group_a]
+    r_b = len(group_b) - 1
+    if r_b < 1 or k + r_b > n:
         return None
-    k, group_a = split
-    group_b = [i for i in range(moved.size) if i not in group_a]
-    r_a, r_b = k, len(group_b) - 1
-    if not group_a or r_b < 1 or r_a + r_b > moved.n:
-        return None
-    groups = [(group_a, r_a), (group_b, r_b)]
-    return _grouped_certificate(moved, origin, a, seed, change, positions, groups, "split")
+    return [(group_a, k), (group_b, r_b)]
 
 
-def _single_group_certificate(moved, origin, a, seed, change, positions) -> Certificate:
-    """Cover all points at once with (r-1)-flats and lift each to a hyperplane."""
-    r = 1
-    for candidate in range(min(moved.n, moved.size), 1, -1):
-        try:
-            _scan_avoiding(moved.points, origin, candidate, {})
-        except ValueError:
-            continue
-        r = candidate
-        break
-    groups = [(range(moved.size), r)]
-    return _grouped_certificate(moved, origin, a, seed, change, positions, groups, "single_group")
+def _single_group_dim(flats: Sequence[SpannedFlat], n: int) -> int:
+    """The single group's r, read off the flats as :func:`build_certificate` proves."""
+    o = len(flats[-1][1]) - 1  # the origin's index, and the point count s
+    listed = set(flats)
+    # witness tuples ascend, so a flat holds the origin exactly when it ends with it
+    fewest = min(
+        (dim + 1 for dim, w in flats if dim and w[-1] == o and (dim - 1, w[:-1]) not in listed),
+        default=o + 1,
+    )
+    return min(n, o, fewest - 1)
 
 
 def build_certificate(j: FatPointScheme, p: ProjPoint, a: int, seed: int) -> Certificate:
     """Construct a hyperplane-product certificate for the artinian bound.
 
-    Tries, in order: one hyperplane through every point avoiding p; the
-    grouped covering construction with two groups, the points on and off
-    a degenerate flat through p; then with one group, at the largest
-    workable flat dimension.  The result always verifies; the
-    independently trusted check is :func:`verify_certificate`.
+    In coordinates with p at the origin e_0, tries one hyperplane through
+    every point that misses the origin; then the grouped covering
+    construction with two groups, the points on and off a degenerate flat
+    through the origin (:func:`_split_groups`); then with one group of
+    (r-1)-flats.  Both groupings read one :func:`spanned_flats` of the
+    points and the origin.  The result always verifies; the independently
+    trusted check is :func:`verify_certificate`.
+
+    r is the largest value <= min(n, s) such that no r of the s points
+    span a flat through the origin, or 1.  So r = min(n, s, D - 1), D the
+    fewest points whose span holds the origin (infinite if none, and
+    D >= 2 as the origin is no point): r >= D points include D such
+    points, and fewer never span one.  D such points are independent, so
+    they span a listed (D-1)-flat through the origin, spanned by its
+    other witnesses.  A listed d-flat F through the origin, d >= 1, is
+    the span of its other witnesses W and the origin, so W spans F (and
+    D <= d + 1) or a (d-1)-flat, which is then listed with witness set
+    exactly W.  Witness sets are distinct, so D - 1 is the least such d
+    with (d - 1, W) not listed.
     """
     _check_artinian_args(j, p, a)
     change, positions = _normalizing_change(j, p)
     moved = j.transform(change)
-    origin = _origin(j.n)
+    monomials = _all_entry_monomials(a, j.n)
 
-    cert = _covering_certificate(moved, origin, a, change, positions)
-    if cert is None:
+    h = _covering_hyperplane(moved)
+    if h is not None:
+        power = max(moved.mults)
+        entries = tuple(CertificateEntry(mono, (h,) * power) for mono in monomials)
+        return Certificate(a, change, entries, positions, "covering_hyperplane", power + a - 1)
+
+    origin = ProjPoint.unit(j.n, 0)
+    flats = spanned_flats([*moved.points, origin])
+    groups = _split_groups(flats, j.n)
+    if groups is not None:
         try:
-            cert = _split_certificate(moved, origin, a, seed, change, positions)
+            entries, delta = _grouped_entries(moved, origin, monomials, seed, groups)
+            return Certificate(a, change, entries, positions, "split", delta)
         except (ValueError, ConstructionError) as exc:
             _LOG.info("split construction rejected: %s", exc)
-            cert = None
-    if cert is None:
-        try:
-            cert = _single_group_certificate(moved, origin, a, seed, change, positions)
-        except (ValueError, ConstructionError, RuntimeError) as exc:
-            raise ConstructionError(
-                f"no supported construction applies to this configuration: {exc}"
-            ) from exc
-    return cert
+    groups = [(range(moved.size), _single_group_dim(flats, j.n))]
+    try:
+        entries, delta = _grouped_entries(moved, origin, monomials, seed, groups)
+    except (ValueError, ConstructionError, RuntimeError) as exc:
+        raise ConstructionError(
+            f"no supported construction applies to this configuration: {exc}"
+        ) from exc
+    return Certificate(a, change, entries, positions, "single_group", delta)
 
 
 def verify_certificate(
@@ -460,7 +452,7 @@ def verify_certificate(
     if a < 1:
         raise ValueError("the vanishing order must be positive")
     n = j.n
-    origin = _origin(n)
+    origin = ProjPoint.unit(n, 0)
     for k, e in enumerate(cert.entries):
         if len(e.monomial) != n or min(e.monomial, default=0) < 0:
             raise ValueError(

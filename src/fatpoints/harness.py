@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -154,15 +154,10 @@ class BatchReport:
             key = str(r.reg - r.bound)
             histogram[key] = histogram.get(key, 0) + 1
         spec_obj = {
-            "pattern": self.spec.pattern,
-            "n": self.spec.n,
-            "s": self.spec.s,
-            "m": self.spec.m,
-            "mults": list(self.spec.mults) if self.spec.mults is not None else None,
-            "height": self.spec.height,
-            "flat_dim": self.spec.flat_dim,
-            "k": self.spec.k,
+            f.name: getattr(self.spec, f.name) for f in fields(PatternSpec) if f.name != "seed"
         }
+        if self.spec.mults is not None:
+            spec_obj["mults"] = list(self.spec.mults)
         return {
             "version": REPORT_VERSION,
             "spec": spec_obj,

@@ -355,6 +355,7 @@ def hilbert_function(z: FatPointScheme, t: int) -> int:
     docstring), in P^n, which the scheme finds once (``z.frame``).  The
     count is exact at every t >= 0, with no lower degree threshold.
     """
+    t = _as_int(t, "degree")
     if t < 0:
         raise ValueError("degree must be nonnegative")
     return _frame_hilbert(z.frame, t)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from fatpoints.schemes import FatPointScheme
+from fatpoints.schemes import FatPointScheme, _as_int
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class SegreReport:
     argmax_j: int
 
     def entry(self, j: int) -> SegreEntry:
+        j = _as_int(j, "flat dimension")
         if not 1 <= j <= len(self.entries):
             raise ValueError("flat dimension out of range")
         return self.entries[j - 1]

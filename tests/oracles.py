@@ -5,7 +5,8 @@ another way: span membership and span dimension by rank, matrix
 products in ``Fraction``s, forms as explicit coefficient vectors with
 products and evaluation, the full condition matrix and its kernel, a
 separating hyperplane read off a flat's normals, the canonical change of
-coordinates in ``Fraction``s.  None of them is called by the package
+coordinates in ``Fraction``s, the single-group flat dimension by a
+downward scan of spans.  None of them is called by the package
 itself.
 """
 
@@ -17,6 +18,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from fatpoints.constructions import _scan_avoiding
 from fatpoints.geometry import Flat, LinearForm, ProjPoint, flat_contains, frame_change
 from fatpoints.linalg import Matrix, kernel_basis, rank_rows
 from fatpoints.schemes import FatPointScheme, Form, condition_rows, monomial_basis
@@ -112,6 +114,19 @@ def hyperplane_containing_avoiding(f: Flat, avoid: ProjPoint) -> LinearForm:
 def coordinate_change_to_origin(p: ProjPoint) -> tuple[tuple[int, ...], ...]:
     """Invertible change of coordinates sending p to (1, 0, ..., 0), as integer rows."""
     return integer_change(canonical_change(p.ambient_n, [p.rep])[0])
+
+
+def single_group_dim_by_scan(points: Sequence[ProjPoint], origin: ProjPoint, n: int) -> int:
+    """The single-group flat dimension by the certificate builder's first
+    rule: the largest r from min(n, s) down to 2 whose scan finds no span
+    of r points through the origin, else 1, every candidate's spans fresh."""
+    for candidate in range(min(n, len(points)), 1, -1):
+        try:
+            _scan_avoiding(points, origin, candidate, {})
+        except ValueError:
+            continue
+        return candidate
+    return 1
 
 
 # ---------------------------------------------------------------------------

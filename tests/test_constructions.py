@@ -20,6 +20,7 @@ from fatpoints.geometry import (
     extend_flat_avoiding,
     flat_contains,
     span,
+    spanned_flats,
     transform_point,
 )
 from fatpoints.schemes import (
@@ -48,6 +49,7 @@ from oracles import (
     canonical_change,
     linear_form_to_form,
     monomial_form,
+    single_group_dim_by_scan,
 )
 
 
@@ -723,13 +725,13 @@ def plain_distribute(points, avoid, mults, r, t, seed):
     return constructions.Distribution(tuple(flats), coverage)
 
 
-def per_monomial_grouped(moved, origin, a, seed, change, positions, groups, strategy):
+def per_monomial_grouped(moved, origin, monomials, seed, groups):
     """The plain grouped loop: per monomial, one plain_distribute per group,
     each slot's join spanned afresh and lifted through
-    hyperplane_containing_avoiding."""
+    hyperplane_containing_avoiding; returns (entries, delta)."""
     entries = []
     delta = 0
-    for index, mono in enumerate(constructions._all_entry_monomials(a, moved.n)):
+    for index, mono in enumerate(monomials):
         adjusted = [
             max(0, m - constructions._monomial_order_at(mono, q))
             for q, m in zip(moved.points, moved.mults)
@@ -759,20 +761,16 @@ def per_monomial_grouped(moved, origin, a, seed, change, positions, groups, stra
             hyperplanes.append(hyperplane_containing_avoiding(f, origin))
         entries.append(CertificateEntry(mono, tuple(hyperplanes)))
         delta = max(delta, t + sum(mono))
-    return Certificate(a, change, tuple(entries), positions, strategy, delta)
+    return tuple(entries), delta
 
 
-def per_monomial_covering(moved, origin, a, change, positions):
+def per_monomial_covering(moved):
+    """The hyperplane through the span of all the points, by its normals, or None."""
     everything = span(list(moved.points))
+    origin = unit(moved.n, 0)
     if everything.dim > moved.n - 1 or flat_contains(everything, origin):
         return None
-    h = hyperplane_containing_avoiding(everything, origin)
-    power = max(moved.mults)
-    entries = tuple(
-        CertificateEntry(mono, (h,) * power)
-        for mono in constructions._all_entry_monomials(a, moved.n)
-    )
-    return Certificate(a, change, entries, positions, "covering_hyperplane", power + a - 1)
+    return hyperplane_containing_avoiding(everything, origin)
 
 
 def build_outcome(j, p, a, seed):
@@ -784,8 +782,8 @@ def build_outcome(j, p, a, seed):
 
 
 def reference_outcome(j, p, a, seed):
-    with mock.patch.object(constructions, "_grouped_certificate", per_monomial_grouped), \
-            mock.patch.object(constructions, "_covering_certificate", per_monomial_covering):
+    with mock.patch.object(constructions, "_grouped_entries", per_monomial_grouped), \
+            mock.patch.object(constructions, "_covering_hyperplane", per_monomial_covering):
         return build_outcome(j, p, a, seed)
 
 
@@ -825,3 +823,42 @@ def grouped_instances(draw):
 def test_grouped_construction_matches_per_monomial_builder(case):
     j, p, a, seed = case
     assert build_outcome(j, p, a, seed) == reference_outcome(j, p, a, seed)
+
+
+@st.composite
+def points_on_spans_through_the_origin(draw):
+    """1..6 distinct points of P^n, n 1..5, none of them the origin e_0:
+    each point after the first is drawn at random or planted on the span of
+    e_0 and one to three points drawn before it."""
+    n = draw(st.integers(1, 5))
+    origin = unit(n, 0)
+    coordinate = st.integers(-3, 3)
+    vec = st.lists(coordinate, min_size=n + 1, max_size=n + 1).filter(any)
+    vecs = [draw(vec)]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            base = [origin.rep] + draw(st.lists(st.sampled_from(vecs), min_size=1, max_size=3))
+            weights = draw(st.lists(coordinate, min_size=len(base), max_size=len(base)))
+            v = [sum(w * b[j] for w, b in zip(weights, base)) for j in range(n + 1)]
+            if any(v):
+                vecs.append(v)
+        else:
+            vecs.append(draw(vec))
+    pts = [q for q in dict.fromkeys(ProjPoint(tuple(v)) for v in vecs) if q != origin]
+    assume(pts)
+    return n, pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(points_on_spans_through_the_origin())
+@example((1, [ProjPoint((1, 1))]))  # n = 1, s = 1
+@example((3, [ProjPoint((0, 1, 0, 0))]))  # s = 1 in P^3
+@example((2, [ProjPoint((1, 1, 0)), unit(2, 1), unit(2, 2)]))  # a line through e_0: r = 1
+@example((3, [ProjPoint((1, 1, 1, 0)), unit(3, 1), unit(3, 2), unit(3, 3)]))  # a plane: r = 2
+def test_single_group_dim_matches_downward_scan(case):
+    """r read off the flats of the points and e_0 equals the largest r whose
+    spans of r points all miss e_0, found by the downward scan."""
+    n, pts = case
+    origin = unit(n, 0)
+    flats = spanned_flats([*pts, origin])
+    assert constructions._single_group_dim(flats, n) == single_group_dim_by_scan(pts, origin, n)

@@ -6,11 +6,12 @@ from itertools import combinations
 
 import pytest
 
-from fatpoints.constructions import distribute_flats
+from fatpoints.constructions import cover_threshold, distribute_flats
 from fatpoints.generators import PATTERNS, GeneratorError, PatternSpec, generate
 from fatpoints.geometry import ProjPoint, degeneracy_index, span
 from fatpoints.harness import scheme_to_obj
-from fatpoints.schemes import FatPointScheme
+from fatpoints.schemes import FatPointScheme, hilbert_function
+from fatpoints.segre import segre_bound
 
 
 def test_general_pattern_no_degeneracy():
@@ -91,6 +92,7 @@ def test_pattern_bounds_validation():
 
 
 _E = [ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0)), ProjPoint((0, 0, 1))]
+_Z = FatPointScheme(2, tuple(_E[1:]), (2, 1))
 
 
 @pytest.mark.parametrize(
@@ -103,6 +105,12 @@ _E = [ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0)), ProjPoint((0, 0, 1))]
         (lambda: generate(PatternSpec("on_flat", n=3, s=4, flat_dim=1.5)), 1.5, GeneratorError),
         (lambda: generate(PatternSpec("prop43", n=3, s=3, k=1.0)), 1.0, GeneratorError),
         (lambda: distribute_flats(_E[1:], _E[0], (1, 1.5), 1, 2, 0), 1.5, ValueError),
+        (lambda: distribute_flats(_E[1:], _E[0], (1, 1), 1.5, 2, 0), 1.5, ValueError),
+        (lambda: distribute_flats(_E[1:], _E[0], (1, 1), 1, 2.5, 0), 2.5, ValueError),
+        (lambda: cover_threshold([2.5, 1], 2), 2.5, ValueError),
+        (lambda: cover_threshold([2, 1], 2.0), 2.0, ValueError),
+        (lambda: hilbert_function(_Z, 2.5), 2.5, ValueError),
+        (lambda: segre_bound(_Z).entry(1.5), 1.5, ValueError),
         (lambda: generate(PatternSpec("general", n=2, s=2.5)), 2.5, GeneratorError),
         (lambda: generate(PatternSpec("general", n=2, s="2")), "2", GeneratorError),
         (lambda: generate(PatternSpec("general", n=3.0, s=2)), 3.0, GeneratorError),
@@ -110,6 +118,8 @@ _E = [ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0)), ProjPoint((0, 0, 1))]
     ],
     ids=[
         "scheme-float", "scheme-str", "spec-m", "spec-mults", "flat_dim", "k", "distribute",
+        "distribute-r", "distribute-t", "threshold-mult", "threshold-r", "hilbert-degree",
+        "segre-entry",
         "spec-s", "spec-s-str", "spec-n", "spec-height",
     ],
 )

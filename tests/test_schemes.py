@@ -66,14 +66,15 @@ def simple_scheme(points):
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_a_float_degree_raises_whatever_the_cache_holds(warm):
-    """``monomial_basis`` caches by type: 3.0 never hits the entry of 3."""
+    """``monomial_basis`` caches by type: 3.0 never hits the entry of 3.
+    ``hilbert_function`` rejects a float degree before any cache, naming it."""
     j = FatPointScheme(2, (unit(2, 1), unit(2, 2)), (2, 2))
     monomial_basis.cache_clear()
     if warm:
         monomial_basis(3, 3), monomial_basis(2, 3)
     with pytest.raises(TypeError):
         monomial_bound_check(j, unit(2, 0), 2, 3.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"degree must be an integer, got 2\.0"):
         hilbert_function(j, 2.0)
     assert monomial_bound_check(j, unit(2, 0), 2, 3)
 

@@ -467,8 +467,10 @@ def test_annihilator_steps_are_bordered_minors(z, rnd):
 
 
 def reference_split_groups(moved, origin):
-    """alpha by spanning (k+2)-subsets in combinations order, as the split
-    construction found it before reading the enumeration."""
+    """The split groups with alpha found by spanning (k+2)-subsets in
+    combinations order, as the split construction found it before reading
+    the enumeration, and its test on the groups: a nonempty group a, and
+    r_b = |group b| - 1 with r_b >= 1 and k + r_b <= n."""
     everyone = list(moved.points) + [origin]
     k = subset_scan_degeneracy_index(everyone)
     if k is None:
@@ -476,8 +478,17 @@ def reference_split_groups(moved, origin):
     for sub in combinations(everyone, k + 2):
         f = span(sub)
         if f.dim <= k and flat_contains(f, origin):
-            return k, [i for i in range(moved.size) if flat_contains(f, moved.points[i])]
+            group_a = [i for i in range(moved.size) if flat_contains(f, moved.points[i])]
+            group_b = [i for i in range(moved.size) if i not in group_a]
+            r_b = len(group_b) - 1
+            if not group_a or r_b < 1 or k + r_b > moved.n:
+                return None
+            return [(group_a, k), (group_b, r_b)]
     return None
+
+
+def split_groups(moved, origin):
+    return _split_groups(spanned_flats([*moved.points, origin]), moved.n)
 
 
 @st.composite
@@ -533,12 +544,12 @@ def _prop43_split_inputs():
 )
 def test_split_groups_match_combinations_order_reference(case):
     moved, origin = case
-    assert _split_groups(moved, origin) == reference_split_groups(moved, origin)
+    assert split_groups(moved, origin) == reference_split_groups(moved, origin)
 
 
 def test_split_groups_match_reference_on_prop43_inputs():
     inputs = _prop43_split_inputs()
     assert len(inputs) >= 4
     for moved, origin in inputs:
-        got = _split_groups(moved, origin)
+        got = split_groups(moved, origin)
         assert got is not None and got == reference_split_groups(moved, origin)
