@@ -137,46 +137,54 @@ def distribute_flats(
     if t < threshold:
         raise ValueError(f"t={t} is below the admissible threshold {threshold}")
     spans: dict = {}
+    on: dict = {}
     _scan_avoiding(points, avoid, r, spans)
-    return _cover(points, avoid, mults, r, t, seed, spans)
+    flats = _cover(points, avoid, mults, r, t, seed, spans, on)
+    coverage = tuple(
+        tuple(k for k, f in enumerate(flats) if on[f][i]) for i in range(len(points))
+    )
+    return Distribution(flats, coverage)
 
 
-def _cover(points, avoid, mults, r, t, seed, spans) -> Distribution:
-    """The loop of :func:`distribute_flats` on checked, scanned arguments.
+def _cover(points, avoid, mults, r, t, seed, spans, on) -> tuple[Flat, ...]:
+    """The loop of :func:`distribute_flats` on checked, scanned arguments: the t flats.
 
-    ``spans`` memoizes spans by point set; coverage is tested once per distinct flat.
+    A point of multiplicity 0 takes no part, so a caller can cover any
+    subset of ``points`` and share the memos between covers.  Every span
+    of at most r points with positive multiplicity must avoid ``avoid``
+    (a scan, or the single group's choice of r, proves it), so a span of
+    r points is already an (r-1)-flat avoiding it, and only a smaller one
+    is grown.  ``spans`` memoizes spans by point set, and ``on`` each
+    flat's incidence with every point, so each distinct flat is tested
+    once per memo.
     """
     remaining = list(mults)
     flats: list[Flat] = []
+    hits = []  # (a step's flat's incidence row, the slots it fills)
     step = 0
     while len(flats) < t:
         active = [i for i, m in enumerate(remaining) if m > 0]
-        slots = t - len(flats)
         step += 1
-        if len(active) <= r:
-            base = _span_of([points[i] for i in active], spans)
-            flat = extend_flat_avoiding(base, r - 1, avoid, seed * 1009 + step)
-            flats.extend([flat] * slots)
+        last = len(active) <= r  # one flat through all of them fills every slot
+        chosen = active if last else sorted(active, key=lambda i: (-remaining[i], i))[:r]
+        flat = _span_of([points[i] for i in chosen], spans)
+        if flat.dim < r - 1:
+            flat = extend_flat_avoiding(flat, r - 1, avoid, seed * 1009 + step)
+        if flat not in on:
+            on[flat] = [flat_contains(flat, p) for p in points]
+        slots = t - len(flats) if last else 1
+        hits.append((on[flat], slots))
+        flats.extend([flat] * slots)
+        if last:
             break
-        order = sorted(active, key=lambda i: (-remaining[i], i))
-        heavy = order[:r]
-        base = _span_of([points[i] for i in heavy], spans)
-        flat = extend_flat_avoiding(base, r - 1, avoid, seed * 1009 + step)
-        flats.append(flat)
-        for i in heavy:
+        for i in chosen:
             remaining[i] -= 1
 
-    on = {f: [flat_contains(f, p) for p in points] for f in set(flats)}
-    hits = [on[f] for f in flats]
-    coverage = tuple(
-        tuple(k for k, row in enumerate(hits) if row[i]) for i in range(len(points))
-    )
     for i, m in enumerate(mults):
-        if len(coverage[i]) < m:
-            raise ConstructionError(
-                f"coverage of point {i} fell short ({len(coverage[i])} < {m})"
-            )
-    return Distribution(tuple(flats), coverage)
+        covered = sum(slots for row, slots in hits if row[i])
+        if covered < m:
+            raise ConstructionError(f"coverage of point {i} fell short ({covered} < {m})")
+    return tuple(flats)
 
 
 # ---------------------------------------------------------------------------
@@ -295,38 +303,47 @@ def _grouped_entries(moved, origin, monomials, seed, groups):
     their thresholds, and the t joins of one flat per group are lifted to
     hyperplanes avoiding the origin.  Returns the entries and their delta.
 
-    Geometry is computed once per build.  Each group is scanned up front:
-    the first monomial, (0, ..., 0), leaves every member, and a subset of a
-    set that passes the scan passes too (a span of at most r of its points
-    lies in a span of r of the set's, or in the whole set's if it has fewer),
-    so errors come in the same order.  Spans are shared by all covers, and
-    each distinct slot join is lifted once.  Every cover passes
-    :func:`distribute_flats`' checks by construction, so none are run.
+    No span of at most r of a group's points may hold the origin.  The two
+    split groups are scanned up front (:func:`_scan_avoiding`); the single
+    group is not, since its r is chosen so that its scan cannot fail
+    (:func:`build_certificate`).  The first monomial, (0, ..., 0), leaves
+    every member, and a subset of a set that passes the scan passes too (a
+    span of at most r of its points lies in a span of r of the set's, or
+    in the whole set's if it has fewer), so errors come in the order of
+    per-cover scans.  Every cover passes :func:`distribute_flats`' checks
+    by construction, so none are run.
+
+    Geometry is computed once per build: each point's zero coordinates,
+    the spans (shared with the scan), each flat's incidence with
+    its group's points, and the hyperplane of each distinct slot join.
     """
     spans: dict = {}
+    if len(groups) > 1:  # split; the single group's scan cannot fail
+        for members, r in groups:
+            _scan_avoiding([moved.points[i] for i in members], origin, r, spans)
+    members_of = [[moved.points[i] for i in members] for members, _ in groups]
+    on = [{} for _ in groups]  # per group: a flat -> whether each member lies on it
     lifts: dict = {}  # a slot's flats -> the hyperplane
-    for members, r in groups:
-        _scan_avoiding([moved.points[i] for i in members], origin, r, spans)
+    zero_axes = [[k for k, x in enumerate(q.rep[1:]) if not x] for q in moved.points]
     entries = []
     delta = 0
     for index, mono in enumerate(monomials):
         adjusted = [
-            max(0, m - _monomial_order_at(mono, q))
-            for q, m in zip(moved.points, moved.mults)
+            max(0, m - sum(mono[k] for k in axes)) for axes, m in zip(zero_axes, moved.mults)
         ]
-        covers = []  # (position in groups, points left, their multiplicities, r)
+        covers = []  # (position in groups, the members' multiplicities left, r)
         for g, (members, r) in enumerate(groups):
-            left = [i for i in members if adjusted[i] > 0]
-            if left:
-                covers.append((g, [moved.points[i] for i in left], [adjusted[i] for i in left], r))
-        t = max((cover_threshold(mults, r) for _, _, mults, r in covers), default=0)
+            mults = [adjusted[i] for i in members]
+            if any(mults):
+                covers.append((g, mults, r))
+        t = max((cover_threshold(mults, r) for _, mults, r in covers), default=0)
         dists = [
-            _cover(points, origin, mults, r, t, _entry_seed(seed, index, g), spans)
-            for g, points, mults, r in covers
+            _cover(members_of[g], origin, mults, r, t, _entry_seed(seed, index, g), spans, on[g])
+            for g, mults, r in covers
         ]
         hyperplanes = []
         for slot in range(t):
-            flats = tuple(d.flats[slot] for d in dists)
+            flats = tuple(d[slot] for d in dists)
             if flats not in lifts:
                 lifts[flats] = _lift_to_hyperplane([v for f in flats for v in f.integer_rows])
             hyperplanes.append(lifts[flats])

@@ -293,16 +293,20 @@ def degeneracy_index(points: Sequence[ProjPoint]) -> Optional[int]:
 def extend_flat_avoiding(f: Flat, target_dim: int, avoid: ProjPoint, seed: int) -> Flat:
     """Grow a flat to the requested dimension while avoiding a point.
 
-    Directions are drawn from a seeded generator, so the result is a
-    deterministic function of (flat, target_dim, avoid, seed).  Each
-    dimension step retries at most 32 random directions, each kept when it
-    raises the rank of the integer rows and the point still reduces to nonzero.
+    A flat already of the target dimension is returned as it is, with no
+    generator made.  Otherwise directions are drawn from a generator seeded
+    with ``seed``, so the result is a deterministic function of (flat,
+    target_dim, avoid, seed).  Each dimension step retries at most 32
+    random directions, each kept when it raises the rank of the integer
+    rows and the point still reduces to nonzero.
     """
     n = f.ambient_n
     if not f.dim <= target_dim <= n - 1:
         raise ValueError("target dimension out of range")
     if flat_contains(f, avoid):
         raise ValueError("cannot avoid a point already on the flat")
+    if f.dim == target_dim:
+        return f
     rng = random.Random(seed)
     rows = f.integer_rows
     while len(rows) <= target_dim:
@@ -316,7 +320,7 @@ def extend_flat_avoiding(f: Flat, target_dim: int, avoid: ProjPoint, seed: int) 
                 break
         else:
             raise RuntimeError("exhausted retries while extending a flat")
-    return f if len(rows) == len(f.integer_rows) else Flat(n, rows)
+    return Flat(n, rows)
 
 
 def frame_change(

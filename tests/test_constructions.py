@@ -725,6 +725,70 @@ def plain_distribute(points, avoid, mults, r, t, seed):
     return constructions.Distribution(tuple(flats), coverage)
 
 
+def outcome(fn, *args):
+    """repr of fn(*args), or the exception's type and message."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # compared, never swallowed: both sides must agree
+        return f"{type(exc).__name__}: {exc}"
+
+
+# P^3: the three heaviest points span a plane, then two points are left,
+# whose line the last fill grows to a plane missing e_0
+GROWN_LAST_FILL = (
+    [unit(3, 1), unit(3, 2), unit(3, 3), ProjPoint((0, 1, 1, 1))], unit(3, 0), [2, 1, 1, 1], 3, 2, 5,
+)
+# the same, four flats where the threshold is two
+ABOVE_THRESHOLD = GROWN_LAST_FILL[:4] + (4, 5)
+# the avoided point on the line through points 0 and 1
+AVOIDED_ON_A_SPAN = ([unit(3, 1), unit(3, 2), unit(3, 3)], ProjPoint((0, 1, 1, 0)), [1, 1, 1], 2, 2, 5)
+
+
+def test_distribute_examples_reach_their_branches():
+    points, avoid, mults, r, t, seed = GROWN_LAST_FILL
+    with mock.patch.object(
+        constructions, "extend_flat_avoiding", wraps=extend_flat_avoiding
+    ) as grow:
+        d = distribute_flats(*GROWN_LAST_FILL)
+    assert [c.args[:2] for c in grow.call_args_list] == [(span([points[0], points[3]]), 2)]
+    assert d.flats[-1].dim == 2
+    assert ABOVE_THRESHOLD[4] > cover_threshold(ABOVE_THRESHOLD[2], ABOVE_THRESHOLD[3])
+    with pytest.raises(ValueError, match=r"span of points \[0, 1\]"):
+        distribute_flats(*AVOIDED_ON_A_SPAN)
+
+
+@st.composite
+def distribute_cases(draw):
+    """distribute_flats arguments in P^n, n 2..4: 1..n+2 distinct points of
+    height 2, an avoided point drawn at random or planted on the line
+    through two of them, multiplicities 1..3, r 1..n and t from one below
+    the threshold to two above it."""
+    n = draw(st.integers(2, 4))
+    coords = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1).filter(any)
+    size = draw(st.integers(1, n + 2))
+    points = list(dict.fromkeys(ProjPoint(tuple(draw(coords))) for _ in range(size)))
+    avoid = ProjPoint(tuple(draw(coords)))
+    if len(points) >= 2 and draw(st.booleans()):
+        q, w = draw(st.permutations(points))[:2]
+        c = draw(st.sampled_from([1, -1, 2]))
+        planted = [x + c * y for x, y in zip(q.rep, w.rep)]
+        if any(planted):
+            avoid = ProjPoint(tuple(planted))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(points), max_size=len(points)))
+    r = draw(st.integers(1, n))
+    t = cover_threshold(mults, r) + draw(st.integers(-1, 2))
+    return points, avoid, mults, r, t, draw(st.integers(0, 999))
+
+
+@settings(max_examples=150, deadline=None)
+@given(distribute_cases())
+@example(GROWN_LAST_FILL)
+@example(ABOVE_THRESHOLD)
+@example(AVOIDED_ON_A_SPAN)
+def test_distribute_flats_matches_plain_distribute(case):
+    assert outcome(distribute_flats, *case) == outcome(plain_distribute, *case)
+
+
 def per_monomial_grouped(moved, origin, monomials, seed, groups):
     """The plain grouped loop: per monomial, one plain_distribute per group,
     each slot's join spanned afresh and lifted through
@@ -823,6 +887,31 @@ def grouped_instances(draw):
 def test_grouped_construction_matches_per_monomial_builder(case):
     j, p, a, seed = case
     assert build_outcome(j, p, a, seed) == reference_outcome(j, p, a, seed)
+
+
+def scan_single_group(j, p):
+    """The scan that build_certificate skips on its single group, run on it:
+    raises ValueError if a span of r of the moved points holds the origin."""
+    change, _ = constructions._normalizing_change(j, p)
+    moved = j.transform(change)
+    origin = unit(j.n, 0)
+    r = constructions._single_group_dim(spanned_flats([*moved.points, origin]), j.n)
+    constructions._scan_avoiding(list(moved.points), origin, r, {})
+
+
+def test_single_group_scan_passes_on_corpus():
+    strategies = Counter()
+    for j, p, a, seed in certificate_corpus():
+        scan_single_group(j, p)
+        strategies[build_certificate(j, p, a, seed=seed).strategy] += 1
+    assert strategies["single_group"] == 30
+
+
+@settings(max_examples=80, deadline=None)
+@given(grouped_instances())
+def test_single_group_scan_passes(case):
+    j, p, _, _ = case
+    scan_single_group(j, p)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -416,6 +417,34 @@ def test_extend_rejects_target_of_full_space():
     f = span([unit(2, 0)])
     with pytest.raises(ValueError):
         extend_flat_avoiding(f, 2, unit(2, 1), seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 10**6), st.integers())
+def test_extend_to_its_own_dimension_returns_the_flat_for_any_seed(n, draw, seed):
+    rng = random.Random(draw)
+    f = span(random_points(rng, n, rng.randint(1, n)))
+    avoid = random_point(rng, n, height=3)
+    if flat_contains(f, avoid):
+        with pytest.raises(ValueError, match="cannot avoid a point already on the flat"):
+            extend_flat_avoiding(f, f.dim, avoid, seed)
+    else:
+        assert extend_flat_avoiding(f, f.dim, avoid, seed) is f
+
+
+def test_extend_to_its_own_dimension_still_rejects_a_point_on_the_flat():
+    f = span([unit(3, 0), unit(3, 1)])
+    with pytest.raises(ValueError, match="cannot avoid a point already on the flat"):
+        extend_flat_avoiding(f, 1, ProjPoint((1, 1, 0, 0)), seed=3)
+
+
+def test_extend_without_growth_makes_no_generator():
+    f = span([unit(3, 0), unit(3, 1)])
+    made = AssertionError("a generator was made")
+    with mock.patch("fatpoints.geometry.random.Random", side_effect=made):
+        assert extend_flat_avoiding(f, 1, unit(3, 2), seed=3) is f
+        with pytest.raises(AssertionError, match="a generator was made"):
+            extend_flat_avoiding(f, 2, unit(3, 3), seed=3)  # growing draws
 
 
 # ---------------------------------------------------------------------------
