@@ -13,12 +13,15 @@ deterministically: leftmost nonzero column, first nonzero row.
 
 Every rank is decided in :func:`rank_rows`, by rational elimination
 unless the caller, which expects full rank, passes ``modular=True``.
-Then the rows are first reduced modulo ``MODULAR_PRIME``.  When that
-rank equals min(rows, cols) it is reported: a full-size minor that is
-nonzero mod p is nonzero over Q, and no rank exceeds min(rows, cols).
-Every other case is decided by rational elimination, and a modular rank
-that differs from it is counted and logged, so a reported rank never
-depends on trusting a prime.
+Then the caller's rows are first read modulo ``MODULAR_PRIME``: an
+integer x as x mod p, a rational a/b as a b^-1 mod p, the ring map from
+the rationals with denominator prime to p onto F_p, which can only lower
+a rank.  When that rank equals min(rows, cols) it is reported: a
+full-size minor that is nonzero mod p is nonzero over Q, and no rank
+exceeds min(rows, cols).  Every other case, a row with a denominator
+divisible by p among them, is decided by rational elimination on
+primitive rows, and a modular rank that differs from it is counted and
+logged, so a reported rank never depends on trusting a prime.
 """
 
 from __future__ import annotations
@@ -38,8 +41,11 @@ except ImportError:  # gmpy2 is an optional extra; same values, slower
 
 _LOG = logging.getLogger("fatpoints.linalg")
 
-#: The published 62-bit prime of the mod-p pass in :func:`rank_rows`.
-MODULAR_PRIME = 4611686018427387847
+#: The published prime of the mod-p pass in :func:`rank_rows`: 2^30 - 35,
+#: the largest prime below 2^30, so that every residue is one CPython digit
+#: and ``% p`` divides by one digit.  Any prime is sound, since only a full
+#: modular rank is trusted; ``pow(x, -1, p)`` needs p prime.
+MODULAR_PRIME = 1073741789
 
 Vector = tuple[Fraction, ...]
 
@@ -282,26 +288,37 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
     return [w for _, w in _kernel_rows(echelon, pivot_cols, ncols)]
 
 
-def _rank_mod(rows: Sequence[Sequence[int]], ncols: int, p: int) -> int:
-    """Rank of integer rows modulo the prime p, by Gaussian elimination."""
-    m = [[int(x) % p for x in row] for row in rows]
+def _rank_mod(rows: Sequence[Sequence], ncols: int, p: int) -> int | None:
+    """Rank modulo the prime p of integer or rational rows, by Gaussian elimination.
+
+    An integer x is read as x mod p and a rational a/b as a b^-1 mod p.
+    None when a denominator is divisible by p: that row has no image mod p.
+    """
+    try:
+        m = [
+            [x % p if type(x) is int else int(x.numerator) * pow(int(x.denominator), -1, p) % p for x in row]
+            for row in rows
+        ]
+    except ValueError:  # pow: a denominator divisible by p
+        return None
+    nrows = len(m)
     piv = 0
     for c in range(ncols):
-        if piv >= len(m):
+        if piv >= nrows:
             break
-        pr = next((r for r in range(piv, len(m)) if m[r][c]), None)
+        pr = next((r for r in range(piv, nrows) if m[r][c]), None)
         if pr is None:
             continue
         if pr != piv:
             m[piv], m[pr] = m[pr], m[piv]
-        prow = m[piv]
-        inv = pow(prow[c], -1, p)
-        prow[c:] = [x * inv % p for x in prow[c:]]
-        for r in range(piv + 1, len(m)):
-            t = m[r][c]
+        # column c is never read again, so only the tails are scaled and updated
+        inv = pow(m[piv][c], -1, p)
+        ptail = [x * inv % p for x in m[piv][c + 1 :]]
+        for r in range(piv + 1, nrows):
+            row = m[r]
+            t = row[c]
             if t:
-                row = m[r]
-                row[c:] = [(x - t * y) % p for x, y in zip(row[c:], prow[c:])]
+                row[c + 1 :] = [(x - t * y) % p for x, y in zip(row[c + 1 :], ptail)]
         piv += 1
     return piv
 
@@ -347,23 +364,26 @@ def _bump(key: str) -> None:
 
 
 def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool = False) -> int:
-    """Exact rank of a list of integer (or rational) rows.
+    """Exact rank of a list of integer (or rational) rows of ncols entries each.
 
-    By fraction-free elimination.  A caller that expects full rank passes
-    ``modular=True``: then a rank mod ``MODULAR_PRIME`` equal to
-    min(rows, cols) is returned as is, since it is a lower bound that
-    meets the upper one.  Otherwise elimination decides, and a differing
-    modular rank is counted and logged.
+    By fraction-free elimination on primitive rows.  A caller that
+    expects full rank passes ``modular=True``: then the rank of the rows'
+    residues mod ``MODULAR_PRIME``, if it equals min(rows, cols), is
+    returned as is, since it is a lower bound that meets the upper one,
+    and no primitive row is made.  Otherwise elimination decides, and a
+    differing modular rank is counted and logged.  A row of another
+    length raises ``ValueError``.
     """
-    irows = [primitive_row(row) for row in rows]
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("dimension mismatch")
     rp = None
     if modular:
-        rp = _rank_mod(irows, ncols, MODULAR_PRIME)
-        if rp == min(len(irows), ncols):
+        rp = _rank_mod(rows, ncols, MODULAR_PRIME)
+        if rp == min(len(rows), ncols):
             _bump("short_circuits")
             return rp
         _bump("fallbacks")
-    true_rank = len(_bareiss_forward(irows, ncols))
+    true_rank = len(_bareiss_forward([primitive_row(row) for row in rows], ncols))
     if rp is not None and rp != true_rank:
         _bump("disagreements")
         _LOG.warning(
@@ -372,7 +392,7 @@ def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool = False) ->
             rp,
             MODULAR_PRIME,
             true_rank,
-            len(irows),
+            len(rows),
             ncols,
         )
     return true_rank

@@ -6,8 +6,9 @@ products in ``Fraction``s, forms as explicit coefficient vectors with
 products and evaluation, the full condition matrix and its kernel, a
 separating hyperplane read off a flat's normals, the canonical change of
 coordinates in ``Fraction``s, the single-group flat dimension by a
-downward scan of spans.  None of them is called by the package
-itself.
+downward scan of spans, the rank mod p of primitive rows by the list
+kernel that scales and updates whole rows.  None of them is called by
+the package itself.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 from fatpoints.constructions import _scan_avoiding
 from fatpoints.geometry import Flat, LinearForm, ProjPoint, flat_contains, frame_change
-from fatpoints.linalg import Matrix, kernel_basis, rank_rows
+from fatpoints.linalg import Matrix, kernel_basis, primitive_row, rank_rows
 from fatpoints.schemes import FatPointScheme, Form, condition_rows, monomial_basis
 
 Terms = dict[tuple[int, ...], Fraction]
@@ -36,6 +37,37 @@ def in_span(v: Sequence[object], basis: Iterable[Sequence[object]]) -> bool:
     if any(len(b) != len(v) for b in basis):
         raise ValueError("dimension mismatch")
     return rank_rows(basis + [list(v)], len(v)) == rank_rows(basis, len(v))
+
+
+#: The 62-bit prime that the mod-p pass of ``rank_rows`` used before it
+#: moved below 2^30.
+PRIME_62 = 4611686018427387847
+
+
+def plain_rank_mod(rows: Sequence[Sequence[object]], ncols: int, p: int) -> int:
+    """Rank mod p of the rows made primitive, by Gaussian elimination that
+    scales the whole pivot row and updates whole rows: the mod-p pass of
+    ``rank_rows`` as it was at ``PRIME_62``."""
+    m = [[int(x) % p for x in primitive_row(row)] for row in rows]
+    piv = 0
+    for c in range(ncols):
+        if piv >= len(m):
+            break
+        pr = next((r for r in range(piv, len(m)) if m[r][c]), None)
+        if pr is None:
+            continue
+        if pr != piv:
+            m[piv], m[pr] = m[pr], m[piv]
+        prow = m[piv]
+        inv = pow(prow[c], -1, p)
+        prow[c:] = [x * inv % p for x in prow[c:]]
+        for r in range(piv + 1, len(m)):
+            t = m[r][c]
+            if t:
+                row = m[r]
+                row[c:] = [(x - t * y) % p for x, y in zip(row[c:], prow[c:])]
+        piv += 1
+    return piv
 
 
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -16,12 +16,13 @@ from fatpoints.linalg import (
     _rank_mod,
     kernel_basis,
     modular_stats,
+    mpz,
     primitive_row,
     rank_rows,
     reset_modular_stats,
     rref,
 )
-from oracles import identity, in_span, mat_vec
+from oracles import PRIME_62, identity, in_span, mat_vec, plain_rank_mod
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +230,7 @@ def test_in_span_matches_rank_oracle():
 # ---------------------------------------------------------------------------
 
 def rank_mod(m: Matrix, p: int) -> int:
-    """The rank mod p of m's rows, denominators cleared as rank_rows clears them."""
+    """The rank mod p of m's rows made primitive, as the exact path of rank_rows makes them."""
     return _rank_mod([primitive_row(row) for row in m.to_rows()], m.cols, p)
 
 
@@ -238,11 +239,106 @@ def test_rank_mod_p_identity():
 
 
 def test_rank_mod_p_constructed_degeneration():
-    # on the raw rows: rank_rows divides the content p out of the first row
+    # the first row's residues are zero; only the exact path divides its content p out
     p = MODULAR_PRIME
     m = Matrix.from_rows([[p, 0], [0, 1]])
     assert _rank_mod(m.to_rows(), 2, p) == 1
     assert rref(m).rank == 2
+
+
+def test_modular_prime_is_a_prime_below_2_to_the_30():
+    # below 2^30 every residue is one CPython digit, so a product fits in two
+    # and % p divides by one digit; pow(x, -1, p) needs p prime.  Trial
+    # division up to 32768 = sqrt(2^30) proves it.
+    p = MODULAR_PRIME
+    assert 32768 < p < 2**30
+    assert all(p % q for q in range(2, 32769))
+
+
+@pytest.mark.parametrize("modular", [False, True])
+@pytest.mark.parametrize("rows", [[[1], [0, 1]], [[0], [1]], [[1, 2, 3], [0, 1]]])
+def test_rank_rows_rejects_ragged_rows(rows, modular):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        rank_rows(rows, 2, modular=modular)
+
+
+MOD_PRIMES = (2, 3, 65537, MODULAR_PRIME, PRIME_62)
+
+small_int_st = st.integers(min_value=-9, max_value=9)
+mixed_entry_st = st.one_of(
+    small_int_st,
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    small_int_st.map(mpz),
+)
+
+
+def as_fraction(x):
+    """An int, ``Fraction`` or mpz entry as a ``Fraction``."""
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+@st.composite
+def mod_p_cases(draw):
+    """Rows of int, Fraction and mpz entries, a prime, and planted trouble at it:
+    a row congruent to another mod p, a row of content p, a denominator p."""
+    p = draw(st.sampled_from(MOD_PRIMES))
+    ncols = draw(st.integers(min_value=0, max_value=10))
+    nrows = draw(st.integers(min_value=0, max_value=10))
+    rows = draw(st.lists(st.lists(mixed_entry_st, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if rows and ncols:
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, ncols - 1))
+        plant = draw(st.sampled_from(("none", "collision", "content", "denominator")))
+        if plant == "collision":
+            rows.append([x + p if k == j else x for k, x in enumerate(rows[i])])
+        elif plant == "content":
+            rows[i] = [p * x for x in rows[i]]
+        elif plant == "denominator":
+            rows[i][j] = as_fraction(rows[i][j] or 1) / p
+    return rows, ncols, p
+
+
+def divides_content_or_denominator(p, row):
+    """Whether p divides the numerator or denominator of the row's content,
+    the rational c with row = c * primitive_row(row) (1 for a zero row); a
+    denominator of the row divisible by p always puts p in c's denominator."""
+    content = next((as_fraction(x) / int(y) for x, y in zip(row, primitive_row(row)) if x), Fraction(1))
+    return content.numerator % p == 0 or content.denominator % p == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(mod_p_cases())
+@example(([[1, 2], [3, 4], [5, 6]], 2, MODULAR_PRIME))  # more rows than columns
+@example(([[MODULAR_PRIME, 2 * MODULAR_PRIME], [1, 1]], 2, MODULAR_PRIME))
+@example(([[1, 1], [1, 1 + MODULAR_PRIME]], 2, MODULAR_PRIME))
+@example(([[Fraction(1, MODULAR_PRIME), 0], [0, 1]], 2, MODULAR_PRIME))
+@example(([[Fraction(3, 2), mpz(4)], [Fraction(6), 8]], 2, 3))
+def test_rank_mod_matches_plain_kernel_on_primitive_rows(case):
+    rows, ncols, p = case
+    exact = rank_rows(rows, ncols)
+    rp = _rank_mod(rows, ncols, p)
+    if rp is None:
+        assert any(x.denominator % p == 0 for row in rows for x in row)
+    else:
+        assert rp <= exact
+    if not any(divides_content_or_denominator(p, row) for row in rows):
+        assert rp == plain_rank_mod(rows, ncols, p)
+    assert rank_rows(rows, ncols, modular=True) == exact
+
+
+def test_a_row_of_content_p_or_a_denominator_p_falls_back_to_the_right_rank(caplog):
+    p = MODULAR_PRIME
+    reset_modular_stats()
+    with caplog.at_level(logging.WARNING, logger="fatpoints.linalg"):
+        # content p: the residue row is zero, the primitive row is (1, 2)
+        assert rank_rows([[p, 2 * p], [1, 1]], 2, modular=True) == 2
+        assert modular_stats()["disagreements"] == 1
+        # a denominator p: the row has no image mod p, so nothing to disagree with
+        assert _rank_mod([[Fraction(1, p), 0], [0, 1]], 2, p) is None
+        assert rank_rows([[Fraction(1, p), 0], [0, 1]], 2, modular=True) == 2
+    assert modular_stats() == {"short_circuits": 0, "certified": 0, "fallbacks": 2, "disagreements": 1}
+    assert sum("disagreed" in rec.message for rec in caplog.records) == 1
 
 
 def random_62bit_primes(seed, count):
