@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from fatpoints.geometry import (
@@ -102,12 +104,20 @@ def _random_point_in_sflat(rng: random.Random, n: int, s: int, height: int) -> P
 
 
 def _random_point_on(rng: random.Random, flat: Flat, height: int) -> ProjPoint:
-    width = flat.ambient_n + 1
+    """A random point of the flat: sum c_i e_i, each c_i drawn from -height..height.
+
+    e_i = row_i / v_i is the reduced echelon basis, row_i the flat's
+    integer rows and v_i > 0 their pivots.  The sum is computed times the
+    lcm L of the pivots, as sum c_i (L / v_i) row_i, in integers: the same
+    point, zero for the same draws.
+    """
+    rows = flat.integer_rows
+    pivots = [next(x for x in row if x) for row in rows]
+    scale = lcm(*pivots)
+    cols = list(zip(*([scale // v * x for x in row] for row, v in zip(rows, pivots))))
     while True:
-        coeffs = [rng.randint(-height, height) for _ in flat.cone_basis]
-        coords = [
-            sum(c * row[j] for c, row in zip(coeffs, flat.cone_basis)) for j in range(width)
-        ]
+        coeffs = [rng.randint(-height, height) for _ in rows]
+        coords = [sum(map(mul, coeffs, col)) for col in cols]
         if any(coords):
             return ProjPoint(tuple(coords))
 

@@ -12,9 +12,10 @@ changes of coordinates move points in integers.  The ``Fraction`` values
 flat's reduced row echelon basis) are views built when first read.
 
 The flats spanned by a point set are enumerated once, by
-:func:`spanned_flats`: one fraction-free elimination step per subset, on
-the values that a basis of the subset's annihilator takes at every point.
-The Segre bound, the degeneracy index (:func:`degeneracy_of`), the span
+:func:`spanned_flats`: a pruned tree of fraction-free steps on r spanning
+coordinates finds the bases of the points' matroid as bitmasks, and each
+subset's flat is read off the union of the bases that hold it.  The
+Segre bound, the degeneracy index (:func:`degeneracy_of`), the span
 dimension and the generators' incidence checks all read that one list.
 """
 
@@ -25,11 +26,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from fatpoints.linalg import (
     _annihilator_step,
+    _bareiss_forward,
     _echelon,
     _fraction_rows,
     _kernel_rows,
@@ -203,57 +206,120 @@ def spanned_flats(points: Sequence[ProjPoint]) -> tuple[SpannedFlat, ...]:
     point on the flat, which is therefore the span of those points, and
     the last pair is the span of all the points.  The points must be
     pairwise distinct, so each 0-flat holds its own point only.  Larger
-    subsets are walked by size, and one whose indices all lie in a witness
-    set already found is skipped: it spans nothing new.  ``covered`` holds the subsets of every
-    witness set, of each size still to come, so that test is one lookup.
-    By induction on the size, a dependent subset is always skipped
-    (dropping a dependent point keeps its span, which was found from the
-    smaller subset), so every subset that is not skipped is independent
-    and spans a new flat of dimension size-1.  The flats therefore appear
-    in the order of a deduplicated scan of all subsets.
+    subsets are walked by size, in ``combinations`` order, and one whose
+    indices all lie in a witness set already found is skipped: it spans
+    nothing new.  By induction on the size, a dependent subset is always
+    skipped (dropping a dependent point keeps its span, which was found
+    from the smaller subset), so every subset that is not skipped is
+    independent and spans a new flat of dimension size-1.  The flats
+    therefore appear in the order of a deduplicated scan of all subsets.
+    An independent subset S of size k is skipped exactly when its own
+    flat is already listed: a listed flat that holds S has dimension at
+    least k-1, and one found at a size up to k at most k-1, so it is
+    span(S).  So the walk skips a subset that is dependent or whose
+    witness set is already listed.
 
-    Incidence is read off one matrix per subset: the values at every point
-    of a basis of the linear forms vanishing on the subset.  The empty
-    subset's basis is the coordinate functionals, whose values are the
-    points' integer representatives, as columns.  Adding an independent
-    point q is one fraction-free (Bareiss) step: the first row nonzero at
-    q is the pivot, every other row becomes (pv row - row[q] prow) / prev
-    (an exact division: each entry is a minor of the starting matrix), and
-    the pivot row is dropped.  A point is on the subset's span exactly
-    when its column is then zero.  Each prefix's matrix is kept for the
-    call, so every subset costs one step.
+    Incidence is read off the bases of the points' matroid, the sets of r
+    points that span the span, r its rank:
+
+    * Spanning coordinates.  One fraction-free forward pass over the
+      points' representatives gives r and r pivot coordinates.  Those
+      coordinates' rows of the coordinates x points matrix span its row
+      space, so a set of points is independent in that r x s matrix
+      exactly when it is independent in the whole one.
+    * The pruned tree.  A depth-first walk over index-increasing prefixes
+      keeps, for a prefix of k independent points, r-k rows on the columns
+      after its last index: the values there of a basis of the linear
+      forms (in the spanning coordinates) that vanish on the prefix.  The
+      root's rows are the spanning coordinates' rows.  The prefix and q
+      are independent exactly when some row is nonzero at q; then one
+      fraction-free step (:func:`fatpoints.linalg._annihilator_step`, its
+      entries minors of the root's rows, so every division is exact)
+      gives the child's rows.  A k-point prefix is extended only by q <=
+      s-(r-k), which leaves room for a basis, and a prefix of r-1 points
+      reads its bases straight off its one row.  Each basis is a bitmask.
+    * Closures.  ``union[m]``, for an independent set m, is the OR of the
+      bases that contain m, filled downward from the bases one size at a
+      time by clearing one bit.  Every independent set lies in a basis, so
+      it has an entry, and a point j outside m is on span(m) exactly when
+      m + {j} is dependent, that is, when no basis holds m and j: when j
+      is not in ``union[m]``.  The witness set of m is m together with
+      the points outside ``union[m]``.
+    * The whole span.  No flat of dimension below r-1 holds a basis, so
+      at size r the first subset not skipped is a basis; it spans
+      everything and gives (r-1, every point), and every larger subset
+      lies in that witness set.  The walk stops there.  (For r = 1, a
+      single point, that flat is the point's 0-flat, already listed.)
+    * The uniform case.  When all C(s, r) r-subsets are bases, every
+      ``union`` entry is every point, so each subset of size below r is
+      its own witness set and none is skipped; the list is written out
+      directly.
     """
     reps = [p.rep for p in points]
     if len(set(reps)) != len(reps):  # primitive reps are canonical
         raise ValueError("points must be pairwise distinct")
     _cone_rows(points)  # span's errors for no points or mixed ambient spaces
-    size_all, width = len(reps), len(reps[0])
-    found: list[SpannedFlat] = [(0, (i,)) for i in range(size_all)]
-    # prefix -> (rows, pivot of the step that made them)
-    states: dict[tuple[int, ...], tuple[list[list[int]], int]] = {
-        (): ([list(col) for col in zip(*reps)], 1)
-    }
+    size_all = len(reps)
+    everyone = tuple(range(size_all))
+    found: list[SpannedFlat] = [(0, (i,)) for i in everyone]
+    coords = _bareiss_forward([list(rep) for rep in reps], len(reps[0]))
+    rank = len(coords)
+    bases: list[int] = []
 
-    def state(sub: tuple[int, ...]) -> tuple[list[list[int]], int]:
-        if sub not in states:
-            states[sub] = _annihilator_step(*state(sub[:-1]), sub[-1])
-        return states[sub]
+    def grow(rows: list[list[int]], prev: int, lo: int, mask: int, k: int) -> None:
+        # rows: r-k rows on the columns lo.. of the k-point prefix in mask
+        if k == rank - 1:
+            bases.extend(mask | 1 << q for q, x in enumerate(rows[0], lo) if x)
+            return
+        for q in range(lo, size_all - rank + k + 1):
+            if any(row[q - lo] for row in rows):
+                grow(*_annihilator_step(rows, prev, q - lo), q + 1, mask | 1 << q, k + 1)
 
-    top = min(size_all, width)
-    covered: set[tuple[int, ...]] = set()
-    for size in range(2, top + 1):
-        for sub in combinations(range(size_all), size):
-            if sub in covered:
-                continue
-            rows = state(sub)[0]
-            if rows:
-                witness = tuple(i for i, col in enumerate(zip(*rows)) if not any(col))
-            else:  # the subset spans the whole space
-                witness = tuple(range(size_all))
-            found.append((size - 1, witness))
-            for k in range(size, min(len(witness), top) + 1):
-                covered.update(combinations(witness, k))
+    grow([[rep[c] for rep in reps] for c in coords], 1, 0, 0, 0)
+
+    if len(bases) == comb(size_all, rank):
+        found.extend(
+            (size - 1, sub) for size in range(2, rank) for sub in combinations(everyone, size)
+        )
+    else:
+        full = (1 << size_all) - 1
+        union = _unions(bases, rank)
+        seen: set[int] = set()
+        powers = [1 << i for i in everyone]
+        for size in range(2, rank):
+            for sub in combinations(powers, size):
+                m = sum(sub)
+                u = union.get(m)
+                if u is None:  # a dependent subset
+                    continue
+                witness = m | (full ^ u)
+                if witness not in seen:
+                    seen.add(witness)
+                    found.append((size - 1, tuple(i for i in everyone if witness >> i & 1)))
+    if rank > 1:
+        found.append((rank - 1, everyone))
     return tuple(found)
+
+
+def _unions(bases: Sequence[int], rank: int) -> dict[int, int]:
+    """For every independent set of 2..rank-1 points, as a bitmask, the OR of the bases holding it.
+
+    Filled downward from the bases, one size at a time: a set's entry
+    is the OR of the entries of the sets one point larger that hold it.
+    """
+    union: dict[int, int] = {}
+    level = {b: b for b in bases}
+    for _ in range(rank - 2):
+        below: dict[int, int] = {}
+        for m, u in level.items():
+            rest = m
+            while rest:
+                bit = rest & -rest
+                below[m ^ bit] = below.get(m ^ bit, 0) | u
+                rest ^= bit
+        union.update(below)
+        level = below
+    return union
 
 
 def degeneracy_of(flats: Sequence[SpannedFlat]) -> Optional[int]:

@@ -168,16 +168,18 @@ def _bareiss_forward(m: list[list], ncols: int) -> list[int]:
 
 
 def _annihilator_step(rows: list[list[int]], prev: int, q: int) -> tuple[list[list[int]], int]:
-    """One fraction-free step at column q of :func:`fatpoints.geometry.spanned_flats`.
+    """One fraction-free step of :func:`fatpoints.geometry.spanned_flats`' tree, at column q.
 
     The pivot is the first row nonzero at q; every other row becomes
-    (pv row - row[q] prow) / prev, and the pivot row is dropped.  Returns
-    the new rows and the pivot value pv, the next step's prev.
+    (pv row - row[q] prow) / prev on the columns after q only, and the
+    pivot row is dropped.  Returns the new rows, whose column 0 is the old
+    column q+1, and the pivot value pv, the next step's prev.
     """
     prow = next(row for row in rows if row[q])
     pv = prow[q]
+    ptail = prow[q + 1 :]
     return [
-        [(pv * x - row[q] * y) // prev for x, y in zip(row, prow)]
+        [(pv * x - row[q] * y) // prev for x, y in zip(row[q + 1 :], ptail)]
         for row in rows
         if row is not prow
     ], pv

@@ -7,7 +7,9 @@ products and evaluation, the full condition matrix and its kernel, a
 separating hyperplane read off a flat's normals, the canonical change of
 coordinates in ``Fraction``s, the single-group flat dimension by a
 downward scan of spans, the rank mod p of primitive rows by the list
-kernel that scales and updates whole rows.  None of them is called by
+kernel that scales and updates whole rows, the spanned flats by one
+full-width elimination step per subset, a random point on a flat as a
+``Fraction`` combination of its reduced echelon basis.  None of them is called by
 the package itself.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -122,6 +125,74 @@ def span_dim(points: Sequence[ProjPoint]) -> int:
     if any(p.ambient_n != n for p in points):
         raise ValueError("ambient dimensions disagree")
     return rank_rows([p.rep for p in points], n + 1) - 1
+
+
+def prefix_state_flats(points: Sequence[ProjPoint]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """:func:`fatpoints.geometry.spanned_flats` by one full-width
+    fraction-free step per subset, as it was computed before it read the
+    points' bases.
+
+    Subsets are walked by size in ``combinations`` order, and one that
+    lies in a witness set already found is skipped.  Each prefix keeps the
+    values at every point of a basis of the linear forms vanishing on it,
+    starting from the points' representatives as columns; adding a point q
+    pivots on the first row nonzero at q, every other row becomes
+    (pv row - row[q] prow) / prev, and the pivot row is dropped.  A point
+    is on the subset's span exactly when its column is then zero.
+    """
+    reps = [p.rep for p in points]
+    if len(set(reps)) != len(reps):
+        raise ValueError("points must be pairwise distinct")
+    if not points:
+        raise ValueError("span of an empty point set is undefined")
+    if any(p.ambient_n != points[0].ambient_n for p in points):
+        raise ValueError("ambient dimensions disagree")
+    size_all, width = len(reps), len(reps[0])
+    found = [(0, (i,)) for i in range(size_all)]
+    states = {(): ([list(col) for col in zip(*reps)], 1)}
+
+    def state(sub):
+        if sub not in states:
+            rows, prev = state(sub[:-1])
+            q = sub[-1]
+            prow = next(row for row in rows if row[q])
+            pv = prow[q]
+            states[sub] = [
+                [(pv * x - row[q] * y) // prev for x, y in zip(row, prow)]
+                for row in rows
+                if row is not prow
+            ], pv
+        return states[sub]
+
+    top = min(size_all, width)
+    covered = set()
+    for size in range(2, top + 1):
+        for sub in combinations(range(size_all), size):
+            if sub in covered:
+                continue
+            rows = state(sub)[0]
+            if rows:
+                witness = tuple(i for i, col in enumerate(zip(*rows)) if not any(col))
+            else:
+                witness = tuple(range(size_all))
+            found.append((size - 1, witness))
+            for k in range(size, min(len(witness), top) + 1):
+                covered.update(combinations(witness, k))
+    return tuple(found)
+
+
+def fraction_point_on(rng: random.Random, flat: Flat, height: int) -> ProjPoint:
+    """A random point of the flat: random coefficients in -height..height on
+    its reduced echelon basis, summed in ``Fraction``s, redrawn while the sum
+    is zero.  The generators' sampler before it summed integer rows."""
+    width = flat.ambient_n + 1
+    while True:
+        coeffs = [rng.randint(-height, height) for _ in flat.cone_basis]
+        coords = [
+            sum(c * row[j] for c, row in zip(coeffs, flat.cone_basis)) for j in range(width)
+        ]
+        if any(coords):
+            return ProjPoint(tuple(coords))
 
 
 def evaluate_linear(h: LinearForm, p: ProjPoint) -> Fraction:

@@ -4,14 +4,19 @@ import re
 from collections import Counter
 from itertools import combinations
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fatpoints.constructions import cover_threshold, distribute_flats
-from fatpoints.generators import PATTERNS, GeneratorError, PatternSpec, generate
-from fatpoints.geometry import ProjPoint, degeneracy_index, span
+from fatpoints.generators import PATTERNS, GeneratorError, PatternSpec, _random_point_on, generate
+from fatpoints.geometry import Flat, ProjPoint, degeneracy_index, span
 from fatpoints.harness import scheme_to_obj
 from fatpoints.schemes import FatPointScheme, hilbert_function
 from fatpoints.segre import segre_bound
+from oracles import fraction_point_on
 
 
 def test_general_pattern_no_degeneracy():
@@ -180,3 +185,26 @@ def test_generated_schemes_match_pinned_digest():
                     h.update((line + "\n").encode())
     assert outcomes == {"scheme": 374, "error": 346}
     assert h.hexdigest() == GENERATOR_DIGEST
+
+
+@st.composite
+def flats_to_sample(draw):
+    """A flat of P^n, n 1..5, spanned by 1..n+1 vectors of entries -4..4."""
+    n = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1).filter(any)
+    return Flat(n, draw(st.lists(vec, min_size=1, max_size=n + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(flats_to_sample(), st.integers(0, 2**32), st.sampled_from([1, 2, 9]))
+@example(Flat(2, [(0, 0, 3)]), 0, 1)  # a point: every draw but 0 is the point
+@example(Flat(3, [(2, 1, 0, 0), (0, 0, 3, 1)]), 7, 9)  # pivots 2 and 3, lcm 6
+@example(Flat(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 1, 1)  # all of P^2
+def test_random_point_on_matches_fraction_sampler(flat, seed, height):
+    """The integer sampler returns the point of the ``Fraction`` one and
+    leaves the generator in the same state: the same draws, the same redraws."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    got = _random_point_on(ours, flat, height)
+    assert got == fraction_point_on(theirs, Flat(flat.ambient_n, flat.integer_rows), height)
+    assert ours.getstate() == theirs.getstate()
+    assert "cone_basis" not in vars(flat)  # no Fraction view is built

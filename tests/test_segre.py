@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fatpoints import geometry
 from fatpoints.constructions import _normalizing_change, _split_groups, segre_verdict
 from fatpoints.generators import GeneratorError, PatternSpec, _crowded_flat, generate
 from fatpoints.geometry import (
@@ -17,10 +20,10 @@ from fatpoints.geometry import (
     span,
     spanned_flats,
 )
-from fatpoints.linalg import rank_rows
+from fatpoints.linalg import _bareiss_forward, rank_rows
 from fatpoints.schemes import FatPointScheme
 from fatpoints.segre import segre_bound
-from oracles import random_invertible_change, span_dim
+from oracles import prefix_state_flats, random_invertible_change, span_dim
 
 
 def unit(n, i):
@@ -327,6 +330,77 @@ def test_candidate_flats_match_rank_enumeration(z):
     assert spanned_flats(z.points) == rank_candidate_flats(z)
 
 
+# ---------------------------------------------------------------------------
+# the basis tree against the prefix-state scan it replaced
+# ---------------------------------------------------------------------------
+
+def _scheme(n, reps):
+    return FatPointScheme(n, tuple(ProjPoint(rep) for rep in reps), (1,) * len(reps))
+
+
+def _on_plane(t):
+    """(1, t, t^2) in the frame u, v, w of a plane of P^4 with no zero coordinate."""
+    u, v, w = (1, 2, 0, -1, 3), (0, 1, 1, 2, -1), (2, 0, 1, 1, 1)
+    return tuple(a + t * b + t * t * c for a, b, c in zip(u, v, w))
+
+
+#: name -> (the branch of spanned_flats it takes, the scheme)
+ENUMERATION_EXAMPLES = {
+    "one point": ("uniform", _scheme(2, [(1, 2, 3)])),
+    "two points": ("uniform", _scheme(3, [(1, 0, 2, 0), (0, 1, 1, 1)])),
+    # seven points of the twisted cubic: every four independent
+    "uniform, s > n+1": ("uniform", _scheme(3, [(1, t, t * t, t**3) for t in range(-3, 4)])),
+    # six points of a conic on a plane of P^4: r = 3 < n + 1
+    "points on a plane in P^4": ("uniform", _scheme(4, [_on_plane(t) for t in range(-2, 4)])),
+    # r = 3 on coordinates 2, 3 and 4, with points 0, 1 and 2 on a line
+    "zero leading coordinates": (
+        "closure",
+        _scheme(4, [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 1, 1, 0), (0, 0, 0, 0, 1), (0, 0, 1, 2, 3)]),
+    ),
+    "12 points in P^2, a planted line": (
+        "closure",
+        _scheme(2, [(1, t, 0) for t in range(4)] + [(1, t, t * t) for t in range(4, 12)]),
+    ),
+    "8 points in P^4, a planted plane": (
+        "closure",
+        _scheme(
+            4,
+            [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (1, 1, 1, 0, 0)]
+            + [(1, t, t * t, t**3, t**4) for t in range(1, 5)],
+        ),
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(planted_schemes(), small_schemes()))
+@example(ENUMERATION_EXAMPLES["one point"][1])
+@example(ENUMERATION_EXAMPLES["two points"][1])
+@example(ENUMERATION_EXAMPLES["uniform, s > n+1"][1])
+@example(ENUMERATION_EXAMPLES["points on a plane in P^4"][1])
+@example(ENUMERATION_EXAMPLES["zero leading coordinates"][1])
+@example(ENUMERATION_EXAMPLES["12 points in P^2, a planted line"][1])
+@example(ENUMERATION_EXAMPLES["8 points in P^4, a planted plane"][1])
+def test_spanned_flats_match_prefix_state_scan(z):
+    assert spanned_flats(z.points) == prefix_state_flats(z.points)
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATION_EXAMPLES))
+def test_enumeration_examples_take_their_branch(name):
+    """A uniform configuration writes its list out with no closure table;
+    every other one fills the table once.  The branch is also the
+    configuration's: uniform exactly when every r-subset is a basis."""
+    branch, z = ENUMERATION_EXAMPLES[name]
+    with mock.patch.object(geometry, "_unions", wraps=geometry._unions) as unions:
+        flats = spanned_flats(z.points)
+    assert unions.call_count == (branch == "closure")
+    r = span_dim(list(z.points)) + 1
+    reps = [p.rep for p in z.points]
+    bases = sum(rank_rows([reps[i] for i in sub], z.n + 1) == r for sub in combinations(range(z.size), r))
+    assert (bases == comb(z.size, r)) == (branch == "uniform")
+    assert flats[-1] == (r - 1, tuple(range(z.size)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(planted_schemes(), small_schemes()))
 @example(FatPointScheme(2, tuple(ProjPoint((1, k, 0)) for k in range(4)), (1, 2, 3, 1)))
@@ -443,27 +517,40 @@ def _det(rows):
 @settings(max_examples=100, deadline=None)
 @given(planted_schemes(), st.randoms(use_true_random=False))
 def test_annihilator_steps_are_bordered_minors(z, rnd):
-    """After steps at columns q_1..q_k with pivot rows r_1..r_k, the entry of
-    row i at column j is the minor of the starting matrix on rows
-    r_1..r_k, i and columns q_1..q_k, j: every division was exact."""
+    """The tree's tail steps, as ``spanned_flats`` takes them: from the rows
+    of the points' spanning coordinates, at increasing columns q_1 < .. < q_k
+    with pivot rows r_1..r_k, the entry of row i at column j > q_k is the
+    minor of the starting matrix on rows r_1..r_k, i and columns
+    q_1..q_k, j: every division was exact.  The points come in a random
+    order, and some independent columns are passed over, as a branch of
+    the tree passes them."""
     reps = [p.rep for p in z.points]
-    start = [list(col) for col in zip(*reps)]
-    order = list(range(z.size))
-    rnd.shuffle(order)
-    rows, prev, labels, pivots, cols = start, 1, list(range(z.n + 1)), [], []
-    for q in order:
-        if not any(row[q] for row in rows):
+    rnd.shuffle(reps)
+    coords = _bareiss_forward([list(rep) for rep in reps], z.n + 1)
+    start = [[rep[c] for rep in reps] for c in coords]
+    rows, prev, labels, pivots, cols, lo = start, 1, list(range(len(coords))), [], [], 0
+    passed_over = False
+    for q in range(z.size):
+        if not any(row[q - lo] for row in rows):
             continue  # q is on the span of the columns taken so far
-        at = next(i for i, row in enumerate(rows) if row[q])
+        if rnd.random() < 0.25:
+            passed_over = True
+            continue
+        at = next(i for i, row in enumerate(rows) if row[q - lo])
         pivots.append(labels.pop(at))
         cols.append(q)
-        rows, prev = _annihilator_step(rows, prev, q)
+        rows, prev = _annihilator_step(rows, prev, q - lo)
+        lo = q + 1
         assert prev == _det([[start[r][c] for c in cols] for r in pivots])
         for label, row in zip(labels, rows):
-            for j, x in enumerate(row):
+            assert len(row) == z.size - lo
+            for j, x in enumerate(row, lo):
                 want = _det([[start[r][c] for c in cols + [j]] for r in pivots + [label]])
                 assert x == want
-    assert len(cols) == span_dim(list(z.points)) + 1
+    assert len(coords) == span_dim(list(z.points)) + 1
+    assert (not rows) == (len(cols) == len(coords))
+    if not passed_over:
+        assert len(cols) == len(coords)
 
 
 def reference_split_groups(moved, origin):
