@@ -9,8 +9,8 @@ coordinates in ``Fraction``s, the single-group flat dimension by a
 downward scan of spans, the rank mod p of primitive rows by the list
 kernel that scales and updates whole rows, the spanned flats by one
 full-width elimination step per subset, a random point on a flat as a
-``Fraction`` combination of its reduced echelon basis.  None of them is called by
-the package itself.
+``Fraction`` combination of its reduced echelon basis.  None of them is
+called by the package itself.
 """
 
 from __future__ import annotations

@@ -339,7 +339,7 @@ def _scheme(n, reps):
 
 
 def _on_plane(t):
-    """(1, t, t^2) in the frame u, v, w of a plane of P^4 with no zero coordinate."""
+    """(1, t, t^2) in the frame u, v, w of a plane of P^4 that is no coordinate plane."""
     u, v, w = (1, 2, 0, -1, 3), (0, 1, 1, 2, -1), (2, 0, 1, 1, 1)
     return tuple(a + t * b + t * t * c for a, b, c in zip(u, v, w))
 
