@@ -59,6 +59,22 @@ so 64 entries hold them; a larger cache only keeps schemes alive.  A
 miss checks the arguments before any work, an exception is never cached,
 and a hit returns only what an equal call with arguments of the same
 types returned.
+
+Two more caches, of 256 entries each, hold what depends on the shape of
+a matrix and never on coordinates.  The entry of the derivative d^alpha
+at the monomial X^b, at the point c, is
+prod_j b_j! / (b_j - alpha_j)! * c^(b - alpha) when b >= alpha, else 0,
+so its coefficient and its monomial X^(b - alpha) of degree t - order
+depend on (t, nvars, order, columns) alone: :func:`_stencil` holds them
+per such key, and :func:`_point_condition_rows` evaluates the monomials
+at the point once and builds each entry with one product.
+:func:`_free_columns` holds the columns outside the vertex blocks per
+(t, n + 1, vertex multiplicities).  As the keys hold no coordinates,
+every point of one multiplicity in a frame reads one stencil, and the
+schemes with the same multiplicities and vertex multiplicities, such as
+a generated family or the removals of one scheme, read the same
+entries.  Both are typed, so a float degree misses and raises as it
+does with the caches cold.
 """
 
 from __future__ import annotations
@@ -67,8 +83,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, perm
-from operator import index
+from math import comb, perm, prod
+from operator import index, sub
 from typing import Sequence
 
 from fatpoints.geometry import (
@@ -215,44 +231,62 @@ class FatPointScheme:
 # condition matrices
 # ---------------------------------------------------------------------------
 
+# typed, as monomial_basis: a float degree is its own miss and raises there
+@lru_cache(maxsize=256, typed=True)
+def _stencil(
+    t: int, nvars: int, order: int, columns: tuple[int, ...] | None
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The coordinate-free part of the order-``order`` derivative rows in degree t.
+
+    The entry of d^alpha at the column X^b, at the point c, is
+    prod_j b_j! / (b_j - alpha_j)! * c^(b - alpha) when b >= alpha, else
+    0 (see the module docstring).  Returns the exponents of the monomials
+    X^(b - alpha) of degree t - order that the columns reach, and for each
+    alpha one (coefficient, index into those exponents) pair per column,
+    (0, 0) where b >= alpha fails.  Every column b is >= some alpha, as
+    order <= t, so the exponents are empty only when the columns are.
+
+    The bound: over more rounds than a 30 s benchmark run completes (800
+    of artinian_oracle, 400 of verdict_mix, seed 1) at most 166 keys
+    occur, which 256 entries hold.  An entry holds
+    C(order + nvars - 1, nvars - 1) pairs per column, at most 60 kB there
+    and about 2 MB for an order-7 point in P^3 at degree 16 (120 rows by
+    489 free columns), so the bound also caps the memory kept.
+    """
+    exponents = monomial_basis(t, nvars)
+    if columns is not None:
+        exponents = [exponents[k] for k in columns]
+    refs: dict[tuple[int, ...], int] = {}
+    rows = []
+    for alpha in monomial_basis(order, nvars):
+        row = []
+        for b in exponents:
+            gamma = tuple(map(sub, b, alpha))
+            if min(gamma) < 0:
+                row.append((0, 0))
+            else:
+                row.append((prod(map(perm, b, alpha)), refs.setdefault(gamma, len(refs))))
+        rows.append(tuple(row))
+    return tuple(refs), tuple(rows)
+
+
 def _point_condition_rows(
     coords: tuple[int, ...], mult: int, t: int, columns: Sequence[int] | None = None
 ) -> list[list[int]]:
     """All order-min(mult-1, t) derivative evaluations at one point.
 
     Each row has one entry per degree-t monomial, or per monomial at the
-    given basis indices when ``columns`` is set.
+    given basis indices when ``columns`` is set.  The cached
+    :func:`_stencil` holds each entry's coefficient and monomial of degree
+    t - order; the referenced monomials are evaluated at the point once,
+    and each entry is then one product.  Integer coordinates give Python
+    ``int`` entries.
     """
-    nvars = len(coords)
     order = min(mult - 1, t)
-    powers = [[1] * (t + 1) for _ in range(nvars)]
-    for j, c in enumerate(coords):
-        col = powers[j]
-        for k in range(1, t + 1):
-            col[k] = col[k - 1] * c
-
-    exponents = monomial_basis(t, nvars)
-    if columns is not None:
-        exponents = [exponents[k] for k in columns]
-    rows = []
-    for alpha in monomial_basis(order, nvars):
-        lut = []
-        for j, aj in enumerate(alpha):
-            col = [0] * (t + 1)
-            pj = powers[j]
-            for b in range(aj, t + 1):
-                col[b] = perm(b, aj) * pj[b - aj]
-            lut.append(col)
-        row = []
-        for beta in exponents:
-            v = 1
-            for j in range(nvars):
-                v *= lut[j][beta[j]]
-                if not v:
-                    break
-            row.append(v)
-        rows.append(row)
-    return rows
+    key = None if columns is None else tuple(columns)
+    refs, rows = _stencil(t, len(coords), order, key)
+    values = [prod(map(pow, coords, g)) for g in refs]
+    return [[k * values[i] for k, i in row] for row in rows]
 
 
 def condition_rows(z: FatPointScheme, t: int) -> list[list[int]]:
@@ -316,19 +350,24 @@ def simplex_frame(z: FatPointScheme) -> SimplexFrame:
     return _frame(z, [])
 
 
-def _free_columns(frame: SimplexFrame, t: int) -> list[int]:
+# typed, as monomial_basis: a float degree is its own miss and raises there
+@lru_cache(maxsize=256, typed=True)
+def _free_columns(t: int, nvars: int, vertices: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Basis indices of the degree-t monomials outside every vertex block.
 
-    The vertex rows span the unit vectors of the other columns, the union
-    U of the blocks, so the rank of any set of columns C of the condition
-    matrix is |U & C| plus the rank of the other points' rows on the free
-    columns in C.
+    Called with ``frame.n + 1`` and ``frame.vertices``.  The vertex rows
+    span the unit vectors of the other columns, the union U of the blocks,
+    so the rank of any set of columns C of the condition matrix is |U & C|
+    plus the rank of the other points' rows on the free columns in C.
+    The key holds the vertex multiplicities and no coordinates (see the
+    module docstring).  Over the rounds counted for :func:`_stencil` at
+    most 139 keys occur, so its bound holds them too.
     """
-    exponents = monomial_basis(t, frame.n + 1)
-    return [c for c, b in enumerate(exponents) if all(b[k] <= t - m for k, m in frame.vertices)]
+    exponents = monomial_basis(t, nvars)
+    return tuple(c for c, b in enumerate(exponents) if all(b[k] <= t - m for k, m in vertices))
 
 
-def _other_rows(frame: SimplexFrame, t: int, free: list[int]) -> list[list[int]]:
+def _other_rows(frame: SimplexFrame, t: int, free: tuple[int, ...]) -> list[list[int]]:
     rows: list[list[int]] = []
     for coords, m in frame.others:
         rows.extend(_point_condition_rows(coords, m, t, free))
@@ -341,7 +380,7 @@ def _frame_hilbert(frame: SimplexFrame, t: int) -> int:
     The monomials covered by the vertex points' rows are counted; only the
     other rows on the free columns are eliminated, mod p first (rank_rows).
     """
-    free = _free_columns(frame, t)
+    free = _free_columns(t, frame.n + 1, frame.vertices)
     covered = comb(t + frame.n, frame.n) - len(free)
     if not free or not frame.others:
         return covered
@@ -466,7 +505,7 @@ def _artinian_ranks(frame: SimplexFrame, t: int, low: int) -> tuple[int, int]:
     the other points' rows on their free columns.  The free columns from
     low on are a suffix of the free list.
     """
-    free = _free_columns(frame, t)
+    free = _free_columns(t, frame.n + 1, frame.vertices)
     split = bisect_left(free, low)
     covered = comb(t + frame.n, frame.n) - len(free)
     covered_high = covered - (low - split)
@@ -520,7 +559,7 @@ def _ideal_piece(frame: SimplexFrame, b: int, low: int) -> list[list]:
     The vectors stay lists: short tuples freed in bulk are kept on
     CPython's tuple free lists and raise the peak RSS.
     """
-    free = _free_columns(frame, b)
+    free = _free_columns(b, frame.n + 1, frame.vertices)
     split = bisect_left(free, low)
     if not frame.others:
         return [[int(c == free[f]) for c in range(low)] for f in range(split)]

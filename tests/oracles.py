@@ -3,14 +3,14 @@
 Each helper is a plain, slow route to a value that the package computes
 another way: span membership and span dimension by rank, matrix
 products in ``Fraction``s, forms as explicit coefficient vectors with
-products and evaluation, the full condition matrix and its kernel, a
-separating hyperplane read off a flat's normals, the canonical change of
-coordinates in ``Fraction``s, the single-group flat dimension by a
-downward scan of spans, the rank mod p of primitive rows by the list
-kernel that scales and updates whole rows, the spanned flats by one
-full-width elimination step per subset, a random point on a flat as a
-``Fraction`` combination of its reduced echelon basis.  None of them is
-called by the package itself.
+products and evaluation, the full condition matrix entry by entry and
+its kernel, a separating hyperplane read off a flat's normals, the
+canonical change of coordinates in ``Fraction``s, the single-group flat
+dimension by a downward scan of spans, the rank mod p of primitive rows
+by the list kernel that scales and updates whole rows, the spanned flats
+by one full-width elimination step per subset, a random point on a flat
+as a ``Fraction`` combination of its reduced echelon basis.  None of
+them is called by the package itself.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, perm
 from operator import mul
 from typing import Iterable, Sequence
 
 from fatpoints.constructions import _scan_avoiding
 from fatpoints.geometry import Flat, LinearForm, ProjPoint, flat_contains, frame_change
 from fatpoints.linalg import Matrix, kernel_basis, primitive_row, rank_rows
-from fatpoints.schemes import FatPointScheme, Form, condition_rows, monomial_basis
+from fatpoints.schemes import FatPointScheme, Form, monomial_basis
 
 Terms = dict[tuple[int, ...], Fraction]
 
@@ -292,9 +292,58 @@ def linear_form_to_form(coeffs: Sequence[Fraction]) -> Form:
 # condition matrices and ideals
 # ---------------------------------------------------------------------------
 
+def plain_point_condition_rows(
+    coords: Sequence[int], mult: int, t: int, columns: Sequence[int] | None = None
+) -> list[list[int]]:
+    """All order-min(mult-1, t) derivative evaluations at one point, entry by
+    entry: the product over the variables of b_j! / (b_j - alpha_j)! c_j^(b_j - alpha_j),
+    as the package built them before it read cached stencils."""
+    nvars = len(coords)
+    order = min(mult - 1, t)
+    powers = [[1] * (t + 1) for _ in range(nvars)]
+    for j, c in enumerate(coords):
+        col = powers[j]
+        for k in range(1, t + 1):
+            col[k] = col[k - 1] * c
+
+    exponents = monomial_basis(t, nvars)
+    if columns is not None:
+        exponents = [exponents[k] for k in columns]
+    rows = []
+    for alpha in monomial_basis(order, nvars):
+        lut = []
+        for j, aj in enumerate(alpha):
+            col = [0] * (t + 1)
+            pj = powers[j]
+            for b in range(aj, t + 1):
+                col[b] = perm(b, aj) * pj[b - aj]
+            lut.append(col)
+        row = []
+        for beta in exponents:
+            v = 1
+            for j in range(nvars):
+                v *= lut[j][beta[j]]
+                if not v:
+                    break
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+def plain_condition_rows(z: FatPointScheme, t: int) -> list[list[int]]:
+    """The degree-t condition matrix's rows, point by point, by
+    :func:`plain_point_condition_rows`."""
+    if t < 0:
+        raise ValueError("degree must be nonnegative")
+    rows: list[list[int]] = []
+    for p, m in zip(z.points, z.mults):
+        rows.extend(plain_point_condition_rows(p.rep, m, t))
+    return rows
+
+
 def condition_matrix(z: FatPointScheme, t: int) -> Matrix:
     """The degree-t derivative-vanishing matrix; its rank is H_Z(t)."""
-    return Matrix.from_rows(condition_rows(z, t))
+    return Matrix.from_rows(plain_condition_rows(z, t))
 
 
 def ideal_basis(z: FatPointScheme, t: int) -> list[Form]:

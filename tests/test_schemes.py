@@ -35,6 +35,7 @@ from oracles import (
     in_span,
     linear_form_to_form,
     monomial_form,
+    plain_condition_rows,
     random_invertible_change,
 )
 
@@ -263,7 +264,7 @@ def test_reduced_hilbert_matches_full_condition_matrix(z):
     n, e = z.n, multiplicity(z)
     t, reg = 0, None
     while reg is None or t <= reg + 1:
-        full = rank_rows(condition_rows(z, t), comb(t + n, n))
+        full = rank_rows(plain_condition_rows(z, t), comb(t + n, n))
         assert hilbert_function(z, t) == full
         if reg is None and full == e:
             reg = t
@@ -271,6 +272,18 @@ def test_reduced_hilbert_matches_full_condition_matrix(z):
     assert regularity_index(z) == reg
     with pytest.raises(ValueError):
         hilbert_function(z, -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fat_schemes(), st.integers(0, 7))
+@example(_scheme([(1, 2, 3)], [3]), 0)  # order 0 below the multiplicity
+@example(_scheme([(1, 0, -2), (0, 1, 1)], [3, 1]), 1)  # order capped at t
+def test_condition_rows_match_plain_rows(z, t):
+    """``condition_rows`` reads cached stencils; the oracle builds every entry
+    as a product over the variables.  Both give the same Python ints."""
+    rows = condition_rows(z, t)
+    assert rows == plain_condition_rows(z, t)
+    assert all(type(x) is int for row in rows for x in row)
 
 
 def _regularity_from_max_multiplicity(z):
@@ -589,7 +602,7 @@ def _reference_artinian_regularity(j, p, a):
     """Scan from degree 0 with the high columns listed by exponent."""
     moved = j.transform(coordinate_change_to_origin(p))
     for t in range(sum(j.mults) + a + 1):
-        rows = condition_rows(moved, t)
+        rows = plain_condition_rows(moved, t)
         basis = monomial_basis(t, j.n + 1)
         high = [k for k, e in enumerate(basis) if t - e[0] >= a]
         sub = rank_rows([[row[k] for k in high] for row in rows], len(high)) if high else 0
