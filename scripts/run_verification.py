@@ -46,7 +46,7 @@ from fatpoints.constructions import (
     verify_certificate,
 )
 from fatpoints.generators import PatternSpec
-from fatpoints.geometry import ProjPoint, degeneracy_index
+from fatpoints.geometry import ProjPoint, degeneracy_of
 from fatpoints.harness import batch_check
 from fatpoints.schemes import (
     FatPointScheme,
@@ -129,7 +129,7 @@ def segre_flats_battery(name, trials, base_seed):
             None,
         )
         got = [(e.total_mult, e.value) for e in segre_bound(z).entries]
-        if got != want or degeneracy_index(pts) != degeneracy:
+        if got != want or degeneracy_of(z.flats) != degeneracy:
             failures += 1
             print(f"    segre flats failed: seed={base_seed + trial}")
     elapsed = time.time() - t0

@@ -11,16 +11,21 @@ normals.  Every canonical ``Fraction`` row (of :func:`rref`,
 a positive divisor, in :func:`_fraction_rows`.  Pivots are chosen
 deterministically: leftmost nonzero column, first nonzero row.
 
-Every rank is decided in :func:`rank_rows`, by rational elimination
-unless the caller, which expects full rank, passes ``modular=True``.
-Then the caller's rows are first read modulo ``MODULAR_PRIME``: an
-integer x as x mod p, a rational a/b as a b^-1 mod p, the ring map from
-the rationals with denominator prime to p onto F_p, which can only lower
-a rank.  When that rank equals min(rows, cols) it is reported: a
-full-size minor that is nonzero mod p is nonzero over Q, and no rank
-exceeds min(rows, cols).  Every other case, a row with a denominator
-divisible by p among them, is decided by rational elimination on
-primitive rows, and a modular rank that differs from it is counted and
+The exact rank of a caller's rows is read off one fraction-free
+forward pass over the rows made primitive, in :func:`_pivot_columns`:
+the pivot count is the rank, and the pivots among the first h columns
+are the rank of those columns.  Ranks are asked of :func:`rank_rows`,
+which runs that pass unless the caller, which expects full rank, passes
+``modular=True``; only the artinian reductions of
+:mod:`fatpoints.schemes` call the pass directly, to read two ranks off
+it.  With ``modular=True`` the caller's rows are first read modulo
+``MODULAR_PRIME``: an integer x as x mod p, a rational a/b as a b^-1
+mod p, the ring map from the rationals with denominator prime to p onto
+F_p, which can only lower a rank.  When that rank equals
+min(rows, cols) it is reported: a full-size minor that is nonzero mod p
+is nonzero over Q, and no rank exceeds min(rows, cols).  Every other
+case, a row with a denominator divisible by p among them, is decided by
+the exact pass, and a modular rank that differs from it is counted and
 logged, so a reported rank never depends on trusting a prime.
 """
 
@@ -165,6 +170,18 @@ def _bareiss_forward(m: list[list], ncols: int) -> list[int]:
         pivot_cols.append(c)
         piv += 1
     return pivot_cols
+
+
+def _pivot_columns(rows: Sequence[Sequence], ncols: int) -> list[int]:
+    """Pivot columns of the forward pass over the caller's rows made primitive.
+
+    Each step of the pass is a row operation, which keeps the rank of the
+    rows cut to their first h entries, and once the pass is past column
+    h - 1 those cut rows are in echelon form, one nonzero row per pivot.
+    So ``bisect_left(pivots, h)``, the pivots below h, is that rank, and
+    ``len(pivots)`` the rank of the rows.
+    """
+    return _bareiss_forward([primitive_row(row) for row in rows], ncols)
 
 
 def _annihilator_step(rows: list[list[int]], prev: int, q: int) -> tuple[list[list[int]], int]:
@@ -385,7 +402,7 @@ def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool = False) ->
             _bump("short_circuits")
             return rp
         _bump("fallbacks")
-    true_rank = len(_bareiss_forward([primitive_row(row) for row in rows], ncols))
+    true_rank = len(_pivot_columns(rows, ncols))
     if rp is not None and rp != true_rank:
         _bump("disagreements")
         _LOG.warning(

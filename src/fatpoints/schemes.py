@@ -30,7 +30,10 @@ The artinian reductions at a point p use the same frame with p sent to
 e_0 first and up to n points of the scheme, heaviest first, on e_1, ...
 In it the monomials of order <= i at p are a prefix of the basis, and
 only the non-vertex points' rows on the columns outside the vertex
-blocks are built and eliminated.
+blocks are built and eliminated.  The two ranks of a degree, on all
+columns and on those of order >= a at p, come from one forward pass
+over these rows with the free columns of order >= a put first: its
+pivots among them are their rank.
 
 The regularity index is computed in the span P^d of the points.  The
 simplex frame puts d+1 independent points on e_0, ..., e_d, so every
@@ -94,7 +97,7 @@ from fatpoints.geometry import (
     spanned_flats,
     transform_points,
 )
-from fatpoints.linalg import _echelon, integer_kernel, rank_rows
+from fatpoints.linalg import _echelon, _pivot_columns, integer_kernel, rank_rows
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +506,10 @@ def _artinian_ranks(frame: SimplexFrame, t: int, low: int) -> tuple[int, int]:
 
     Both are the vertex-covered count of those columns plus the rank of
     the other points' rows on their free columns.  The free columns from
-    low on are a suffix of the free list.
+    low on are a suffix of the free list, so each row is rotated to put
+    them first, and one forward pass answers both: its pivots count the
+    rank on all free columns, and those among the first len(free) - split
+    columns the rank on the suffix (see :func:`fatpoints.linalg._pivot_columns`).
     """
     free = _free_columns(t, frame.n + 1, frame.vertices)
     split = bisect_left(free, low)
@@ -511,12 +517,9 @@ def _artinian_ranks(frame: SimplexFrame, t: int, low: int) -> tuple[int, int]:
     covered_high = covered - (low - split)
     if not free or not frame.others:
         return covered, covered_high
-    rows = _other_rows(frame, t, free)
-    ncols = len(free)
-    return (
-        covered + rank_rows(rows, ncols),
-        covered_high + rank_rows([row[split:] for row in rows], ncols - split),
-    )
+    rows = [row[split:] + row[:split] for row in _other_rows(frame, t, free)]
+    pivots = _pivot_columns(rows, len(free))
+    return covered + len(pivots), covered_high + bisect_left(pivots, len(free) - split)
 
 
 # typed: a call with a = 2.0 is its own miss, so it raises as it did uncached
@@ -531,7 +534,8 @@ def artinian_quotient_regularity(j: FatPointScheme, p: ProjPoint, a: int) -> int
     monomials of order >= a at p, the basis from index C(a-1+n, n) on.
     Both ranks are invariant under changes of coordinates fixing p, so
     they are computed in the frame that also puts up to n points of the
-    scheme on the other vertices (see :func:`_artinian_ranks`).
+    scheme on the other vertices, both off one exact forward pass per
+    degree (see :func:`_artinian_ranks`).
 
     The quotient maps onto the quotient by q's m-th power plus p's a-th
     power for each point q of multiplicity m, which is nonzero up to

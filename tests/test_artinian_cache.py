@@ -154,3 +154,39 @@ def test_one_removal_builds_one_origin_frame_and_one_scan(monkeypatch):
     assert len(leading_calls) == 1
     info = artinian_quotient_regularity.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "n, points, mults, p, a",
+    [
+        (2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], (2, 2, 2), (1, 2, 3), 2),
+        (2, [(0, 1, 0), (0, 0, 1)], (3, 1), (1, 1, 1), 2),
+        (3, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)], (2, 3, 1, 2, 2), (1, 2, 3, 5), 3),
+        (1, [(0, 1)], (4,), (1, 1), 3),
+        (1, [(0, 1), (1, 2), (2, 1)], (2, 3, 1), (1, 1), 2),
+    ],
+)
+def test_the_artinian_scan_takes_one_pass_per_degree(monkeypatch, n, points, mults, p, a):
+    """No ``rank_rows`` call, and at most one forward pass per degree scanned,
+    none when every point of the scheme sits on a vertex of the origin frame."""
+    j = FatPointScheme(n, tuple(ProjPoint(q) for q in points), mults)
+    q = ProjPoint(p)
+    calls = {"rank_rows": 0, "passes": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(schemes, "rank_rows", counted("rank_rows", schemes.rank_rows))
+    monkeypatch.setattr(schemes, "_pivot_columns", counted("passes", schemes._pivot_columns))
+    _cold()
+    b = artinian_quotient_regularity(j, q, a)
+    degrees = b - (a + max(mults) - 1) + 1
+    assert calls["rank_rows"] == 0
+    if _origin_frame(j, q).others:
+        assert 1 <= calls["passes"] <= degrees
+    else:
+        assert calls["passes"] == 0

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -13,6 +14,7 @@ from fatpoints.linalg import (
     MODULAR_PRIME,
     Matrix,
     _echelon,
+    _pivot_columns,
     _rank_mod,
     kernel_basis,
     modular_stats,
@@ -451,6 +453,39 @@ def test_rank_rows_filter_matches_plain_elimination():
     stats = modular_stats()
     assert stats["short_circuits"] > 0
     assert stats["fallbacks"] > 0
+
+
+#: mostly 0, else an integer or a Fraction in -3..3
+sparse_entry_st = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+
+@st.composite
+def pivot_cases(draw):
+    """0..8 rows of 0..10 sparse entries, some of them repeated rows or zero rows."""
+    ncols = draw(st.integers(min_value=0, max_value=10))
+    rows = draw(st.lists(st.lists(sparse_entry_st, min_size=ncols, max_size=ncols), max_size=8))
+    for k in draw(st.lists(st.one_of(st.none(), st.integers(0, 7)), max_size=8 - len(rows))):
+        rows.append(list(rows[k % len(rows)]) if k is not None and rows else [0] * ncols)
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_cases())
+@example(([[0, 1], [0, 2], [1, 0]], 2))  # the first column's pivot is the last row
+@example(([[], []], 0))
+def test_pivots_among_the_leading_columns_count_their_rank(case):
+    # the identity that lets one forward pass give both artinian ranks
+    rows, ncols = case
+    pivots = _pivot_columns(rows, ncols)
+    assert len(pivots) == rank_rows(rows, ncols)
+    for h in range(ncols + 1):
+        assert bisect_left(pivots, h) == rank_rows([row[:h] for row in rows], h)
 
 
 # ---------------------------------------------------------------------------
