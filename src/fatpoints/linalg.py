@@ -26,7 +26,11 @@ min(rows, cols) it is reported: a full-size minor that is nonzero mod p
 is nonzero over Q, and no rank exceeds min(rows, cols).  Every other
 case, a row with a denominator divisible by p among them, is decided by
 the exact pass, and a modular rank that differs from it is counted and
-logged, so a reported rank never depends on trusting a prime.
+logged, so a reported rank never depends on trusting a prime.  The two
+halves are :func:`modular_rank`, the mod-p question, and
+:func:`exact_rank`, the exact finish; ``rank_rows(modular=True)`` asks
+them in sequence.  The regularity scan of :mod:`fatpoints.schemes` asks
+them apart, since a degree below its proven lower bound needs no finish.
 """
 
 from __future__ import annotations
@@ -382,26 +386,29 @@ def _bump(key: str) -> None:
         _stats[key] += 1
 
 
-def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool = False) -> int:
-    """Exact rank of a list of integer (or rational) rows of ncols entries each.
+def modular_rank(rows: Sequence[Sequence], ncols: int) -> int | None:
+    """The mod-p question of :func:`rank_rows`: the rank of the rows' residues.
 
-    By fraction-free elimination on primitive rows.  A caller that
-    expects full rank passes ``modular=True``: then the rank of the rows'
-    residues mod ``MODULAR_PRIME``, if it equals min(rows, cols), is
-    returned as is, since it is a lower bound that meets the upper one,
-    and no primitive row is made.  Otherwise elimination decides, and a
-    differing modular rank is counted and logged.  A row of another
-    length raises ``ValueError``.
+    Read modulo ``MODULAR_PRIME``, it is a lower bound of the rank, and
+    it is the rank when it equals min(rows, cols); that case is counted
+    in ``short_circuits``.  None when a denominator is divisible by p.
+    Any other answer is settled by :func:`exact_rank`, or by a proven
+    bound of the caller's (see :func:`fatpoints.schemes.regularity_index`).
     """
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("dimension mismatch")
-    rp = None
-    if modular:
-        rp = _rank_mod(rows, ncols, MODULAR_PRIME)
-        if rp == min(len(rows), ncols):
-            _bump("short_circuits")
-            return rp
-        _bump("fallbacks")
+    rp = _rank_mod(rows, ncols, MODULAR_PRIME)
+    if rp == min(len(rows), ncols):
+        _bump("short_circuits")
+    return rp
+
+
+def exact_rank(rows: Sequence[Sequence], ncols: int, rp: int | None) -> int:
+    """The exact finish of a modular question that did not prove the rank.
+
+    One forward pass over the rows made primitive, counted in
+    ``fallbacks``; a modular rank rp that differs from its answer is
+    counted in ``disagreements`` and logged.
+    """
+    _bump("fallbacks")
     true_rank = len(_pivot_columns(rows, ncols))
     if rp is not None and rp != true_rank:
         _bump("disagreements")
@@ -415,3 +422,24 @@ def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool = False) ->
             ncols,
         )
     return true_rank
+
+
+def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool = False) -> int:
+    """Exact rank of a list of integer (or rational) rows of ncols entries each.
+
+    By fraction-free elimination on primitive rows.  A caller that
+    expects full rank passes ``modular=True``: then the mod-p question
+    (:func:`modular_rank`) is asked first, and its rank, if it equals
+    min(rows, cols), is returned as is, since it is a lower bound that
+    meets the upper one, and no primitive row is made.  Otherwise the
+    exact finish (:func:`exact_rank`) decides.  A row of another length
+    raises ``ValueError``.
+    """
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("dimension mismatch")
+    if not modular:
+        return len(_pivot_columns(rows, ncols))
+    rp = modular_rank(rows, ncols)
+    if rp == min(len(rows), ncols):
+        return rp
+    return exact_rank(rows, ncols, rp)

@@ -41,7 +41,15 @@ other point has zero coordinates beyond index d, and the frame's
 coordinates cut to their first d+1 entries are the scheme in P^d.  The
 regularity index does not depend on the ambient space (see
 :func:`regularity_index`), so the scan counts the degree-t monomials in
-d+1 variables, not n+1.
+d+1 variables, not n+1.  Each degree of the scan asks the mod-p question
+first.  On its first "no" the scan computes the curve lower bound L of
+:func:`curve_lower_bound` from the scheme's flats: a rational normal
+curve through the points of a line, or through at most d+3 points in
+general position in P^d, meets the scheme in a divisor whose Hilbert
+function is known.  Every degree below L is then a proven "no", so the
+scan jumps to L with no elimination, and at L and above an exact pass
+finishes each mod-p "no".  A scan whose first degree is a "yes" never
+enumerates the flats.
 
 Frames are applied in integers: :func:`fatpoints.geometry.transform_points`
 moves the non-vertex points by the rows D E of
@@ -93,11 +101,19 @@ from typing import Sequence
 from fatpoints.geometry import (
     ProjPoint,
     SpannedFlat,
+    degeneracy_of,
     frame_change,
     spanned_flats,
     transform_points,
 )
-from fatpoints.linalg import _echelon, _pivot_columns, integer_kernel, rank_rows
+from fatpoints.linalg import (
+    _echelon,
+    _pivot_columns,
+    exact_rank,
+    integer_kernel,
+    modular_rank,
+    rank_rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +419,33 @@ def hilbert_function(z: FatPointScheme, t: int) -> int:
     return _frame_hilbert(z.frame, t)
 
 
+def curve_lower_bound(z: FatPointScheme) -> int:
+    """The curve lower bound L <= reg(Z), read off the scheme's flats.
+
+    The largest of max(m_i) - 1, the regularity index of the heaviest
+    point; W - 1 over every listed line, W the multiplicity sum of the
+    points on it; and ceil((sum m_i - 1)/d) when the points span P^d,
+    d >= 2, with s <= d+3 and no h-flat, h < d, holding h+2 of them.
+
+    Proof: the points of a line, or of such a span, lie on a rational
+    normal curve C of degree j (j = 1, or j = d and s <= d+3 points in
+    linear general position).  Z n C is a subscheme of Z and a divisor of
+    degree W on C = P^1.  C is projectively normal, so
+    H_{Z n C}(t) = min(jt + 1, W).  H_Z(t) = e forces H_Y(t) = e(Y) for
+    every subscheme Y, so reg(Z) >= ceil((W - 1)/j).  The line term
+    generalises m_1 + m_2 - 1, the two heaviest points' line.
+    """
+    flats = z.flats
+    bound = max(z.mults) - 1
+    for dim, witness in flats:
+        if dim == 1:
+            bound = max(bound, sum(z.mults[i] for i in witness) - 1)
+    d = flats[-1][0]
+    if d >= 2 and z.size <= d + 3 and degeneracy_of(flats) is None:
+        bound = max(bound, -(-(sum(z.mults) - 1) // d))
+    return bound
+
+
 # reg(Z) is reused only across the removals of one scheme, which run back to
 # back; a larger cache only keeps schemes alive.  The artinian caches below
 # are bounded at 64 for the same reason (see the module docstring).
@@ -441,7 +484,18 @@ def regularity_index(z: FatPointScheme) -> int:
     Every degree of the scan is computed in the one frame, as in
     :func:`hilbert_function`.  From both bounds on, the vertex blocks are
     disjoint and the other rows fit in the free columns, so H(t) = e asks
-    for full row rank, which the mod-p pass of :func:`rank_rows` proves.
+    for full row rank, which the mod-p question of
+    :func:`fatpoints.linalg.modular_rank` proves.
+
+    A mod-p "no" proves nothing, so on the first one the scan computes
+    the curve lower bound L of :func:`curve_lower_bound`, once.  Every
+    degree below L is a proven "no", so the scan jumps to L with no
+    elimination; at L and above a mod-p "no" goes to the exact finish
+    (:func:`fatpoints.linalg.exact_rank`), as in
+    ``rank_rows(modular=True)``.  L reads ``z.flats``, so it is left
+    until a "no" asks for it: a scan whose first degree is a "yes"
+    enumerates no flats.
+
     A single point is d = 0, where the scan returns m - 1; points that
     span P^n are d = n, where the cut keeps every coordinate.  A hard cap
     at sum(m_i) - 1 guards against bugs; it is mathematically unreachable.
@@ -455,10 +509,23 @@ def regularity_index(z: FatPointScheme) -> int:
     t = sum(heaviest) - 1
     while comb(t + d, d) < e:
         t += 1
+    if not frame.others:  # the disjoint vertex blocks alone cover e monomials
+        return t
+    bound = None
     while t <= cap:
-        if _frame_hilbert(frame, t) == e:
+        free = _free_columns(t, d + 1, frame.vertices)
+        rows = _other_rows(frame, t, free)
+        rp = modular_rank(rows, len(free))
+        if rp == len(rows):
             return t
-        t += 1
+        if bound is None:
+            bound = curve_lower_bound(z)
+        if t < bound:
+            t = bound
+        elif exact_rank(rows, len(free), rp) == len(rows):
+            return t
+        else:
+            t += 1
     raise RuntimeError("regularity search passed its cap; this indicates a bug")
 
 

@@ -9,8 +9,10 @@ canonical change of coordinates in ``Fraction``s, the single-group flat
 dimension by a downward scan of spans, the rank mod p of primitive rows
 by the list kernel that scales and updates whole rows, the spanned flats
 by one full-width elimination step per subset, a random point on a flat
-as a ``Fraction`` combination of its reduced echelon basis.  None of
-them is called by the package itself.
+as a ``Fraction`` combination of its reduced echelon basis, the
+regularity index by a scan of ``hilbert_function`` from max(m_i) - 1
+with no lower bound read off the flats.  None of them is called by the
+package itself.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Sequence
 from fatpoints.constructions import _scan_avoiding
 from fatpoints.geometry import Flat, LinearForm, ProjPoint, flat_contains, frame_change
 from fatpoints.linalg import Matrix, kernel_basis, primitive_row, rank_rows
-from fatpoints.schemes import FatPointScheme, Form, monomial_basis
+from fatpoints.schemes import FatPointScheme, Form, hilbert_function, monomial_basis, multiplicity
 
 Terms = dict[tuple[int, ...], Fraction]
 
@@ -349,3 +351,13 @@ def condition_matrix(z: FatPointScheme, t: int) -> Matrix:
 def ideal_basis(z: FatPointScheme, t: int) -> list[Form]:
     """Basis of the degree-t forms vanishing to the scheme's orders."""
     return [Form(t, z.n + 1, vec) for vec in kernel_basis(condition_matrix(z, t))]
+
+
+def plain_regularity_index(z: FatPointScheme) -> int:
+    """The regularity index by a scan of ``hilbert_function`` from
+    max(m_i) - 1, the regularity index of the heaviest point: no bound read
+    off the scheme's flats, and every degree decided by its own rank."""
+    e, t = multiplicity(z), max(z.mults) - 1
+    while hilbert_function(z, t) != e:
+        t += 1
+    return t

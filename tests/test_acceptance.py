@@ -83,6 +83,11 @@ def test_criterion_1_lemma24_equality():
             assert v.reg == v.bound, (
                 f"trial {trial}: reg {v.reg} != bound {v.bound} (n={n}, s={s}, mults={mults})"
             )
+            # reg's curve bound and the Segre bound read the same flats, so
+            # tightness is also checked without them: H(reg - 1) < e by elimination
+            assert hilbert_function(z, v.reg - 1) < multiplicity(z), (
+                f"trial {trial}: H({v.reg - 1}) reaches e (n={n}, s={s}, mults={mults})"
+            )
             tight += 1
         assert tight == 100
 

@@ -1,8 +1,11 @@
 """Which rank path answers: the question asked.
 
-The Hilbert function in the simplex frame (``hilbert_function`` and the
-``regularity_index`` scan) is the only caller that passes ``modular=True``
-to ``rank_rows``; every other rank is rational.
+``hilbert_function`` is the only caller that passes ``modular=True`` to
+``rank_rows``, the mod-p question and then the exact finish; every other
+rank is rational.  The ``regularity_index`` scan asks the two halves
+apart: a mod-p "no" below the curve lower bound L is a proven "no" that
+no elimination finishes, and L is computed, from the scheme's flats, only
+once such a "no" asks for it.
 """
 
 import logging
@@ -56,3 +59,24 @@ def test_ranks_are_rational_unless_the_caller_asks():
     regularity_index.cache_clear()
     assert regularity_index(z) == 4
     assert modular_stats()["short_circuits"] >= 1
+
+
+def test_a_scan_answered_at_its_start_enumerates_no_flats():
+    z = _scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)])
+    regularity_index.cache_clear()
+    reset_modular_stats()
+    assert regularity_index(z) == 4
+    assert modular_stats()["short_circuits"] == 1
+    assert "flats" not in z.__dict__
+
+
+def test_degrees_below_the_curve_bound_take_no_elimination():
+    # three of the double points lie on a line, so L = 6 - 1 = 5 = reg: the
+    # mod-p "no" at t0 = 4 is settled by L and bumps no counter
+    z = _scheme([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    regularity_index.cache_clear()
+    reset_modular_stats()
+    assert regularity_index(z) == 5
+    assert modular_stats() == {"short_circuits": 1, "certified": 0, "fallbacks": 0, "disagreements": 0}
+    assert "flats" in z.__dict__
+    assert _hilbert_scan(z) == 5

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from fatpoints import schemes
 from fatpoints.geometry import ProjPoint, span
-from fatpoints.linalg import Matrix, kernel_basis, rank_rows
+from fatpoints.linalg import MODULAR_PRIME, Matrix, kernel_basis, rank_rows
 from fatpoints.schemes import (
     FatPointScheme,
     Form,
     artinian_quotient_regularity,
     condition_rows,
+    curve_lower_bound,
     hilbert_function,
     in_fat_ideal,
     monomial_basis,
@@ -36,6 +37,7 @@ from oracles import (
     linear_form_to_form,
     monomial_form,
     plain_condition_rows,
+    plain_regularity_index,
     random_invertible_change,
 )
 
@@ -286,14 +288,6 @@ def test_condition_rows_match_plain_rows(z, t):
     assert all(type(x) is int for row in rows for x in row)
 
 
-def _regularity_from_max_multiplicity(z):
-    """The regularity scan started at max(m_i) - 1."""
-    e, t = multiplicity(z), max(z.mults) - 1
-    while hilbert_function(z, t) != e:
-        t += 1
-    return t
-
-
 @settings(max_examples=120, deadline=None)
 @given(fat_schemes())
 @example(_scheme([(1, 2, 3)], [3]))  # s = 1
@@ -301,10 +295,24 @@ def _regularity_from_max_multiplicity(z):
 @example(_scheme([(1, 0, 0), (0, 1, 0)], [3, 1]))  # two points: reg m_1 + m_2 - 1
 @example(_scheme([(1, 0), (0, 1), (1, 1), (1, 2)], [1, 1, 1, 1]))  # C(t+n, n) >= e decides
 @example(_scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)], [2, 2, 2, 2, 2]))
+# five points on a line and one off it: the line term 9 - 1 = 8 is above t0 = 4
+@example(_scheme([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (1, -1, 0), (0, 0, 1)], [3, 1, 2, 1, 2, 1]))
+# d+3 general points: the span term ceil(19/2) = 10 in P^2, ceil(23/3) = 8 in P^3, one above t0
+@example(_scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)], [4] * 5))
+@example(_scheme([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1), (1, 2, 3, 4)], [4] * 6))
+# d+4 general points lie on no conic, so the span term ceil(5/2) = 3 must not apply: reg 2
+@example(_scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, -1), (1, -1, 2)], [1] * 6))
+# prop43-type: three of six points on a line, so the span term does not apply; the line's 8 does
+@example(_scheme([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 2, 3, 4)], [3] * 6))
+# (P0 : 1 : 1) is (0 : 1 : 1) mod P0: its "no" at t0 = L = 4 goes to the exact finish
+@example(_scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1), (MODULAR_PRIME, 1, 1)], [2] * 4))
 def test_regularity_scan_start_is_a_lower_bound(z):
-    """The scan from max(m_1 + m_2 - 1, least t with C(t+n, n) >= e) finds
-    what the scan from max(m_i) - 1 finds."""
-    assert regularity_index(z) == _regularity_from_max_multiplicity(z)
+    """The scan from max(m_1 + m_2 - 1, least t with C(t+n, n) >= e), with its
+    jump to the curve bound L, finds what the plain scan from max(m_i) - 1
+    finds, and L never exceeds it."""
+    reg = plain_regularity_index(z)
+    assert curve_lower_bound(z) <= reg
+    assert regularity_index(z) == reg
 
 
 def test_the_scheme_finds_its_frame_once(monkeypatch):
