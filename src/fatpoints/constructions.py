@@ -454,8 +454,9 @@ def verify_certificate(
     hyperplane misses p, and each hyperplane product times its monomial
     vanishes to the scheme's orders.  A singular change, such as one that
     sends a point to zero or merges two, or one that is not n+1 rows of
-    n+1 integers, makes the certificate invalid and raises nothing.  The
-    last check expands nothing.  In the local ring at a moved point q the
+    n+1 integers, makes the certificate invalid and raises nothing.
+    Invertibility is one :func:`fatpoints.linalg.rank_rows`, which a full
+    rank mod p settles with no exact pass.  The last check expands nothing.  In the local ring at a moved point q the
     order of vanishing is a valuation, so
     ord_q(fg) = ord_q f + ord_q g, and a linear form (X_k among them) has
     order 1 at q if it vanishes there and 0 otherwise.  The product's order

@@ -15,22 +15,20 @@ The exact rank of a caller's rows is read off one fraction-free
 forward pass over the rows made primitive, in :func:`_pivot_columns`:
 the pivot count is the rank, and the pivots among the first h columns
 are the rank of those columns.  Ranks are asked of :func:`rank_rows`,
-which runs that pass unless the caller, which expects full rank, passes
-``modular=True``; only the artinian reductions of
-:mod:`fatpoints.schemes` call the pass directly, to read two ranks off
-it.  With ``modular=True`` the caller's rows are first read modulo
-``MODULAR_PRIME``: an integer x as x mod p, a rational a/b as a b^-1
-mod p, the ring map from the rationals with denominator prime to p onto
-F_p, which can only lower a rank.  When that rank equals
+which applies one rule to every caller: the rows are first read modulo
+``MODULAR_PRIME``, an integer x as x mod p and a rational a/b as
+a b^-1 mod p, the ring map from the rationals with denominator prime to
+p onto F_p, which can only lower a rank.  When that rank equals
 min(rows, cols) it is reported: a full-size minor that is nonzero mod p
 is nonzero over Q, and no rank exceeds min(rows, cols).  Every other
 case, a row with a denominator divisible by p among them, is decided by
 the exact pass, and a modular rank that differs from it is counted and
-logged, so a reported rank never depends on trusting a prime.  The two
-halves are :func:`modular_rank`, the mod-p question, and
-:func:`exact_rank`, the exact finish; ``rank_rows(modular=True)`` asks
-them in sequence.  The regularity scan of :mod:`fatpoints.schemes` asks
-them apart, since a degree below its proven lower bound needs no finish.
+logged, so a reported rank never depends on trusting a prime.  The
+mod-p question alone is :func:`modular_rank`, a lower bound, for a
+caller that settles its "no" by a proof of its own: the regularity scan
+of :mod:`fatpoints.schemes` asks it at its first degree.  Only the
+artinian reductions call the exact pass directly, to read two ranks
+off it.
 """
 
 from __future__ import annotations
@@ -355,19 +353,19 @@ _stats = {"short_circuits": 0, "certified": 0, "fallbacks": 0, "disagreements": 
 
 
 def set_modular_filter(enabled: bool) -> None:
-    """Does nothing: the caller's question picks the rank path (see :func:`rank_rows`).
+    """Does nothing: every rank takes the one rule of :func:`rank_rows`.
 
     Kept only because the benchmark worker, ``perfbench/worker.py``, still
-    calls it; it goes when the benchmark stops calling it (ROADMAP item 1).
+    calls it; it goes when the benchmark stops calling it (ROADMAP item 3).
     """
 
 
 def modular_stats() -> dict[str, int]:
-    """Snapshot of filter activity counters (for diagnostics and tests).
+    """Snapshot of the rank path counters (for diagnostics and tests).
 
-    ``short_circuits`` counts filtered ranks settled by the full-rank
-    rule, ``fallbacks`` those decided by rational elimination, and
-    ``disagreements`` the fallbacks whose modular rank differed.
+    ``short_circuits`` counts mod-p ranks settled by the full-rank rule,
+    ``fallbacks`` the ranks of :func:`rank_rows` decided by the exact
+    pass, and ``disagreements`` the fallbacks whose modular rank differed.
     ``certified`` is kept for readers of the snapshot and stays 0: no
     rank is accepted on a modular certificate.
     """
@@ -387,13 +385,15 @@ def _bump(key: str) -> None:
 
 
 def modular_rank(rows: Sequence[Sequence], ncols: int) -> int | None:
-    """The mod-p question of :func:`rank_rows`: the rank of the rows' residues.
+    """The rank of the rows' residues modulo ``MODULAR_PRIME``: a lower bound of the rank.
 
-    Read modulo ``MODULAR_PRIME``, it is a lower bound of the rank, and
-    it is the rank when it equals min(rows, cols); that case is counted
+    It is the rank when it equals min(rows, cols); that case is counted
     in ``short_circuits``.  None when a denominator is divisible by p.
-    Any other answer is settled by :func:`exact_rank`, or by a proven
-    bound of the caller's (see :func:`fatpoints.schemes.regularity_index`).
+    Any other answer proves nothing on its own: :func:`rank_rows`
+    finishes it exactly.  The regularity scan asks it alone at its first
+    degree, where a "no" is settled by a proven bound of the scan's or
+    asked again of :func:`rank_rows` (see
+    :func:`fatpoints.schemes.regularity_index`).
     """
     rp = _rank_mod(rows, ncols, MODULAR_PRIME)
     if rp == min(len(rows), ncols):
@@ -401,13 +401,22 @@ def modular_rank(rows: Sequence[Sequence], ncols: int) -> int | None:
     return rp
 
 
-def exact_rank(rows: Sequence[Sequence], ncols: int, rp: int | None) -> int:
-    """The exact finish of a modular question that did not prove the rank.
+def rank_rows(rows: Sequence[Sequence], ncols: int) -> int:
+    """Exact rank of a list of integer (or rational) rows of ncols entries each.
 
-    One forward pass over the rows made primitive, counted in
-    ``fallbacks``; a modular rank rp that differs from its answer is
-    counted in ``disagreements`` and logged.
+    The mod-p question (:func:`modular_rank`) is asked first, and its
+    rank, if it equals min(rows, cols), is returned as is, since it is a
+    lower bound that meets the upper one, and no primitive row is made.
+    Otherwise one fraction-free pass over the rows made primitive
+    decides, counted in ``fallbacks``; a modular rank that differs from
+    its answer is counted in ``disagreements`` and logged.  A row of
+    another length raises ``ValueError``.
     """
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("dimension mismatch")
+    rp = modular_rank(rows, ncols)
+    if rp == min(len(rows), ncols):
+        return rp
     _bump("fallbacks")
     true_rank = len(_pivot_columns(rows, ncols))
     if rp is not None and rp != true_rank:
@@ -422,24 +431,3 @@ def exact_rank(rows: Sequence[Sequence], ncols: int, rp: int | None) -> int:
             ncols,
         )
     return true_rank
-
-
-def rank_rows(rows: Sequence[Sequence], ncols: int, *, modular: bool = False) -> int:
-    """Exact rank of a list of integer (or rational) rows of ncols entries each.
-
-    By fraction-free elimination on primitive rows.  A caller that
-    expects full rank passes ``modular=True``: then the mod-p question
-    (:func:`modular_rank`) is asked first, and its rank, if it equals
-    min(rows, cols), is returned as is, since it is a lower bound that
-    meets the upper one, and no primitive row is made.  Otherwise the
-    exact finish (:func:`exact_rank`) decides.  A row of another length
-    raises ``ValueError``.
-    """
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("dimension mismatch")
-    if not modular:
-        return len(_pivot_columns(rows, ncols))
-    rp = modular_rank(rows, ncols)
-    if rp == min(len(rows), ncols):
-        return rp
-    return exact_rank(rows, ncols, rp)

@@ -41,15 +41,15 @@ other point has zero coordinates beyond index d, and the frame's
 coordinates cut to their first d+1 entries are the scheme in P^d.  The
 regularity index does not depend on the ambient space (see
 :func:`regularity_index`), so the scan counts the degree-t monomials in
-d+1 variables, not n+1.  Each degree of the scan asks the mod-p question
-first.  On its first "no" the scan computes the curve lower bound L of
+d+1 variables, not n+1.  The scan asks its first degree the mod-p
+question alone.  On a "no" it computes the curve lower bound L of
 :func:`curve_lower_bound` from the scheme's flats: a rational normal
 curve through the points of a line, or through at most d+3 points in
 general position in P^d, meets the scheme in a divisor whose Hilbert
 function is known.  Every degree below L is then a proven "no", so the
-scan jumps to L with no elimination, and at L and above an exact pass
-finishes each mod-p "no".  A scan whose first degree is a "yes" never
-enumerates the flats.
+scan goes on from L, or from its first degree if that is larger, and
+asks :func:`fatpoints.linalg.rank_rows` at each degree.  A scan whose
+first degree is a "yes" never enumerates the flats.
 
 Frames are applied in integers: :func:`fatpoints.geometry.transform_points`
 moves the non-vertex points by the rows D E of
@@ -109,7 +109,6 @@ from fatpoints.geometry import (
 from fatpoints.linalg import (
     _echelon,
     _pivot_columns,
-    exact_rank,
     integer_kernel,
     modular_rank,
     rank_rows,
@@ -397,13 +396,13 @@ def _frame_hilbert(frame: SimplexFrame, t: int) -> int:
     """H(t) of the frame's points in P^frame.n: the covered monomials plus a rank.
 
     The monomials covered by the vertex points' rows are counted; only the
-    other rows on the free columns are eliminated, mod p first (rank_rows).
+    other rows on the free columns are eliminated (rank_rows).
     """
     free = _free_columns(t, frame.n + 1, frame.vertices)
     covered = comb(t + frame.n, frame.n) - len(free)
     if not free or not frame.others:
         return covered
-    return covered + rank_rows(_other_rows(frame, t, free), len(free), modular=True)
+    return covered + rank_rows(_other_rows(frame, t, free), len(free))
 
 
 def hilbert_function(z: FatPointScheme, t: int) -> int:
@@ -484,15 +483,15 @@ def regularity_index(z: FatPointScheme) -> int:
     Every degree of the scan is computed in the one frame, as in
     :func:`hilbert_function`.  From both bounds on, the vertex blocks are
     disjoint and the other rows fit in the free columns, so H(t) = e asks
-    for full row rank, which the mod-p question of
-    :func:`fatpoints.linalg.modular_rank` proves.
+    for full row rank.
 
-    A mod-p "no" proves nothing, so on the first one the scan computes
-    the curve lower bound L of :func:`curve_lower_bound`, once.  Every
-    degree below L is a proven "no", so the scan jumps to L with no
-    elimination; at L and above a mod-p "no" goes to the exact finish
-    (:func:`fatpoints.linalg.exact_rank`), as in
-    ``rank_rows(modular=True)``.  L reads ``z.flats``, so it is left
+    The scan has two phases.  First, the start degree asks the mod-p
+    question alone (:func:`fatpoints.linalg.modular_rank`), whose full
+    row rank is a proven "yes".  A mod-p "no" proves nothing, so then the
+    scan computes the curve lower bound L of :func:`curve_lower_bound`:
+    every degree below L is a proven "no".  Second, from the larger of
+    L and the start, each degree asks :func:`fatpoints.linalg.rank_rows`,
+    the package's one rank rule.  L reads ``z.flats``, so it is left
     until a "no" asks for it: a scan whose first degree is a "yes"
     enumerates no flats.
 
@@ -511,21 +510,18 @@ def regularity_index(z: FatPointScheme) -> int:
         t += 1
     if not frame.others:  # the disjoint vertex blocks alone cover e monomials
         return t
-    bound = None
+    if t <= cap:
+        free = _free_columns(t, d + 1, frame.vertices)
+        rows = _other_rows(frame, t, free)
+        if modular_rank(rows, len(free)) == len(rows):
+            return t
+        t = max(t, curve_lower_bound(z))
     while t <= cap:
         free = _free_columns(t, d + 1, frame.vertices)
         rows = _other_rows(frame, t, free)
-        rp = modular_rank(rows, len(free))
-        if rp == len(rows):
+        if rank_rows(rows, len(free)) == len(rows):
             return t
-        if bound is None:
-            bound = curve_lower_bound(z)
-        if t < bound:
-            t = bound
-        elif exact_rank(rows, len(free), rp) == len(rows):
-            return t
-        else:
-            t += 1
+        t += 1
     raise RuntimeError("regularity search passed its cap; this indicates a bug")
 
 

@@ -1,10 +1,11 @@
 """Reference implementations that the tests check the package against.
 
 Each helper is a plain, slow route to a value that the package computes
-another way: span membership and span dimension by rank, matrix
-products in ``Fraction``s, forms as explicit coefficient vectors with
-products and evaluation, the full condition matrix entry by entry and
-its kernel, a separating hyperplane read off a flat's normals, the
+another way: the rank by Gaussian elimination in ``Fraction``s, span
+membership and span dimension by rank, matrix products in
+``Fraction``s, forms as explicit coefficient vectors with products and
+evaluation, the full condition matrix entry by entry and its kernel, a
+separating hyperplane read off a flat's normals, the
 canonical change of coordinates in ``Fraction``s, the single-group flat
 dimension by a downward scan of spans, the rank mod p of primitive rows
 by the list kernel that scales and updates whole rows, the spanned flats
@@ -42,6 +43,24 @@ def in_span(v: Sequence[object], basis: Iterable[Sequence[object]]) -> bool:
     if any(len(b) != len(v) for b in basis):
         raise ValueError("dimension mismatch")
     return rank_rows(basis + [list(v)], len(v)) == rank_rows(basis, len(v))
+
+
+def plain_rank(rows: Sequence[Sequence[object]], ncols: int) -> int:
+    """Rank of the rows by Gaussian elimination in ``Fraction``s, with no prime and no integer rows."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    piv = 0
+    for c in range(ncols):
+        pr = next((r for r in range(piv, len(m)) if m[r][c]), None)
+        if pr is None:
+            continue
+        m[piv], m[pr] = m[pr], m[piv]
+        prow = m[piv]
+        for row in m[piv + 1 :]:
+            if row[c]:
+                t = row[c] / prow[c]
+                row[c:] = [x - t * y for x, y in zip(row[c:], prow[c:])]
+        piv += 1
+    return piv
 
 
 #: The 62-bit prime that the mod-p pass of ``rank_rows`` used before it

@@ -4,9 +4,10 @@ Every criterion prints a single PASS/FAIL line (visible with ``pytest -s``
 or in failure output).  All comparisons are exact integer comparisons;
 there are no numeric tolerances anywhere.
 
-Criterion 8 checks the mod-p pass of ``rank_rows`` against pure rational
-elimination: a modular rank is reported only when it equals
-min(rows, cols), which proves it, so it changes running time, never values.
+Criterion 8 checks ``rank_rows``, which asks every rank mod p first,
+against Gaussian elimination in ``Fraction``s (``oracles.plain_rank``): a
+modular rank is reported only when it equals min(rows, cols), which
+proves it, so it changes running time, never values.
 """
 
 import json
@@ -39,7 +40,7 @@ from fatpoints.schemes import (
     regularity_index,
 )
 from fatpoints.segre import segre_bound
-from oracles import ideal_basis, random_invertible_change
+from oracles import ideal_basis, plain_rank, random_invertible_change
 
 
 @contextmanager
@@ -324,11 +325,11 @@ def test_criterion_7_hilbert_oracles():
 
 
 # ---------------------------------------------------------------------------
-# 8. modular filter versus rational arithmetic
+# 8. mod-p first ranks versus rational arithmetic
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_cross_arithmetic_consistency(caplog):
-    with criterion(8, "modular filter agrees with rational ranks on 100 matrices"):
+    with criterion(8, "mod-p first ranks agree with rational ranks on 100 matrices"):
         p1 = linalg.MODULAR_PRIME
         rng = random.Random(8000)
         linalg.reset_modular_stats()
@@ -348,7 +349,7 @@ def test_criterion_8_cross_arithmetic_consistency(caplog):
                     bottom[0] += p1
                     rows = [top, bottom]
                     planted += 1
-                assert rank_rows(rows, nc, modular=True) == rank_rows(rows, nc, modular=False)
+                assert rank_rows(rows, nc) == plain_rank(rows, nc)
         stats = linalg.modular_stats()
         assert planted > 0
         assert stats["disagreements"] >= planted

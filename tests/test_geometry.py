@@ -316,7 +316,7 @@ def test_flat_contains_matches_rank_oracle(case):
     pts, probe = case
     f = span(pts)
     rows = [p.rep for p in pts]
-    on_flat = rank_rows(rows + [probe.rep], len(rows[0]), modular=False) == f.dim + 1
+    on_flat = rank_rows(rows + [probe.rep], len(rows[0])) == f.dim + 1
     assert flat_contains(f, probe) == on_flat
 
 
@@ -611,7 +611,7 @@ def test_annihilator_incidence_matches_rank_reference(case):
     f = span(pts)
     rows = [p.rep for p in pts]
     width = len(rows[0])
-    on_flat = rank_rows(rows + [probe.rep], width, modular=False) == f.dim + 1
+    on_flat = rank_rows(rows + [probe.rep], width) == f.dim + 1
     normals = f.normals
     assert len(normals) == f.ambient_n - f.dim
     for v in normals:

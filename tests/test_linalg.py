@@ -17,6 +17,7 @@ from fatpoints.linalg import (
     _pivot_columns,
     _rank_mod,
     kernel_basis,
+    modular_rank,
     modular_stats,
     mpz,
     primitive_row,
@@ -24,7 +25,7 @@ from fatpoints.linalg import (
     reset_modular_stats,
     rref,
 )
-from oracles import PRIME_62, identity, in_span, mat_vec, plain_rank_mod
+from oracles import PRIME_62, identity, in_span, mat_vec, plain_rank, plain_rank_mod
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +258,10 @@ def test_modular_prime_is_a_prime_below_2_to_the_30():
     assert all(p % q for q in range(2, 32769))
 
 
-@pytest.mark.parametrize("modular", [False, True])
 @pytest.mark.parametrize("rows", [[[1], [0, 1]], [[0], [1]], [[1, 2, 3], [0, 1]]])
-def test_rank_rows_rejects_ragged_rows(rows, modular):
+def test_rank_rows_rejects_ragged_rows(rows):
     with pytest.raises(ValueError, match="dimension mismatch"):
-        rank_rows(rows, 2, modular=modular)
+        rank_rows(rows, 2)
 
 
 MOD_PRIMES = (2, 3, 65537, MODULAR_PRIME, PRIME_62)
@@ -318,7 +318,7 @@ def divides_content_or_denominator(p, row):
 @example(([[Fraction(3, 2), mpz(4)], [Fraction(6), 8]], 2, 3))
 def test_rank_mod_matches_plain_kernel_on_primitive_rows(case):
     rows, ncols, p = case
-    exact = rank_rows(rows, ncols)
+    exact = plain_rank(rows, ncols)
     rp = _rank_mod(rows, ncols, p)
     if rp is None:
         assert any(x.denominator % p == 0 for row in rows for x in row)
@@ -326,7 +326,7 @@ def test_rank_mod_matches_plain_kernel_on_primitive_rows(case):
         assert rp <= exact
     if not any(divides_content_or_denominator(p, row) for row in rows):
         assert rp == plain_rank_mod(rows, ncols, p)
-    assert rank_rows(rows, ncols, modular=True) == exact
+    assert rank_rows(rows, ncols) == exact
 
 
 def test_a_row_of_content_p_or_a_denominator_p_falls_back_to_the_right_rank(caplog):
@@ -334,11 +334,11 @@ def test_a_row_of_content_p_or_a_denominator_p_falls_back_to_the_right_rank(capl
     reset_modular_stats()
     with caplog.at_level(logging.WARNING, logger="fatpoints.linalg"):
         # content p: the residue row is zero, the primitive row is (1, 2)
-        assert rank_rows([[p, 2 * p], [1, 1]], 2, modular=True) == 2
+        assert rank_rows([[p, 2 * p], [1, 1]], 2) == 2
         assert modular_stats()["disagreements"] == 1
         # a denominator p: the row has no image mod p, so nothing to disagree with
         assert _rank_mod([[Fraction(1, p), 0], [0, 1]], 2, p) is None
-        assert rank_rows([[Fraction(1, p), 0], [0, 1]], 2, modular=True) == 2
+        assert rank_rows([[Fraction(1, p), 0], [0, 1]], 2) == 2
     assert modular_stats() == {"short_circuits": 0, "certified": 0, "fallbacks": 2, "disagreements": 1}
     assert sum("disagreed" in rec.message for rec in caplog.records) == 1
 
@@ -388,7 +388,7 @@ def test_rank_modular_filter_matches_pure_rank():
             rng.randint(1, 6),
             planted_rank=rng.choice([None, 1, 2, 3]),
         )
-        assert rank_rows(m.to_rows(), m.cols, modular=True) == rank_rows(m.to_rows(), m.cols)
+        assert rank_rows(m.to_rows(), m.cols) == plain_rank(m.to_rows(), m.cols)
 
 
 def test_rank_filter_falls_back_on_bad_prime(caplog):
@@ -397,7 +397,7 @@ def test_rank_filter_falls_back_on_bad_prime(caplog):
     rows = [[1, 1], [1, 1 + p]]
     reset_modular_stats()
     with caplog.at_level(logging.WARNING, logger="fatpoints.linalg"):
-        assert rank_rows(rows, 2, modular=True) == 2
+        assert rank_rows(rows, 2) == 2
     stats = modular_stats()
     assert stats["fallbacks"] >= 1
     assert stats["disagreements"] >= 1
@@ -409,7 +409,7 @@ def test_rank_filter_certifies_rank_deficient_matrices():
     reset_modular_stats()
     for _ in range(10):
         m = random_matrix(rng, 5, 7, planted_rank=3)
-        assert rank_rows(m.to_rows(), m.cols, modular=True) == 3
+        assert rank_rows(m.to_rows(), m.cols) == 3
     assert modular_stats()["disagreements"] == 0
 
 
@@ -444,8 +444,8 @@ def test_rank_rows_filter_matches_plain_elimination():
     def check(case):
         rows, ncols = case
         assert (
-            rank_rows(rows, ncols, modular=True)
-            == rank_rows(rows, ncols, modular=False)
+            rank_rows(rows, ncols)
+            == plain_rank(rows, ncols)
             == rref(Matrix.from_rows(rows)).rank
         )
 
@@ -453,6 +453,18 @@ def test_rank_rows_filter_matches_plain_elimination():
     stats = modular_stats()
     assert stats["short_circuits"] > 0
     assert stats["fallbacks"] > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows_st())
+@example(([[1, 1], [1 + P0, 1]], 2))
+def test_modular_rank_is_a_lower_bound_counted_only_when_full(case):
+    rows, ncols = case
+    reset_modular_stats()
+    rp = modular_rank(rows, ncols)
+    assert rp <= plain_rank(rows, ncols)
+    assert modular_stats()["short_circuits"] == (rp == min(len(rows), ncols))
+    assert modular_stats()["fallbacks"] == 0
 
 
 #: mostly 0, else an integer or a Fraction in -3..3
@@ -584,7 +596,7 @@ def test_degenerate_shapes():
     zero_row = Matrix.from_rows([[0, 0, 0]])
     assert rref(zero_row).rank == 0
     assert len(kernel_basis(zero_row)) == 3
-    assert rank_rows(zero_row.to_rows(), 3, modular=True) == 0
+    assert rank_rows(zero_row.to_rows(), 3) == 0
 
 
 def test_mat_vec():

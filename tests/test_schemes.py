@@ -304,7 +304,7 @@ def test_condition_rows_match_plain_rows(z, t):
 @example(_scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, -1), (1, -1, 2)], [1] * 6))
 # prop43-type: three of six points on a line, so the span term does not apply; the line's 8 does
 @example(_scheme([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 2, 3, 4)], [3] * 6))
-# (P0 : 1 : 1) is (0 : 1 : 1) mod P0: its "no" at t0 = L = 4 goes to the exact finish
+# (P0 : 1 : 1) is (0 : 1 : 1) mod P0: its "no" at t0 = L = 4 goes to rank_rows' exact pass
 @example(_scheme([(1, 0, 0), (0, 1, 0), (0, 0, 1), (MODULAR_PRIME, 1, 1)], [2] * 4))
 def test_regularity_scan_start_is_a_lower_bound(z):
     """The scan from max(m_1 + m_2 - 1, least t with C(t+n, n) >= e), with its

@@ -285,7 +285,7 @@ def rank_candidate_flats(z):
             witness = tuple(
                 i
                 for i in range(z.size)
-                if i in sub or rank_rows(rows + [ints[i]], width, modular=False) == size
+                if i in sub or rank_rows(rows + [ints[i]], width) == size
             )
             found.append((size - 1, witness))
             covered.append(frozenset(witness))
