@@ -372,3 +372,51 @@ def test_segre_and_check_reports_match_pinned_digest(tmp_path, capsys):
             digest.update(f"{command} {code}\n{capsys.readouterr().out}".encode())
     assert codes == {("segre", 0): 60, ("check", 0): 60}
     assert digest.hexdigest() == "f9d55f4d056392921775469738b8d6d469d4b0a1ad7d64a82b83f941989c05c0"
+
+
+def distribute_corpus(seed=0, count=12):
+    """(scheme, distribute arguments) pairs: random points of height 2 in
+    P^(r+1), r = 1..3, with t at the threshold and one above; the grown
+    last fill and the avoided point on a span of test_constructions, with
+    the avoided point at index 0; and the CI step's prop43 scheme, whose
+    flats print rational entries."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r = len(out) // 2 % 3 + 1
+        n = r + 1
+        pts = []
+        for _ in range(rng.randint(2, 6)):
+            coords = [rng.randint(-2, 2) for _ in range(n + 1)]
+            if any(coords):
+                p = ProjPoint(tuple(coords))
+                if p not in pts:
+                    pts.append(p)
+        if len(pts) < 2:
+            continue
+        z = FatPointScheme(n, tuple(pts), tuple(rng.randint(1, 3) for _ in pts))
+        i0 = rng.randrange(z.size)
+        rest = [m for i, m in enumerate(z.mults) if i != i0]
+        t = max(max(rest), (sum(rest) + r - 1) // r) + len(out) % 2
+        out.append((z, ["--i0", str(i0), "--r", str(r), "--t", str(t), "--seed", str(rng.randrange(100))]))
+    e = [tuple(int(j == i) for j in range(4)) for i in range(4)]
+    grown = FatPointScheme(3, tuple(map(ProjPoint, (e[0], e[1], e[2], e[3], (0, 1, 1, 1)))), (1, 2, 1, 1, 1))
+    out.append((grown, ["--i0", "0", "--r", "3", "--t", "2", "--seed", "5"]))
+    avoided = FatPointScheme(3, tuple(map(ProjPoint, ((0, 1, 1, 0), e[1], e[2], e[3]))), (1, 1, 1, 1))
+    out.append((avoided, ["--i0", "0", "--r", "2", "--t", "2", "--seed", "5"]))
+    prop43 = generate(PatternSpec("prop43", n=3, s=3, m=2, k=1, seed=5, height=9))
+    out.append((prop43, ["--i0", "5", "--r", "2", "--seed", "7"]))
+    return out
+
+
+def test_distribute_reports_match_pinned_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    codes = Counter()
+    path = str(tmp_path / "scheme.json")
+    for z, args in distribute_corpus():
+        save_scheme(z, path)
+        code = cli_dispatch(["distribute", "--scheme", path, *args])
+        codes[code] += 1
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert codes == {0: 14, 1: 1}
+    assert digest.hexdigest() == "48fc540033b18af3d0f88aa8311b95cc8c5f0f7f5ff996468e52fc3d9b166add"
