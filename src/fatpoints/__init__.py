@@ -8,31 +8,21 @@ certificates) together with seeded generators and a batch verification
 harness.
 """
 
-from fatpoints.linalg import (
-    Matrix,
-    RrefResult,
-    kernel_basis,
-    rank_rows,
-    rref,
-)
+from fatpoints.linalg import rank_rows
 from fatpoints.geometry import (
     Flat,
     LinearForm,
     ProjPoint,
-    degeneracy_index,
     degeneracy_of,
     extend_flat_avoiding,
     flat_contains,
-    general_position_on,
     span,
     spanned_flats,
 )
 from fatpoints.schemes import (
     FatPointScheme,
-    Form,
     artinian_quotient_regularity,
     hilbert_function,
-    in_fat_ideal,
     monomial_bound_check,
     multiplicity,
     regularity_index,
@@ -53,26 +43,18 @@ from fatpoints.generators import PatternSpec, generate
 from fatpoints.harness import BatchReport, batch_check, load_scheme, save_scheme
 
 __all__ = [
-    "Matrix",
-    "RrefResult",
-    "kernel_basis",
     "rank_rows",
-    "rref",
     "Flat",
     "LinearForm",
     "ProjPoint",
-    "degeneracy_index",
     "degeneracy_of",
     "extend_flat_avoiding",
     "flat_contains",
-    "general_position_on",
     "span",
     "spanned_flats",
     "FatPointScheme",
-    "Form",
     "artinian_quotient_regularity",
     "hilbert_function",
-    "in_fat_ideal",
     "monomial_bound_check",
     "multiplicity",
     "regularity_index",

@@ -25,7 +25,7 @@ from fatpoints.constructions import (
     verify_certificate,
 )
 from fatpoints.generators import PATTERNS, PatternSpec, generate
-from fatpoints.geometry import span
+from fatpoints.geometry import _lead_one, span
 from fatpoints.harness import batch_check, load_scheme, scheme_to_obj
 from fatpoints.schemes import (
     artinian_quotient_regularity,
@@ -153,7 +153,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _flat_obj(flat) -> list[list[str]]:
-    return [[str(c) for c in row] for row in flat.cone_basis]
+    return [[str(c) for c in row] for row in _lead_one(flat.integer_rows)]
 
 
 def _cmd_hilbert(args) -> int:

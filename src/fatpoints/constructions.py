@@ -519,7 +519,7 @@ def verify_certificate(
             if h not in zeros and h.vanishes_at(origin):
                 _LOG.warning(
                     "hyperplane %s passes through the distinguished point (monomial %s)",
-                    h.coeffs,
+                    h.rep,
                     e.monomial,
                 )
                 return False, delta

@@ -7,9 +7,9 @@ reduced echelon rows of its cone, each primitive with a positive pivot.
 Each constructor takes any input that ``Fraction()`` accepts and brings
 it to that canonical form, so structural equality is geometric equality,
 equal objects hash by ints, incidence is an integer dot product, and
-changes of coordinates move points in integers.  The ``Fraction`` values
-(a point's coordinates and a hyperplane's coefficients with lead 1, a
-flat's reduced row echelon basis) are views built when first read.
+changes of coordinates move points in integers.  ``Fraction`` text (a
+point's coordinates with lead 1, a flat's reduced row echelon basis) is
+made only where it is printed, by :func:`_lead_one`.
 
 The flats spanned by a point set are enumerated once, by
 :func:`spanned_flats`: a pruned tree of fraction-free steps on r spanning
@@ -64,7 +64,11 @@ def _primitive_rep(v: Iterable[object], kind: str) -> tuple[int, ...]:
 
 
 def _lead_one(rows: Sequence[Sequence[int]]) -> list[Coords]:
-    """Each integer row divided by its first nonzero entry, in ``Fraction``."""
+    """Each integer row divided by its first nonzero entry, in ``Fraction``.
+
+    The one renderer of rows as rationals: the CLI's flat reports, scheme
+    files and :attr:`ProjPoint.coords` read it.
+    """
     return _fraction_rows(rows, (next(x for x in row if x) for row in rows))
 
 
@@ -98,7 +102,11 @@ class ProjPoint:
 
     @cached_property
     def coords(self) -> Coords:
-        """Canonical homogeneous coordinates: the representative divided by its lead."""
+        """Canonical homogeneous coordinates: the representative divided by its lead.
+
+        No package code reads it; it is kept as the accessor that
+        ``perfbench/workloads.py`` reads.
+        """
         return _lead_one([self.rep])[0]
 
     @classmethod
@@ -118,11 +126,6 @@ class LinearForm:
     @property
     def ambient_n(self) -> int:
         return len(self.rep) - 1
-
-    @cached_property
-    def coeffs(self) -> Coords:
-        """Canonical coefficients: the integer coefficients divided by their lead."""
-        return _lead_one([self.rep])[0]
 
     def vanishes_at(self, p: ProjPoint) -> bool:
         """Whether the hyperplane passes through p: one integer dot product."""
@@ -159,11 +162,6 @@ class Flat:
     @property
     def dim(self) -> int:
         return len(self.integer_rows) - 1
-
-    @cached_property
-    def cone_basis(self) -> tuple[Coords, ...]:
-        """The reduced row echelon basis of the cone: each row divided by its pivot."""
-        return tuple(_lead_one(self.integer_rows))
 
     @cached_property
     def normals(self) -> tuple[list[int], ...]:

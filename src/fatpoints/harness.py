@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from fatpoints.constructions import segre_verdict
 from fatpoints.generators import GeneratorError, PatternSpec, generate
-from fatpoints.geometry import ProjPoint
+from fatpoints.geometry import ProjPoint, _lead_one
 from fatpoints.schemes import FatPointScheme
 
 REPORT_VERSION = "fatpoints-report/1"
@@ -31,7 +31,7 @@ REPORT_VERSION = "fatpoints-report/1"
 def scheme_to_obj(z: FatPointScheme) -> dict:
     return {
         "n": z.n,
-        "points": [[str(c) for c in p.coords] for p in z.points],
+        "points": [[str(c) for c in row] for row in _lead_one([p.rep for p in z.points])],
         "multiplicities": list(z.mults),
     }
 

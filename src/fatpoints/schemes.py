@@ -490,10 +490,11 @@ def regularity_index(z: FatPointScheme) -> int:
     row rank is a proven "yes".  A mod-p "no" proves nothing, so then the
     scan computes the curve lower bound L of :func:`curve_lower_bound`:
     every degree below L is a proven "no".  Second, from the larger of
-    L and the start, each degree asks :func:`fatpoints.linalg.rank_rows`,
-    the package's one rank rule.  L reads ``z.flats``, so it is left
-    until a "no" asks for it: a scan whose first degree is a "yes"
-    enumerates no flats.
+    L and the start, each degree asks whether H(t) = e by the
+    :func:`_frame_hilbert` of :func:`hilbert_function`, whose rank is
+    :func:`fatpoints.linalg.rank_rows`, the package's one rank rule.  L
+    reads ``z.flats``, so it is left until a "no" asks for it: a scan
+    whose first degree is a "yes" enumerates no flats.
 
     A single point is d = 0, where the scan returns m - 1; points that
     span P^n are d = n, where the cut keeps every coordinate.  A hard cap
@@ -517,9 +518,7 @@ def regularity_index(z: FatPointScheme) -> int:
             return t
         t = max(t, curve_lower_bound(z))
     while t <= cap:
-        free = _free_columns(t, d + 1, frame.vertices)
-        rows = _other_rows(frame, t, free)
-        if rank_rows(rows, len(free)) == len(rows):
+        if _frame_hilbert(frame, t) == e:
             return t
         t += 1
     raise RuntimeError("regularity search passed its cap; this indicates a bug")

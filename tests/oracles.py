@@ -26,7 +26,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from fatpoints.constructions import _scan_avoiding
-from fatpoints.geometry import Flat, LinearForm, ProjPoint, flat_contains, frame_change
+from fatpoints.geometry import Flat, LinearForm, ProjPoint, _lead_one, flat_contains, frame_change
 from fatpoints.linalg import Matrix, kernel_basis, primitive_row, rank_rows
 from fatpoints.schemes import FatPointScheme, Form, hilbert_function, monomial_basis, multiplicity
 
@@ -207,20 +207,20 @@ def fraction_point_on(rng: random.Random, flat: Flat, height: int) -> ProjPoint:
     its reduced echelon basis, summed in ``Fraction``s, redrawn while the sum
     is zero.  The generators' sampler before it summed integer rows."""
     width = flat.ambient_n + 1
+    basis = _lead_one(flat.integer_rows)
     while True:
-        coeffs = [rng.randint(-height, height) for _ in flat.cone_basis]
-        coords = [
-            sum(c * row[j] for c, row in zip(coeffs, flat.cone_basis)) for j in range(width)
-        ]
+        coeffs = [rng.randint(-height, height) for _ in basis]
+        coords = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(width)]
         if any(coords):
             return ProjPoint(tuple(coords))
 
 
 def evaluate_linear(h: LinearForm, p: ProjPoint) -> Fraction:
     """The form's canonical coefficients dotted with the point's canonical coordinates."""
-    if len(h.coeffs) != len(p.coords):
+    coeffs = _lead_one([h.rep])[0]
+    if len(coeffs) != len(p.coords):
         raise ValueError("ambient dimensions disagree")
-    return sum((c * x for c, x in zip(h.coeffs, p.coords)), Fraction(0))
+    return sum((c * x for c, x in zip(coeffs, p.coords)), Fraction(0))
 
 
 def hyperplane_containing_avoiding(f: Flat, avoid: ProjPoint) -> LinearForm:

@@ -376,8 +376,8 @@ def test_segre_and_check_reports_match_pinned_digest(tmp_path, capsys):
 
 def distribute_corpus(seed=0, count=12):
     """(scheme, distribute arguments) pairs: random points of height 2 in
-    P^(r+1), r = 1..3, with t at the threshold and one above; the grown
-    last fill and the avoided point on a span of test_constructions, with
+    P^(r+1), r = 1..3, with t at the threshold and one above;
+    test_constructions' GROWN_LAST_FILL and AVOIDED_ON_A_SPAN (exit 1), with
     the avoided point at index 0; and the CI step's prop43 scheme, whose
     flats print rational entries."""
     rng = random.Random(seed)
@@ -399,10 +399,10 @@ def distribute_corpus(seed=0, count=12):
         rest = [m for i, m in enumerate(z.mults) if i != i0]
         t = max(max(rest), (sum(rest) + r - 1) // r) + len(out) % 2
         out.append((z, ["--i0", str(i0), "--r", str(r), "--t", str(t), "--seed", str(rng.randrange(100))]))
-    e = [tuple(int(j == i) for j in range(4)) for i in range(4)]
-    grown = FatPointScheme(3, tuple(map(ProjPoint, (e[0], e[1], e[2], e[3], (0, 1, 1, 1)))), (1, 2, 1, 1, 1))
+    e = [ProjPoint.unit(3, i) for i in range(4)]
+    grown = FatPointScheme(3, (*e, ProjPoint((0, 1, 1, 1))), (1, 2, 1, 1, 1))
     out.append((grown, ["--i0", "0", "--r", "3", "--t", "2", "--seed", "5"]))
-    avoided = FatPointScheme(3, tuple(map(ProjPoint, ((0, 1, 1, 0), e[1], e[2], e[3]))), (1, 1, 1, 1))
+    avoided = FatPointScheme(3, (ProjPoint((0, 1, 1, 0)), *e[1:]), (1, 1, 1, 1))
     out.append((avoided, ["--i0", "0", "--r", "2", "--t", "2", "--seed", "5"]))
     prop43 = generate(PatternSpec("prop43", n=3, s=3, m=2, k=1, seed=5, height=9))
     out.append((prop43, ["--i0", "5", "--r", "2", "--seed", "7"]))

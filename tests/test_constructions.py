@@ -17,6 +17,7 @@ from fatpoints.geometry import (
     Flat,
     LinearForm,
     ProjPoint,
+    _lead_one,
     extend_flat_avoiding,
     flat_contains,
     span,
@@ -419,7 +420,7 @@ def expand(n, monomial, hyperplanes):
     """X^monomial (in X_1..X_n) times the hyperplanes, as a form."""
     product = monomial_form(n + 1, (0,) + monomial)
     for h in hyperplanes:
-        product = form_mul(product, linear_form_to_form(h.coeffs))
+        product = form_mul(product, linear_form_to_form(_lead_one([h.rep])[0]))
     return product
 
 

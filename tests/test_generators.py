@@ -207,4 +207,3 @@ def test_random_point_on_matches_fraction_sampler(flat, seed, height):
     got = _random_point_on(ours, flat, height)
     assert got == fraction_point_on(theirs, Flat(flat.ambient_n, flat.integer_rows), height)
     assert ours.getstate() == theirs.getstate()
-    assert "cone_basis" not in vars(flat)  # no Fraction view is built
