@@ -234,8 +234,12 @@ def spanned_flats(points: Sequence[ProjPoint]) -> tuple[SpannedFlat, ...]:
       fraction-free step (:func:`fatpoints.linalg._annihilator_step`, its
       entries minors of the root's rows, so every division is exact)
       gives the child's rows.  A k-point prefix is extended only by q <=
-      s-(r-k), which leaves room for a basis, and a prefix of r-1 points
-      reads its bases straight off its one row.  Each basis is a bitmask.
+      s-(r-k), which leaves room for a basis.  A prefix of r-2 points
+      builds no child: with pv the pivot row's entry at q and t the other
+      row's, q2 > q completes a basis exactly when the child's entry there,
+      (pv x - t y) / prev with x and y the other and the pivot row's
+      entries at q2, is nonzero, that is, when pv x != t y.  Each basis is
+      a bitmask.
     * Closures.  ``union[m]``, for an independent set m, is the OR of the
       bases that contain m, filled downward from the bases one size at a
       time by clearing one bit.  Every independent set lies in a basis, so
@@ -266,8 +270,21 @@ def spanned_flats(points: Sequence[ProjPoint]) -> tuple[SpannedFlat, ...]:
 
     def grow(rows: list[list[int]], prev: int, lo: int, mask: int, k: int) -> None:
         # rows: r-k rows on the columns lo.. of the k-point prefix in mask
-        if k == rank - 1:
+        if k == rank - 1:  # r = 1: the one point
             bases.extend(mask | 1 << q for q, x in enumerate(rows[0], lo) if x)
+            return
+        if k == rank - 2:  # the last step, inlined: only its zeros are read
+            first, second = rows
+            for at in range(len(first) - 1):
+                prow, other = (first, second) if first[at] else (second, first)
+                pv, t = prow[at], other[at]
+                if pv:
+                    m = mask | 1 << (lo + at)
+                    bases.extend(
+                        m | 1 << q
+                        for q, x, y in zip(range(lo + at + 1, size_all), other[at + 1 :], prow[at + 1 :])
+                        if pv * x != t * y
+                    )
             return
         for q in range(lo, size_all - rank + k + 1):
             if any(row[q - lo] for row in rows):

@@ -20,7 +20,9 @@ which applies one rule to every caller: the rows are first read modulo
 a b^-1 mod p, the ring map from the rationals with denominator prime to
 p onto F_p, which can only lower a rank.  When that rank equals
 min(rows, cols) it is reported: a full-size minor that is nonzero mod p
-is nonzero over Q, and no rank exceeds min(rows, cols).  Every other
+is nonzero over Q, and no rank exceeds min(rows, cols).  That pass,
+:func:`_rank_mod`, delays its reductions: rows are updated with no
+``% p`` and only the entries it reads are reduced.  Every other
 case, a row with a denominator divisible by p among them, is decided by
 the exact pass, and a modular rank that differs from it is counted and
 logged, so a reported rank never depends on trusting a prime.  The
@@ -49,9 +51,11 @@ except ImportError:  # gmpy2 is an optional extra; same values, slower
 _LOG = logging.getLogger("fatpoints.linalg")
 
 #: The published prime of the mod-p pass in :func:`rank_rows`: 2^30 - 35,
-#: the largest prime below 2^30, so that every residue is one CPython digit
-#: and ``% p`` divides by one digit.  Any prime is sound, since only a full
-#: modular rank is trusted; ``pow(x, -1, p)`` needs p prime.
+#: the largest prime below 2^30, so that every residue is one CPython digit,
+#: a multiplier times a residue at most two, and every entry of the pass,
+#: whose updates are reduced only where read, at most three (:func:`_rank_mod`).
+#: Any prime is sound, since only a full modular rank is trusted;
+#: ``pow(x, -1, p)`` needs p prime.
 MODULAR_PRIME = 1073741789
 
 Vector = tuple[Fraction, ...]
@@ -192,7 +196,9 @@ def _annihilator_step(rows: list[list[int]], prev: int, q: int) -> tuple[list[li
     The pivot is the first row nonzero at q; every other row becomes
     (pv row - row[q] prow) / prev on the columns after q only, and the
     pivot row is dropped.  Returns the new rows, whose column 0 is the old
-    column q+1, and the pivot value pv, the next step's prev.
+    column q+1, and the pivot value pv, the next step's prev.  The tree
+    takes it from prefixes of fewer than r-2 points only: its last level
+    reads just which entries the step would make zero.
     """
     prow = next(row for row in rows if row[q])
     pv = prow[q]
@@ -314,6 +320,14 @@ def _rank_mod(rows: Sequence[Sequence], ncols: int, p: int) -> int | None:
 
     An integer x is read as x mod p and a rational a/b as a b^-1 mod p.
     None when a denominator is divisible by p: that row has no image mod p.
+
+    Reduction is delayed: the row update is x - t y with no ``% p``, and
+    only the entries that are read are reduced, the pivot candidates,
+    each row's multiplier t and the pivot row's tail.  Each row keeps only
+    the columns after the current one, so no finished column is read.  A
+    row takes at most one update per pivot, with 0 <= t, y < p, so every
+    entry stays below p + rank p^2 in absolute value: at most three
+    CPython digits at ``MODULAR_PRIME``.
     """
     try:
         m = [
@@ -322,26 +336,22 @@ def _rank_mod(rows: Sequence[Sequence], ncols: int, p: int) -> int | None:
         ]
     except ValueError:  # pow: a denominator divisible by p
         return None
-    nrows = len(m)
-    piv = 0
-    for c in range(ncols):
-        if piv >= nrows:
+    rank = 0
+    for _ in range(ncols):
+        if not m:
             break
-        pr = next((r for r in range(piv, nrows) if m[r][c]), None)
-        if pr is None:
+        for pr, row in enumerate(m):
+            if row[0] % p:
+                break
+        else:  # no pivot in this column
+            m = [row[1:] for row in m]
             continue
-        if pr != piv:
-            m[piv], m[pr] = m[pr], m[piv]
-        # column c is never read again, so only the tails are scaled and updated
-        inv = pow(m[piv][c], -1, p)
-        ptail = [x * inv % p for x in m[piv][c + 1 :]]
-        for r in range(piv + 1, nrows):
-            row = m[r]
-            t = row[c]
-            if t:
-                row[c + 1 :] = [(x - t * y) % p for x, y in zip(row[c + 1 :], ptail)]
-        piv += 1
-    return piv
+        prow = m.pop(pr)
+        inv = pow(prow[0], -1, p)
+        ptail = [x * inv % p for x in prow[1:]]
+        m = [[x - t * y for x, y in zip(row[1:], ptail)] if (t := row[0] % p) else row[1:] for row in m]
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +403,11 @@ def modular_rank(rows: Sequence[Sequence], ncols: int) -> int | None:
     finishes it exactly.  The regularity scan asks it alone at its first
     degree, where a "no" is settled by a proven bound of the scan's or
     asked again of :func:`rank_rows` (see
-    :func:`fatpoints.schemes.regularity_index`).
+    :func:`fatpoints.schemes.regularity_index`).  A row of another length
+    than ncols raises ``ValueError``.
     """
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("dimension mismatch")
     rp = _rank_mod(rows, ncols, MODULAR_PRIME)
     if rp == min(len(rows), ncols):
         _bump("short_circuits")
@@ -410,10 +423,8 @@ def rank_rows(rows: Sequence[Sequence], ncols: int) -> int:
     Otherwise one fraction-free pass over the rows made primitive
     decides, counted in ``fallbacks``; a modular rank that differs from
     its answer is counted in ``disagreements`` and logged.  A row of
-    another length raises ``ValueError``.
+    another length raises ``ValueError``, in :func:`modular_rank`.
     """
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("dimension mismatch")
     rp = modular_rank(rows, ncols)
     if rp == min(len(rows), ncols):
         return rp

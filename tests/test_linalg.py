@@ -5,11 +5,14 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fatpoints import linalg, schemes
+from fatpoints.generators import PatternSpec, generate
 from fatpoints.linalg import (
     MODULAR_PRIME,
     Matrix,
@@ -264,6 +267,14 @@ def test_rank_rows_rejects_ragged_rows(rows):
         rank_rows(rows, 2)
 
 
+@pytest.mark.parametrize("rows", [[[0, 1], [1]], [[1, 2, 3], [0, 1]]], ids=["short", "long"])
+def test_modular_rank_rejects_ragged_rows(rows):
+    reset_modular_stats()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        modular_rank(rows, 2)
+    assert modular_stats()["short_circuits"] == 0
+
+
 MOD_PRIMES = (2, 3, 65537, MODULAR_PRIME, PRIME_62)
 
 small_int_st = st.integers(min_value=-9, max_value=9)
@@ -465,6 +476,81 @@ def test_modular_rank_is_a_lower_bound_counted_only_when_full(case):
     assert rp <= plain_rank(rows, ncols)
     assert modular_stats()["short_circuits"] == (rp == min(len(rows), ncols))
     assert modular_stats()["fallbacks"] == 0
+
+
+#: residues whose delayed updates x - t y grow the most: multipliers and
+#: scaled pivot tails near p, and zeros that keep some rows sparse
+growth_entry_st = st.one_of(
+    st.sampled_from((0, 1, P0 - 1, P0 - 2)),
+    st.sampled_from((0, 1, P0 - 1, P0 - 2)),
+    st.sampled_from((0, 1, P0 - 1, P0 - 2)),
+    st.integers(min_value=-9, max_value=-1),
+    st.integers(min_value=2**90, max_value=2**100),
+    st.integers(min_value=-(2**100), max_value=-(2**90)),
+)
+
+
+@st.composite
+def growth_cases(draw):
+    """0..40 rows of 0..60 growth entries, one row in four of ``Fraction``s
+    with small denominators, and some rows that are p - 1 times another
+    row, so that they fall to zero mod p partway through the pass."""
+    ncols = draw(st.integers(min_value=0, max_value=60))
+    int_row = st.lists(growth_entry_st, min_size=ncols, max_size=ncols)
+    fraction_row = st.lists(
+        st.builds(Fraction, growth_entry_st, st.integers(min_value=1, max_value=6)),
+        min_size=ncols,
+        max_size=ncols,
+    )
+    rows = draw(st.lists(st.one_of(int_row, int_row, int_row, fraction_row), max_size=40))
+    for k in draw(st.lists(st.integers(min_value=0, max_value=39), max_size=40 - len(rows))):
+        if rows:
+            rows.append([(P0 - 1) * x for x in rows[k % len(rows)]])
+    return draw(st.permutations(rows)), ncols
+
+
+def check_rank_mod_with_growth(rows, ncols):
+    """``_rank_mod`` equals the plain kernel, and every entry its row update
+    reads stays below p + rank p^2, the bound of its docstring."""
+    assert not any(divides_content_or_denominator(P0, row) for row in rows)
+    want = plain_rank_mod(rows, ncols, P0)
+    bound = P0 + want * P0 * P0
+
+    def bounded_zip(*iterables):
+        for pair in zip(*iterables):
+            assert all(abs(x) < bound for x in pair)
+            yield pair
+
+    with mock.patch.object(linalg, "zip", bounded_zip, create=True):
+        assert _rank_mod(rows, ncols, P0) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(growth_cases())
+@example(([], 0))
+@example(([[], [], []], 0))
+@example(([[0, 1, 2], [P0, P0 - 1, 1], [-P0, 3, 4]], 3))  # the first column is zero mod p
+@example(([[1, 2, 3], [P0 - 1, P0 - 2, P0 - 3], [0, 1, 1]], 3))  # row 1 is zero mod p after one pivot
+@example(([[1, P0 - 1], [P0 - 2, 1], [1, 1], [P0 - 1, P0 - 1], [2**90, 1]], 2))  # more rows than columns
+def test_rank_mod_with_growing_entries_matches_plain_kernel(case):
+    check_rank_mod_with_growth(*case)
+
+
+def test_rank_mod_on_the_ci_start_degree_matrix():
+    # seven triple points in P^4 (theorem34 n=4 s=4 m=3, height 9, seed 5):
+    # the scan's one mod-p pass, at its start degree
+    calls = []
+
+    def spy(rows, ncols):
+        calls.append((rows, ncols))
+        return modular_rank(rows, ncols)
+
+    z = generate(PatternSpec("theorem34", n=4, s=4, m=3, height=9, seed=5))
+    with mock.patch.object(schemes, "modular_rank", spy):
+        assert schemes.regularity_index.__wrapped__(z) == 5
+    [(rows, ncols)] = calls
+    assert (len(rows), ncols) == (30, 51)
+    check_rank_mod_with_growth(rows, ncols)
 
 
 #: mostly 0, else an integer or a Fraction in -3..3

@@ -401,6 +401,50 @@ def test_enumeration_examples_take_their_branch(name):
     assert flats[-1] == (r - 1, tuple(range(z.size)))
 
 
+def _second_row_pivots(reps):
+    """Whether, after the tree's first step at point 0, some later point but
+    the last is zero on the first of the two rows and not on the second."""
+    coords = _bareiss_forward([list(rep) for rep in reps], len(reps[0]))
+    first, second = _annihilator_step([[rep[c] for rep in reps] for c in coords], 1, 0)[0]
+    return any(not x and y for x, y in zip(first[:-1], second))
+
+
+#: r = 3 point sets where, below point 0, the second of the two rows pivots
+SECOND_ROW_PIVOTS = {
+    "P^2": [(1, 0, 0), (1, 0, 1), (0, 1, 0), (1, 1, 1), (2, 3, 1)],
+    "a plane of P^3": [(1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0), (3, 1, 2, 0), (1, 0, 2, -1)],
+}
+
+
+@pytest.mark.parametrize(
+    "z",
+    [_scheme(2, [(1, t, 0) for t in range(s)]) for s in (3, 4, 6)]
+    + [_scheme(3, [(1 + t, 2, -t, 3 * t) for t in range(s)]) for s in (3, 5)]
+    + [_scheme(len(reps[0]) - 1, reps) for reps in SECOND_ROW_PIVOTS.values()]
+    + [z for _, z in ENUMERATION_EXAMPLES.values()],
+    ids=[f"line in P^2, s={s}" for s in (3, 4, 6)]
+    + [f"line in P^3, s={s}" for s in (3, 5)]
+    + [f"second row pivots in {name}" for name in SECOND_ROW_PIVOTS]
+    + list(ENUMERATION_EXAMPLES),
+)
+def test_the_trees_last_level_builds_no_child(z):
+    """The tree reads a prefix of r-2 points' bases off pv x != t y and takes
+    no step from it, so every step it takes has more than two rows; on a
+    line (r = 2) the root is that level and no step is taken."""
+    r = span_dim(list(z.points)) + 1
+    with mock.patch.object(geometry, "_annihilator_step", wraps=geometry._annihilator_step) as step:
+        assert spanned_flats(z.points) == prefix_state_flats(z.points)
+    assert all(len(call.args[0]) > 2 for call in step.call_args_list)
+    assert (step.call_count == 0) == (r <= 2)
+
+
+@pytest.mark.parametrize("name", sorted(SECOND_ROW_PIVOTS))
+def test_second_row_pivot_cases_take_that_branch(name):
+    reps = [ProjPoint(rep).rep for rep in SECOND_ROW_PIVOTS[name]]
+    assert rank_rows(reps, len(reps[0])) == 3
+    assert _second_row_pivots(reps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(planted_schemes(), small_schemes()))
 @example(FatPointScheme(2, tuple(ProjPoint((1, k, 0)) for k in range(4)), (1, 2, 3, 1)))
