@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fatpoints", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hilbert", parents=[], help="Hilbert function values")
+    p = sub.add_parser("hilbert", help="Hilbert function values")
     _add_scheme_arg(p)
     p.add_argument("--degree", type=int, default=None, help="single degree to evaluate")
     p.add_argument("--csv", action="store_true", help="emit the table as CSV")
@@ -137,7 +137,7 @@ def _spec_from_args(args) -> PatternSpec:
         s=args.s,
         m=args.m,
         mults=_parse_mults(args.mults),
-        seed=getattr(args, "seed", 0),
+        seed=args.seed,
         height=args.height,
         flat_dim=args.flat_dim,
         k=args.k,

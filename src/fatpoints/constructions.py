@@ -437,7 +437,7 @@ def build_certificate(j: FatPointScheme, p: ProjPoint, a: int, seed: int) -> Cer
     groups = [(range(moved.size), _single_group_dim(flats, j.n))]
     try:
         entries, delta = _grouped_entries(moved, origin, monomials, seed, groups)
-    except (ValueError, ConstructionError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         raise ConstructionError(
             f"no supported construction applies to this configuration: {exc}"
         ) from exc

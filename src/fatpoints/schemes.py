@@ -24,7 +24,9 @@ space is therefore spanned by the unit vectors of the union U of these
 blocks, and H(t) = |U| + the rank of the other points' rows restricted
 to the columns outside U.  This is exact at every degree: only the row
 space of the vertex rows enters, so blocks may overlap (t < m_i + m_j - 1)
-or cover every monomial (t < m - 1).
+or cover every monomial (t < m - 1).  One builder, :func:`_free_rows`,
+gives every degree question the columns outside U and the other points'
+rows on them; :func:`condition_rows` reads it on a frame with no vertex.
 
 The artinian reductions at a point p use the same frame with p sent to
 e_0 first and up to n points of the scheme, heaviest first, on e_1, ...
@@ -78,7 +80,8 @@ prod_j b_j! / (b_j - alpha_j)! * c^(b - alpha) when b >= alpha, else 0,
 so its coefficient and its monomial X^(b - alpha) of degree t - order
 depend on (t, nvars, order, columns) alone: :func:`_stencil` holds them
 per such key, and :func:`_point_condition_rows` evaluates the monomials
-at the point once and builds each entry with one product.
+at the point once and builds each entry with one product, always on
+given columns: the free ones of a frame, all of them with no vertex.
 :func:`_free_columns` holds the columns outside the vertex blocks per
 (t, n + 1, vertex multiplicities).  As the keys hold no coordinates,
 every point of one multiplicity in a frame reads one stencil, and the
@@ -214,14 +217,6 @@ class FatPointScheme:
         """
         return spanned_flats(self.points)
 
-    @cached_property
-    def frame(self) -> "SimplexFrame":
-        """:func:`simplex_frame` of the scheme, found once per scheme.
-
-        :func:`hilbert_function` and :func:`regularity_index` read it.
-        """
-        return simplex_frame(self)
-
     def without_point(self, i: int) -> "FatPointScheme":
         if not 0 <= i < self.size:
             raise ValueError(f"point index {i} is out of range 0..{self.size - 1}")
@@ -252,7 +247,7 @@ class FatPointScheme:
 # typed, as monomial_basis: a float degree is its own miss and raises there
 @lru_cache(maxsize=256, typed=True)
 def _stencil(
-    t: int, nvars: int, order: int, columns: tuple[int, ...] | None
+    t: int, nvars: int, order: int, columns: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
     """The coordinate-free part of the order-``order`` derivative rows in degree t.
 
@@ -271,9 +266,8 @@ def _stencil(
     and about 2 MB for an order-7 point in P^3 at degree 16 (120 rows by
     489 free columns), so the bound also caps the memory kept.
     """
-    exponents = monomial_basis(t, nvars)
-    if columns is not None:
-        exponents = [exponents[k] for k in columns]
+    basis = monomial_basis(t, nvars)
+    exponents = [basis[k] for k in columns]
     refs: dict[tuple[int, ...], int] = {}
     rows = []
     for alpha in monomial_basis(order, nvars):
@@ -289,32 +283,20 @@ def _stencil(
 
 
 def _point_condition_rows(
-    coords: tuple[int, ...], mult: int, t: int, columns: Sequence[int] | None = None
+    coords: tuple[int, ...], mult: int, t: int, columns: Sequence[int]
 ) -> list[list[int]]:
     """All order-min(mult-1, t) derivative evaluations at one point.
 
-    Each row has one entry per degree-t monomial, or per monomial at the
-    given basis indices when ``columns`` is set.  The cached
-    :func:`_stencil` holds each entry's coefficient and monomial of degree
-    t - order; the referenced monomials are evaluated at the point once,
-    and each entry is then one product.  Integer coordinates give Python
-    ``int`` entries.
+    Each row has one entry per degree-t monomial at the given basis
+    indices.  The cached :func:`_stencil` holds each entry's coefficient
+    and monomial of degree t - order; the referenced monomials are
+    evaluated at the point once, and each entry is then one product.
+    Integer coordinates give Python ``int`` entries.
     """
     order = min(mult - 1, t)
-    key = None if columns is None else tuple(columns)
-    refs, rows = _stencil(t, len(coords), order, key)
+    refs, rows = _stencil(t, len(coords), order, tuple(columns))
     values = [prod(map(pow, coords, g)) for g in refs]
     return [[k * values[i] for k, i in row] for row in rows]
-
-
-def condition_rows(z: FatPointScheme, t: int) -> list[list[int]]:
-    """Integer rows of the degree-t condition matrix (fast path)."""
-    if t < 0:
-        raise ValueError("degree must be nonnegative")
-    rows: list[list[int]] = []
-    for p, m in zip(z.points, z.mults):
-        rows.extend(_point_condition_rows(p.rep, m, t))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +367,25 @@ def _free_columns(t: int, nvars: int, vertices: tuple[tuple[int, int], ...]) -> 
     return tuple(c for c, b in enumerate(exponents) if all(b[k] <= t - m for k, m in vertices))
 
 
-def _other_rows(frame: SimplexFrame, t: int, free: tuple[int, ...]) -> list[list[int]]:
+def _free_rows(frame: SimplexFrame, t: int) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The free columns of degree t and the non-vertex points' rows on them.
+
+    No row is built when no column is free or no other point exists.
+    """
+    free = _free_columns(t, frame.n + 1, frame.vertices)
     rows: list[list[int]] = []
-    for coords, m in frame.others:
-        rows.extend(_point_condition_rows(coords, m, t, free))
-    return rows
+    if free:
+        for coords, m in frame.others:
+            rows.extend(_point_condition_rows(coords, m, t, free))
+    return free, rows
+
+
+def condition_rows(z: FatPointScheme, t: int) -> list[list[int]]:
+    """Integer rows of the degree-t condition matrix: a frame with no vertex."""
+    if t < 0:
+        raise ValueError("degree must be nonnegative")
+    frame = SimplexFrame((), tuple((p.rep, m) for p, m in zip(z.points, z.mults)), z.n)
+    return _free_rows(frame, t)[1]
 
 
 def _frame_hilbert(frame: SimplexFrame, t: int) -> int:
@@ -398,24 +394,24 @@ def _frame_hilbert(frame: SimplexFrame, t: int) -> int:
     The monomials covered by the vertex points' rows are counted; only the
     other rows on the free columns are eliminated (rank_rows).
     """
-    free = _free_columns(t, frame.n + 1, frame.vertices)
+    free, rows = _free_rows(frame, t)
     covered = comb(t + frame.n, frame.n) - len(free)
-    if not free or not frame.others:
+    if not rows:
         return covered
-    return covered + rank_rows(_other_rows(frame, t, free), len(free))
+    return covered + rank_rows(rows, len(free))
 
 
 def hilbert_function(z: FatPointScheme, t: int) -> int:
     """Dimension of the degree-t piece of the homogeneous coordinate ring.
 
     Computed in the simplex frame of the scheme (see the module
-    docstring), in P^n, which the scheme finds once (``z.frame``).  The
-    count is exact at every t >= 0, with no lower degree threshold.
+    docstring), in P^n.  The count is exact at every t >= 0, with no
+    lower degree threshold.
     """
     t = _as_int(t, "degree")
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    return _frame_hilbert(z.frame, t)
+    return _frame_hilbert(simplex_frame(z), t)
 
 
 def curve_lower_bound(z: FatPointScheme) -> int:
@@ -486,10 +482,10 @@ def regularity_index(z: FatPointScheme) -> int:
     for full row rank.
 
     The scan has two phases.  First, the start degree asks the mod-p
-    question alone (:func:`fatpoints.linalg.modular_rank`), whose full
-    row rank is a proven "yes".  A mod-p "no" proves nothing, so then the
-    scan computes the curve lower bound L of :func:`curve_lower_bound`:
-    every degree below L is a proven "no".  Second, from the larger of
+    question alone (:func:`fatpoints.linalg.modular_rank`) of the rows of
+    :func:`_free_rows`, whose full row rank is a proven "yes".  A mod-p
+    "no" proves nothing, so then the scan computes the curve lower bound
+    L of :func:`curve_lower_bound`: every degree below L is a proven "no".  Second, from the larger of
     L and the start, each degree asks whether H(t) = e by the
     :func:`_frame_hilbert` of :func:`hilbert_function`, whose rank is
     :func:`fatpoints.linalg.rank_rows`, the package's one rank rule.  L
@@ -500,7 +496,7 @@ def regularity_index(z: FatPointScheme) -> int:
     span P^n are d = n, where the cut keeps every coordinate.  A hard cap
     at sum(m_i) - 1 guards against bugs; it is mathematically unreachable.
     """
-    frame = z.frame
+    frame = simplex_frame(z)
     d = len(frame.vertices) - 1
     frame = SimplexFrame(frame.vertices, tuple((c[: d + 1], m) for c, m in frame.others), d)
     e = sum(comb(m + d - 1, d) for m in z.mults)
@@ -512,8 +508,7 @@ def regularity_index(z: FatPointScheme) -> int:
     if not frame.others:  # the disjoint vertex blocks alone cover e monomials
         return t
     if t <= cap:
-        free = _free_columns(t, d + 1, frame.vertices)
-        rows = _other_rows(frame, t, free)
+        free, rows = _free_rows(frame, t)
         if modular_rank(rows, len(free)) == len(rows):
             return t
         t = max(t, curve_lower_bound(z))
@@ -531,14 +526,13 @@ def in_fat_ideal(f: Form, z: FatPointScheme) -> bool:
     if f.is_zero():
         return True
     coeffs = f.coeffs
-    for p, m in zip(z.points, z.mults):
-        for row in _point_condition_rows(p.rep, m, f.degree):
-            total = Fraction(0)
-            for rv, c in zip(row, coeffs):
-                if rv and c:
-                    total += rv * c
-            if total:
-                return False
+    for row in condition_rows(z, f.degree):
+        total = Fraction(0)
+        for rv, c in zip(row, coeffs):
+            if rv and c:
+                total += rv * c
+        if total:
+            return False
     return True
 
 
@@ -573,13 +567,13 @@ def _artinian_ranks(frame: SimplexFrame, t: int, low: int) -> tuple[int, int]:
     rank on all free columns, and those among the first len(free) - split
     columns the rank on the suffix (see :func:`fatpoints.linalg._pivot_columns`).
     """
-    free = _free_columns(t, frame.n + 1, frame.vertices)
+    free, rows = _free_rows(frame, t)
     split = bisect_left(free, low)
     covered = comb(t + frame.n, frame.n) - len(free)
     covered_high = covered - (low - split)
-    if not free or not frame.others:
+    if not rows:
         return covered, covered_high
-    rows = [row[split:] + row[:split] for row in _other_rows(frame, t, free)]
+    rows = [row[split:] + row[:split] for row in rows]
     pivots = _pivot_columns(rows, len(free))
     return covered + len(pivots), covered_high + bisect_left(pivots, len(free) - split)
 
@@ -625,12 +619,12 @@ def _ideal_piece(frame: SimplexFrame, b: int, low: int) -> list[list]:
     The vectors stay lists: short tuples freed in bulk are kept on
     CPython's tuple free lists and raise the peak RSS.
     """
-    free = _free_columns(b, frame.n + 1, frame.vertices)
+    free, rows = _free_rows(frame, b)
     split = bisect_left(free, low)
-    if not frame.others:
+    if not rows:
         return [[int(c == free[f]) for c in range(low)] for f in range(split)]
     piece = []
-    for kernel_vec in integer_kernel(_other_rows(frame, b, free), len(free)):
+    for kernel_vec in integer_kernel(rows, len(free)):
         vec: list = [0] * low
         for f in range(split):
             vec[free[f]] = kernel_vec[f]

@@ -5,7 +5,8 @@ a stencil cached per (t, nvars, order, columns), and ``_free_columns`` is
 cached per (t, nvars, vertices).  Both are checked against plain
 enumerations on random input, with the caches warm or cold, and their
 keys are shown to hold no coordinates: the schemes of one cell add no
-entry after the first.
+entry after the first.  ``_free_rows``, the one builder that every degree
+question reads, is checked against the same plain enumerations.
 """
 
 from math import comb
@@ -18,7 +19,9 @@ from fatpoints.generators import PatternSpec, generate
 from fatpoints.geometry import ProjPoint
 from fatpoints.schemes import (
     FatPointScheme,
+    SimplexFrame,
     _free_columns,
+    _free_rows,
     _point_condition_rows,
     _stencil,
     artinian_quotient_regularity,
@@ -61,10 +64,8 @@ def row_requests(draw):
     mult = draw(st.integers(1, 7))
     coords = tuple(draw(st.lists(st.integers(-4, 4), min_size=nvars, max_size=nvars)))
     ncols = comb(t + nvars - 1, nvars - 1)
-    kind = draw(st.sampled_from(["none", "empty", "full", "subset", "vertex caps"]))
-    if kind == "none":
-        columns = None
-    elif kind == "empty":
+    kind = draw(st.sampled_from(["empty", "full", "subset", "vertex caps"]))
+    if kind == "empty":
         columns = []
     elif kind == "full":
         columns = list(range(ncols))
@@ -72,19 +73,18 @@ def row_requests(draw):
         columns = draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=ncols))
     else:
         columns = _free_columns(t, nvars, draw(vertex_sets(nvars, t)))
-    width = ncols if columns is None else len(columns)
-    assume(comb(min(mult - 1, t) + nvars - 1, nvars - 1) * width <= MAX_ENTRIES)
+    assume(comb(min(mult - 1, t) + nvars - 1, nvars - 1) * len(columns) <= MAX_ENTRIES)
     return coords, mult, t, columns
 
 
 @settings(max_examples=300, deadline=None)
 @given(row_requests(), st.booleans())
-@example(((3,), 1, 0, None), False)  # one variable, degree 0
-@example(((0, 0, 5), 7, 2, None), True)  # order above t: capped at t
+@example(((3,), 1, 0, (0,)), False)  # one variable, degree 0
+@example(((0, 0, 5), 7, 2, tuple(range(6))), True)  # order above t: capped at t
 @example(((-2, 0, 1, -1), 3, 4, []), False)  # no columns
 @example(((1, -1), 4, 3, [3, 0, 2]), True)  # columns out of basis order
 @example(((2, 1, -3), 2, 2, _free_columns(2, 3, ((0, 5), (2, 1)))), True)  # a cap below 0
-@example(((0, 0, 0, 0, 0, 1), 2, 5, None), False)  # six variables
+@example(((0, 0, 0, 0, 0, 1), 2, 5, tuple(range(252))), False)  # six variables
 def test_point_condition_rows_match_plain_builder(request, cold):
     coords, mult, t, columns = request
     if cold:
@@ -105,6 +105,48 @@ def test_free_columns_match_plain_enumeration(data):
     assert isinstance(free, tuple)
     assert list(free) == plain_free_columns(t, nvars, vertices)
     assert _free_columns(t, nvars, vertices) is free
+
+
+@st.composite
+def frame_requests(draw):
+    """A degree, vertices (none, or caps below 0 included) and 0-3 other
+    points with zeros and negative entries, whose multiplicities reach
+    above t + 1, so that some orders are capped at t."""
+    nvars = draw(st.integers(1, 5))
+    t = draw(st.integers(0, 8))
+    vertices = draw(vertex_sets(nvars, t))
+    others = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(-4, 4)] * nvars),
+                st.integers(1, t + 3),
+            ),
+            max_size=3,
+        )
+    )
+    width = len(plain_free_columns(t, nvars, vertices))
+    heights = [comb(min(m - 1, t) + nvars - 1, nvars - 1) for _, m in others]
+    assume(sum(heights) * width <= MAX_ENTRIES)
+    return nvars, t, vertices, tuple(others)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame_requests())
+# no vertex: the frame of condition_rows, where every column is free
+@example((3, 4, (), (((1, -2, 0), 3), ((0, 0, 1), 6))))
+# no other point: free columns, no rows
+@example((3, 4, ((0, 2), (2, 1)), ()))
+# a cap below 0 covers every monomial: no free column, so no rows
+@example((3, 2, ((1, 5),), (((2, -1, 3), 2),)))
+def test_free_rows_match_plain_builders(request):
+    nvars, t, vertices, others = request
+    free, rows = _free_rows(SimplexFrame(vertices, others, nvars - 1), t)
+    assert free == tuple(plain_free_columns(t, nvars, vertices))
+    want = []
+    if free:
+        for coords, m in others:
+            want.extend(plain_point_condition_rows(coords, m, t, free))
+    assert rows == want
 
 
 def _three_free_points():

@@ -23,6 +23,7 @@ from fatpoints.schemes import (
     hilbert_function,
     multiplicity,
     regularity_index,
+    simplex_frame,
 )
 
 P0 = MODULAR_PRIME
@@ -120,7 +121,7 @@ def test_the_scan_asks_mod_p_at_its_start_then_rank_rows_from_the_curve_bound(mo
     _spy(monkeypatch, linalg, "_pivot_columns", calls)
     regularity_index.cache_clear()
     assert regularity_index(z) == 5
-    vertices = z.frame.vertices
+    vertices = simplex_frame(z).vertices
     assert calls == [
         ("modular_rank", 3, len(_free_columns(4, 3, vertices))),
         ("rank_rows", 3, len(_free_columns(5, 3, vertices))),

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fatpoints import schemes
 from fatpoints.geometry import ProjPoint, span
 from fatpoints.linalg import MODULAR_PRIME, Matrix, kernel_basis, rank_rows
 from fatpoints.schemes import (
@@ -313,18 +312,6 @@ def test_regularity_scan_start_is_a_lower_bound(z):
     reg = plain_regularity_index(z)
     assert curve_lower_bound(z) <= reg
     assert regularity_index(z) == reg
-
-
-def test_the_scheme_finds_its_frame_once(monkeypatch):
-    """``hilbert_function`` and ``regularity_index`` read the scheme's one cached frame."""
-    z = simple_scheme([unit(2, 0), unit(2, 1), ProjPoint((1, 1, 1)), ProjPoint((1, 2, 3))])
-    calls = []
-    found = schemes.simplex_frame
-    monkeypatch.setattr(schemes, "simplex_frame", lambda z: calls.append(z) or found(z))
-    regularity_index.cache_clear()
-    values = [hilbert_function(z, t) for t in range(4)], regularity_index(z)
-    assert calls == [z] and z.frame == found(z)
-    assert values == ([1, 3, 4, 4], 2)
 
 
 def test_simplex_frame_puts_heaviest_independent_points_on_vertices():
