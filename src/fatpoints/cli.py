@@ -47,12 +47,15 @@ class _UsageError(Exception):
     pass
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """``--seed``, or else FATPOINTS_SEED (default 0), read only by a command that seeds."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("FATPOINTS_SEED", "0")
     try:
         return int(raw)
     except ValueError:
-        raise _UsageError(f"FATPOINTS_SEED must be an integer, got {raw!r}") from None
+        raise ValueError(f"FATPOINTS_SEED must be an integer, got {raw!r}") from None
 
 
 def _add_scheme_arg(p: argparse.ArgumentParser) -> None:
@@ -97,24 +100,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build and verify a hyperplane-product certificate")
     _add_scheme_arg(p)
     p.add_argument("--i0", type=int, default=None, help="index of the distinguished point")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("distribute", help="cover points with flats avoiding one point")
     _add_scheme_arg(p)
     p.add_argument("--i0", type=int, required=True, help="index of the avoided point")
     p.add_argument("--r", type=int, required=True, help="flats have dimension r-1")
     p.add_argument("--t", type=int, default=None, help="flat count (default: threshold)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("gen", help="generate a scheme from a pattern")
     _add_pattern_args(p)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("batch", help="seeded batch verification")
     _add_pattern_args(p)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed(), help="base seed")
+    p.add_argument("--seed", type=int, default=None, help="base seed")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -137,7 +140,7 @@ def _spec_from_args(args) -> PatternSpec:
         s=args.s,
         m=args.m,
         mults=_parse_mults(args.mults),
-        seed=args.seed,
+        seed=_seed(args),
         height=args.height,
         flat_dim=args.flat_dim,
         k=args.k,
@@ -161,13 +164,14 @@ def _cmd_hilbert(args) -> int:
     if args.degree is not None and args.degree < 0:
         raise ValueError("--degree must be nonnegative")
     # H is nondecreasing and first reaches e at the regularity index, so
-    # H(t) = e for every t >= reg: no degree past reg needs a matrix.
+    # H(t) = e for every t >= reg: no degree from reg on needs a matrix.
     e = multiplicity(z)
     reg = regularity_index(z)
+    degrees = range(reg + 1) if args.degree is None else [args.degree]
+    rows = [(t, e if t >= reg else hilbert_function(z, t)) for t in degrees]
     if args.degree is not None:
-        print(e if args.degree >= reg else hilbert_function(z, args.degree))
+        print(rows[0][1])
         return 0
-    rows = [(t, hilbert_function(z, t)) for t in range(reg + 1)]
     if args.csv:
         print("t,h")
         for t, h in rows:
@@ -234,6 +238,7 @@ def _cmd_certify(args) -> int:
     z = load_scheme(args.scheme)
     if z.size < 2:
         raise ValueError("certification needs at least two points")
+    seed = _seed(args)
     candidates = [args.i0] if args.i0 is not None else list(range(z.size))
     last_error: Optional[Exception] = None
     for i0 in candidates:
@@ -242,7 +247,7 @@ def _cmd_certify(args) -> int:
         rest = z.without_point(i0)
         a = z.mults[i0]
         try:
-            cert = build_certificate(rest, z.points[i0], a, args.seed)
+            cert = build_certificate(rest, z.points[i0], a, seed)
         except (ConstructionError, ValueError) as exc:
             last_error = exc
             continue
@@ -268,7 +273,7 @@ def _cmd_distribute(args) -> int:
     mults = [m for i, m in enumerate(z.mults) if i != args.i0]
     avoid = z.points[args.i0]
     t = args.t if args.t is not None else cover_threshold(mults, args.r)
-    dist = distribute_flats(points, avoid, mults, args.r, t, args.seed)
+    dist = distribute_flats(points, avoid, mults, args.r, t, _seed(args))
     obj = {
         "r": args.r,
         "t": t,
@@ -289,7 +294,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_batch(args) -> int:
     spec = _spec_from_args(args)
-    report = batch_check(spec, args.trials, args.seed, workers=args.workers)
+    report = batch_check(spec, args.trials, spec.seed, workers=args.workers)
     _emit(report.to_json(), args.out)
     return 2 if report.violations else 0
 

@@ -29,8 +29,9 @@ logged, so a reported rank never depends on trusting a prime.  The
 mod-p question alone is :func:`modular_rank`, a lower bound, for a
 caller that settles its "no" by a proof of its own: the regularity scan
 of :mod:`fatpoints.schemes` asks it at its first degree.  Only the
-artinian reductions call the exact pass directly, to read two ranks
-off it.
+artinian reductions call the exact pass directly, to read off it
+whether a degree vanishes: whether every pivot falls among the columns
+they put first.
 """
 
 from __future__ import annotations
@@ -366,7 +367,7 @@ def set_modular_filter(enabled: bool) -> None:
     """Does nothing: every rank takes the one rule of :func:`rank_rows`.
 
     Kept only because the benchmark worker, ``perfbench/worker.py``, still
-    calls it; it goes when the benchmark stops calling it (ROADMAP item 3).
+    calls it; it goes when the benchmark stops calling it (ROADMAP item 4).
     """
 
 

@@ -32,10 +32,11 @@ The artinian reductions at a point p use the same frame with p sent to
 e_0 first and up to n points of the scheme, heaviest first, on e_1, ...
 In it the monomials of order <= i at p are a prefix of the basis, and
 only the non-vertex points' rows on the columns outside the vertex
-blocks are built and eliminated.  The two ranks of a degree, on all
-columns and on those of order >= a at p, come from one forward pass
-over these rows with the free columns of order >= a put first: its
-pivots among them are their rank.
+blocks are built and eliminated.  From the artinian scan's start degree
+on, no vertex block reaches a column of order < a at p, so each degree
+is one yes/no: one forward pass over these rows with the free columns
+of order >= a put first, whose pivots all fall among them exactly when
+the quotient vanishes there.
 
 The regularity index is computed in the span P^d of the points.  The
 simplex frame puts d+1 independent points on e_0, ..., e_d, so every
@@ -557,27 +558,6 @@ def _origin_frame(j: FatPointScheme, p: ProjPoint) -> SimplexFrame:
     return _frame(j, [p.rep])
 
 
-def _artinian_ranks(frame: SimplexFrame, t: int, low: int) -> tuple[int, int]:
-    """Ranks of the degree-t condition matrix on all columns and from index low on.
-
-    Both are the vertex-covered count of those columns plus the rank of
-    the other points' rows on their free columns.  The free columns from
-    low on are a suffix of the free list, so each row is rotated to put
-    them first, and one forward pass answers both: its pivots count the
-    rank on all free columns, and those among the first len(free) - split
-    columns the rank on the suffix (see :func:`fatpoints.linalg._pivot_columns`).
-    """
-    free, rows = _free_rows(frame, t)
-    split = bisect_left(free, low)
-    covered = comb(t + frame.n, frame.n) - len(free)
-    covered_high = covered - (low - split)
-    if not rows:
-        return covered, covered_high
-    rows = [row[split:] + row[:split] for row in rows]
-    pivots = _pivot_columns(rows, len(free))
-    return covered + len(pivots), covered_high + bisect_left(pivots, len(free) - split)
-
-
 # typed: a call with a = 2.0 is its own miss, so it raises as it did uncached
 @lru_cache(maxsize=64, typed=True)
 def artinian_quotient_regularity(j: FatPointScheme, p: ProjPoint, a: int) -> int:
@@ -590,21 +570,33 @@ def artinian_quotient_regularity(j: FatPointScheme, p: ProjPoint, a: int) -> int
     monomials of order >= a at p, the basis from index C(a-1+n, n) on.
     Both ranks are invariant under changes of coordinates fixing p, so
     they are computed in the frame that also puts up to n points of the
-    scheme on the other vertices, both off one exact forward pass per
-    degree (see :func:`_artinian_ranks`).
+    scheme on the other vertices e_1, e_2, ...
 
     The quotient maps onto the quotient by q's m-th power plus p's a-th
     power for each point q of multiplicity m, which is nonzero up to
     degree a + m - 2, so the scan starts at a + max(m_i) - 1 and stops at
     the first zero, since an artinian standard graded quotient cannot
     revive.
+
+    From that start on, no vertex block meets the first ``low`` columns.
+    Such a column is a monomial X^b of order < a at p, so b_k <= a - 1 for
+    every k >= 1; it lies in vertex k's block when b_k >= t - m_k + 1.
+    Both hold only when t <= a + m_k - 2, below the start.  So the first
+    ``low`` free columns are columns 0..low-1, both ranks count the same
+    covered columns, and the quotient vanishes in degree t exactly when
+    the other points' rows have the same rank on the free columns from
+    ``low`` on as on all of them.  One forward pass over the rows rotated
+    to put those columns first answers it (see
+    :func:`fatpoints.linalg._pivot_columns`): the ranks agree exactly when
+    every pivot falls among the first len(free) - low columns.
     """
     _check_artinian_args(j, p, a)
     frame = _origin_frame(j, p)
     low = comb(a - 1 + j.n, j.n)
     for t in range(a + max(j.mults) - 1, sum(j.mults) + a + 1):
-        full, high = _artinian_ranks(frame, t, low)
-        if full == high:
+        free, rows = _free_rows(frame, t)
+        pivots = _pivot_columns([row[low:] + row[:low] for row in rows], len(free)) if rows else []
+        if not pivots or pivots[-1] < len(free) - low:
             return t
     raise RuntimeError("artinian quotient failed to terminate; this indicates a bug")
 

@@ -325,6 +325,24 @@ def test_env_seed_malformed_exit_one(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_malformed_env_seed_is_ignored_by_a_command_without_seed(
+    double_point_scheme, monkeypatch, capsys
+):
+    monkeypatch.setenv("FATPOINTS_SEED", "abc")
+    assert cli_dispatch(["reg", "--scheme", double_point_scheme]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
+def test_malformed_env_seed_is_ignored_beside_an_explicit_seed(tmp_path, monkeypatch):
+    args = ["gen", "--pattern", "general", "--n", "2", "--s", "3", "--seed", "5", "--out"]
+    clean = tmp_path / "clean.json"
+    assert cli_dispatch(args + [str(clean)]) == 0
+    monkeypatch.setenv("FATPOINTS_SEED", "abc")
+    bad = tmp_path / "bad.json"
+    assert cli_dispatch(args + [str(bad)]) == 0
+    assert bad.read_bytes() == clean.read_bytes()
+
+
 def segre_check_corpus(seed=0, count=60):
     """Seeded schemes for the segre and check reports: prop43, lem42 and
     lemma24 schemes of small height, and random points of height 2, often

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb
 
@@ -23,7 +24,7 @@ from fatpoints.schemes import (
     regularity_index,
     simplex_frame,
 )
-from fatpoints.schemes import _artinian_ranks, _ideal_piece, _origin_frame
+from fatpoints.schemes import _free_columns, _ideal_piece, _origin_frame
 from oracles import (
     condition_matrix,
     coordinate_change_to_origin,
@@ -682,6 +683,10 @@ def _prefix_monomial_bound(ideal, n, a):
     return True
 
 
+# J, p and a whose vertex blocks reach the low-order columns at t = a + m - 2
+_LOW_BLOCKS = (_scheme([(1, 1, 0), (0, 1, 1), (1, 0, 2)], [3, 3, 1]), ProjPoint((1, 0, 1)), 3)
+
+
 @st.composite
 def frame_instances(draw):
     """A scheme J (n 1..3, 1..6 points), a point p off J and an order a.
@@ -716,7 +721,7 @@ def frame_instances(draw):
 @example((_scheme([(0, 1, 0), (1, 1, 1)], [3, 2]), ProjPoint((1, 0, 0)), 2))
 @example((_scheme([(0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1)], [1, 3, 2]), ProjPoint((1, 0, 0, 0)), 3))
 # vertex blocks reaching the low-order columns up to degree a + m - 2
-@example((_scheme([(1, 1, 0), (0, 1, 1), (1, 0, 2)], [3, 3, 1]), ProjPoint((1, 0, 1)), 3))
+@example(_LOW_BLOCKS)
 # a = 1
 @example((_scheme([(1, 2), (2, -1), (0, 1)], [2, 3, 1]), ProjPoint((1, 1)), 1))
 def test_artinian_frame_matches_plain_condition_matrices(instance):
@@ -736,7 +741,6 @@ def test_artinian_frame_matches_plain_condition_matrices(instance):
     areg = artinian_quotient_regularity(j, p, a)
     for t in range(a, areg + 2):
         full, high = _plain_artinian_ranks(moved, a, t)
-        assert _artinian_ranks(frame, t, low) == (full, high)
         assert (full == high) == (t >= areg)
     for b in range(a - 1, areg + 2):
         plain = kernel_basis(condition_matrix(moved, b))
@@ -746,6 +750,32 @@ def test_artinian_frame_matches_plain_condition_matrices(instance):
         expected = _prefix_monomial_bound(plain, j.n, a)
         assert expected == (b >= areg)
         assert monomial_bound_check(j, p, a, b) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_instances())
+@example(_LOW_BLOCKS)
+def test_no_vertex_block_reaches_the_low_columns_from_the_artinian_start(instance):
+    """From a + max(m) - 1 to one past areg, the first low free columns are 0..low-1.
+
+    So both ranks of an artinian degree count the same covered columns,
+    and the scan reads each degree off the pivots of the free columns.
+    """
+    j, p, a = instance
+    frame = _origin_frame(j, p)
+    low = comb(a - 1 + j.n, j.n)
+    for t in range(a + max(j.mults) - 1, artinian_quotient_regularity(j, p, a) + 2):
+        assert bisect_left(_free_columns(t, frame.n + 1, frame.vertices), low) == low
+
+
+def test_the_artinian_start_is_the_first_degree_clear_of_the_low_columns():
+    """One degree below the start, a vertex block covers two low columns."""
+    j, p, a = _LOW_BLOCKS
+    frame = _origin_frame(j, p)
+    low = comb(a - 1 + j.n, j.n)
+    assert (a + max(j.mults) - 1, low) == (5, 6)
+    assert bisect_left(_free_columns(4, frame.n + 1, frame.vertices), low) == 4
+    assert bisect_left(_free_columns(5, frame.n + 1, frame.vertices), low) == low
 
 
 # sha256 of "trial i0 reg(Z) reg(Z - P) areg" lines over criterion 3's corpus,
